@@ -358,7 +358,6 @@ void RunServeUpdates(const RunOptions& options, SpanLog& spans, Report& report) 
   report.Set("setup_s", setup, "s");
   report.Set("algo_s", execute_total, "s");
   report.Set("e2e_s", setup + execute_total, "s");
-  report.Set("bfs_s", Median(latency_by_kind[QueryKind::kBfs]), "s");
   report.Set("pagerank_s", Median(latency_by_kind[QueryKind::kPagerank]), "s");
   report.Set("peak_rss_mb", peak_rss_mb, "MiB");
 

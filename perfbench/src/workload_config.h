@@ -14,6 +14,11 @@ inline constexpr int kPagerankIterations = 10;
 // median.
 inline constexpr int kSetupRepeats = 3;
 
+// Pool width of the traced run's parallel probe (analytics; capped at the
+// hardware's). The measured passes run on the process pool, whose width
+// run.py sets per workload.
+inline constexpr unsigned kParallelProbeThreads = 4;
+
 // serve-updates: open-loop point queries at a fixed mean rate (about half
 // the capacity of kServeWorkers single-threaded workers at the serve scale)
 // and a fixed-rate mirrored update stream.
