@@ -77,7 +77,7 @@ int main() {
       }
 
       // PageRank, adjacency push with atomics: all-active rounds through the
-      // balanced ScanCsrBySource.
+      // balanced ScanBySource.
       RunConfig pr_config = config;
       GraphHandle pr_handle(graph);
       PagerankOptions pr_options;

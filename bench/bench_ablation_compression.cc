@@ -37,10 +37,9 @@ using namespace egraph;
 using namespace egraph::bench;
 
 constexpr int kReps = 3;
-// Decode overhead gate: generous multiplier plus an absolute grace so that
-// micro-second cells at smoke scales don't trip on scheduler noise.
+// Decode overhead gate: a generous multiplier, armed once the plain cell is
+// long enough to mean something (TimingGate).
 constexpr double kMaxSlowdown = 5.0;
-constexpr double kSlowdownGraceSeconds = 0.005;
 
 int failures = 0;
 
@@ -99,8 +98,8 @@ CellResult RunCell(const std::string& cell, const std::string& dataset,
   }
   Gate(plain_checksum == compressed_checksum,
        cell + " on " + dataset + ": checksum mismatch plain vs compressed");
-  Gate(result.compressed_seconds <=
-           kMaxSlowdown * result.plain_seconds + kSlowdownGraceSeconds,
+  Gate(TimingGate(result.compressed_seconds, result.plain_seconds, kMaxSlowdown,
+                  /*can_arm=*/true),
        cell + " on " + dataset + ": compressed decode slowdown out of bounds");
   return result;
 }

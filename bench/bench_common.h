@@ -10,6 +10,7 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <string>
 
 #include "src/gen/datasets.h"
@@ -53,6 +54,31 @@ std::string Sec(double seconds);
 // A well-connected traversal source: the highest-out-degree vertex (vertex 0
 // can be isolated after R-MAT id scrambling).
 VertexId GoodSource(const EdgeList& graph);
+
+// Wall-clock gates "candidate < baseline * factor". Timings under
+// kMeaningfulSeconds are dominated by round dispatch and timer noise (ctest
+// runs the benches at smoke scale beside other tests), so a gate is armed
+// only when the baseline reaches it and the caller's precondition holds
+// (`can_arm`, e.g. enough hardware threads). Otherwise it degrades to a
+// regression bound, candidate < baseline * max(factor, kRegressionFactor) +
+// kNoiseGraceSeconds, which still catches an accidental serialization and
+// is never stricter than the armed gate. Checksum, identity and footprint
+// gates never go through here: they stay hard at every scale.
+inline constexpr double kMeaningfulSeconds = 0.05;
+inline constexpr double kNoiseGraceSeconds = 0.05;
+inline constexpr double kRegressionFactor = 4.0;
+
+// Returns whether the gate held; `*armed` (optional) reports which form ran.
+inline bool TimingGate(double candidate, double baseline, double factor, bool can_arm,
+                       bool* armed = nullptr) {
+  const bool strict = can_arm && baseline >= kMeaningfulSeconds;
+  if (armed != nullptr) {
+    *armed = strict;
+  }
+  return strict ? candidate < baseline * factor
+                : candidate < baseline * std::max(factor, kRegressionFactor) +
+                                  kNoiseGraceSeconds;
+}
 
 }  // namespace egraph::bench
 

@@ -1,5 +1,5 @@
 // Sharded substrate vs striped locks: a push-heavy BFS + SSSP mix over the
-// same adjacency lists, once through EdgeMapCsrPush with striped-lock
+// same adjacency lists, once through EdgeMapPush with striped-lock
 // synchronization (Sync::kLocks) and once through the two-phase sharded push
 // (owned applies + whole-cache-line aggregated flushes, no vertex-state
 // locks anywhere). Both runs use an 8-worker context — below that the
@@ -45,16 +45,6 @@ void Gate(bool ok, const std::string& what) {
     ++g_failures;
   }
 }
-
-// Striped timings under ~50ms are dominated by round dispatch and timer
-// noise at smoke scales; there the win gate degrades to a regression bound.
-constexpr double kMeaningfulSeconds = 0.05;
-constexpr double kNoiseGraceSeconds = 0.05;
-// Fallback bound when the strict win gate cannot engage: the sharded path's
-// two-phase overhead must stay within this factor of the striped scatter —
-// catches accidental serialization without demanding parallel wins from a
-// serial machine.
-constexpr double kRegressionFactor = 4.0;
 
 }  // namespace
 
@@ -159,15 +149,14 @@ int main() {
   // long enough for the comparison to mean anything.
   const bool parallel_capable =
       std::thread::hardware_concurrency() >= static_cast<unsigned>(kWorkers);
-  if (parallel_capable && striped_result.mix_min >= kMeaningfulSeconds) {
-    Gate(sharded_result.mix_min < striped_result.mix_min,
-         "sharded mix " + Sec(sharded_result.mix_min) + " not faster than striped " +
-             Sec(striped_result.mix_min) + " at " + std::to_string(kWorkers) + " workers");
-  } else {
-    Gate(sharded_result.mix_min <
-             striped_result.mix_min * kRegressionFactor + kNoiseGraceSeconds,
-         "sharded mix " + Sec(sharded_result.mix_min) + " outside regression bound of " +
-             "striped " + Sec(striped_result.mix_min));
+  bool armed = false;
+  const bool held = TimingGate(sharded_result.mix_min, striped_result.mix_min, 1.0,
+                               parallel_capable, &armed);
+  Gate(held,
+       "sharded mix " + Sec(sharded_result.mix_min) + " vs striped " +
+           Sec(striped_result.mix_min) + " at " + std::to_string(kWorkers) + " workers (" +
+           (armed ? "win gate" : "regression bound") + ")");
+  if (!armed) {
     std::printf("win gate in regression-bound mode (hardware_concurrency=%u, "
                 "striped mix %s)\n",
                 std::thread::hardware_concurrency(), Sec(striped_result.mix_min).c_str());

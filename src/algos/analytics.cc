@@ -21,7 +21,7 @@ struct LevelFunctor {
 
   bool Update(VertexId /*src*/, VertexId dst, float) {
     if (level[dst] == kUnreached) {
-      level[dst] = round;
+      AtomicStore(&level[dst], round);
       return true;
     }
     return false;
@@ -47,7 +47,7 @@ std::pair<uint32_t, VertexId> EccentricityAndFarthest(const Csr& out, StripedLoc
   VertexId farthest = source;
   while (!frontier.Empty()) {
     func.round = depth + 1;
-    Frontier next = EdgeMapCsrPush(out, frontier, func, edge_map);
+    Frontier next = EdgeMapPush(out, frontier, func, edge_map);
     if (next.Empty()) {
       // Any member of the last non-empty frontier is farthest.
       frontier.EnsureSparse();

@@ -1,9 +1,7 @@
 #include "src/algos/bfs.h"
 
-#include "src/engine/edge_map.h"
-#include "src/engine/edge_map_compressed.h"
+#include "src/algos/rounds.h"
 #include "src/obs/phase.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -19,7 +17,7 @@ struct BfsFunctor {
 
   bool Update(VertexId src, VertexId dst, float /*weight*/) {
     if (parent[dst] == kInvalidVertex) {
-      parent[dst] = src;
+      AtomicStore(&parent[dst], src);
       return true;
     }
     return false;
@@ -51,93 +49,7 @@ BfsResult RunBfs(GraphHandle& handle, VertexId source, const RunConfig& config,
                           config.sync);
   result.parent[source] = source;
   BfsFunctor func{result.parent.data()};
-  Frontier frontier = Frontier::Single(n, source);
-  EdgeMapOptions edge_map;
-  edge_map.sync = config.sync;
-  edge_map.balance = config.balance;
-  edge_map.locks = &handle.locks();
-  edge_map.scratch = &ctx.edge_map_scratch();
-
-  while (!frontier.Empty()) {
-    Timer iteration;
-    result.stats.frontier_sizes.push_back(frontier.Count());
-    trace.BeginIteration(frontier.Count(), frontier.has_sparse());
-    Direction used = config.direction;
-    Frontier next;
-    switch (config.layout) {
-      case Layout::kAdjacency: {
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapCsrPush(handle.out_csr(), frontier, func, edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapCsrPull(handle.in_csr(), frontier, func, edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapCsrPushPull(handle.out_csr(), handle.in_csr(), frontier, func,
-                                      edge_map, config.pushpull, &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-      }
-      case Layout::kCompressed: {
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapCompressedPush(handle.compressed_out(), frontier, func, edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapCompressedPull(handle.compressed_in(), frontier, func, edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapCompressedPushPull(handle.compressed_out(), handle.compressed_in(),
-                                             frontier, func, edge_map, config.pushpull,
-                                             &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-      }
-      case Layout::kEdgeArray:
-        next = EdgeMapEdgeArray(handle.edges(), frontier, func, edge_map);
-        break;
-      case Layout::kGrid:
-        next = EdgeMapGrid(handle.grid(), frontier, func, edge_map);
-        break;
-      case Layout::kSharded: {
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapShardedPushPull(handle.out_csr(), handle.in_csr(), handle.sharded(),
-                                          frontier, func, edge_map, config.pushpull,
-                                          &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-      }
-    }
-    frontier = std::move(next);
-    trace.EndIteration(used);
-    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-    ++result.stats.iterations;
-  }
+  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace, result.stats);
   result.stats.algorithm_seconds = total.Seconds();
   return result;
 }

@@ -7,8 +7,7 @@ void PrepareForRun(GraphHandle& handle, const RunConfig& config) {
   prepare.layout = config.layout;
   prepare.method = config.method;
   prepare.symmetric_input = config.symmetric_input;
-  if (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed ||
-      config.layout == Layout::kSharded) {
+  if (IsVertexCentric(config.layout)) {
     prepare.need_out =
         config.direction == Direction::kPush || config.direction == Direction::kPushPull;
     prepare.need_in =

@@ -1,7 +1,8 @@
-// Shared algorithm-run plumbing: the configuration selecting which of the
-// paper's techniques to enable, and the per-run statistics every algorithm
+// Shared algorithm-run plumbing: the per-run statistics every algorithm
 // reports (iteration counts, per-iteration times, frontier sizes,
-// push/pull decisions).
+// push/pull decisions). RunConfig, the configuration selecting which of the
+// paper's techniques to enable, lives beside PrepareConfig in
+// src/engine/graph_handle.h so the engine's dispatch can take it whole.
 #ifndef SRC_ALGOS_COMMON_H_
 #define SRC_ALGOS_COMMON_H_
 
@@ -14,24 +15,6 @@
 #include "src/obs/trace.h"
 
 namespace egraph {
-
-struct RunConfig {
-  Layout layout = Layout::kAdjacency;
-  Direction direction = Direction::kPush;
-  Sync sync = Sync::kAtomics;
-  // Work partitioning for edge traversals. Edge-balanced is the default:
-  // it is never worse than fixed grains on skewed degree distributions and
-  // costs one prefix sum per round; kVertex remains for the ablation.
-  Balance balance = Balance::kEdge;
-  PushPullConfig pushpull;
-  // Pre-processing method used when the run has to build a missing layout.
-  BuildMethod method = BuildMethod::kRadixSort;
-  // The handle's edge list is already symmetric (undirected): pull and
-  // push-pull reuse the out-CSR as the in-CSR (paper section 6.1.3).
-  bool symmetric_input = false;
-  // For kSharded: shard count; 0 lets the handle pick two per worker.
-  int shards = 0;
-};
 
 struct AlgoStats {
   int iterations = 0;

@@ -1,13 +1,9 @@
 #include "src/algos/pagerank.h"
 
-#include "src/engine/scan.h"
-#include "src/graph/stats.h"
+#include "src/engine/dispatch.h"
 #include "src/obs/phase.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/obs/trace.h"
-#include "src/util/atomics.h"
 #include "src/util/parallel.h"
-#include "src/util/spinlock.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -29,24 +25,11 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   // Out-degrees are part of the algorithm phase: the edge-array layout has
   // no pre-processing, so everything it needs beyond the raw input counts
   // as computation (consistent with the paper's 0.0s pre-processing rows).
-  std::vector<uint32_t> degree;
-  if (handle.has_out_csr() &&
-      (config.layout == Layout::kAdjacency || config.layout == Layout::kSharded)) {
-    degree.resize(n);
-    const Csr& out = handle.out_csr();
-    VertexMap(n, [&](VertexId v) { degree[v] = out.Degree(v); });
-  } else if (handle.has_compressed_out() && config.layout == Layout::kCompressed) {
-    degree.resize(n);
-    const CompressedCsr& out = handle.compressed_out();
-    VertexMap(n, [&](VertexId v) { degree[v] = out.Degree(v); });
-  } else {
-    degree = OutDegrees(handle.edges());
-  }
+  const std::vector<uint32_t> degree = OutDegrees(handle, config.layout);
 
   std::vector<float> rank(n, 1.0f / static_cast<float>(n));
   std::vector<float> contrib(n, 0.0f);
   std::vector<float> next(n, 0.0f);
-  StripedLocks& locks = handle.locks();
   const float base_teleport = (1.0f - options.damping) / static_cast<float>(n);
 
   for (int iter = 0; iter < options.iterations; ++iter) {
@@ -72,93 +55,11 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
       next[v] = 0.0f;
     });
 
-    auto add_locked = [&](VertexId src, VertexId dst, float /*w*/) {
-      SpinlockGuard guard(locks.For(dst));
-      next[dst] += contrib[src];
-    };
-    auto add_atomic = [&](VertexId src, VertexId dst, float /*w*/) {
-      AtomicAdd(&next[dst], contrib[src]);
-    };
-    auto add_plain = [&](VertexId src, VertexId dst, float /*w*/) {
-      next[dst] += contrib[src];
-    };
-
-    switch (config.layout) {
-      case Layout::kAdjacency:
-        if (config.direction == Direction::kPull) {
-          // Gather from in-neighbors; each dst written by one thread.
-          ScanCsrByDestination(handle.in_csr(), config.balance,
-                               [&](VertexId dst, std::span<const VertexId> sources,
-                                   std::span<const float> /*weights*/) {
-                                 float sum = 0.0f;
-                                 for (const VertexId src : sources) {
-                                   sum += contrib[src];
-                                 }
-                                 next[dst] = sum;
-                               });
-        } else if (config.sync == Sync::kLocks) {
-          ScanCsrBySource(handle.out_csr(), config.balance, add_locked);
-        } else {
-          ScanCsrBySource(handle.out_csr(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kCompressed:
-        if (config.direction == Direction::kPull) {
-          // Gather from compressed in-chunks, decoded in ascending neighbor
-          // order — the same order a sorted plain CSR gathers in, so the
-          // float sums (and thus the ranks) match it bit for bit.
-          ScanCompressedByDestination(handle.compressed_in(), config.balance,
-                                      [&](VertexId dst, auto&& decode) {
-                                        float sum = 0.0f;
-                                        decode([&](VertexId src, float /*w*/) {
-                                          sum += contrib[src];
-                                        });
-                                        next[dst] = sum;
-                                      });
-        } else if (config.sync == Sync::kLocks) {
-          ScanCompressedBySource(handle.compressed_out(), config.balance, add_locked);
-        } else {
-          ScanCompressedBySource(handle.compressed_out(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kEdgeArray:
-        if (config.sync == Sync::kLocks) {
-          ScanEdgeArray(handle.edges(), add_locked);
-        } else {
-          ScanEdgeArray(handle.edges(), add_atomic);
-        }
-        break;
-      case Layout::kGrid:
-        if (config.sync == Sync::kLockFree) {
-          // Column ownership: all writes to a destination block come from
-          // one thread — plain adds, no locks (paper Fig. 8's winner).
-          ScanGridColumnOwned(handle.grid(), add_plain);
-        } else if (config.sync == Sync::kLocks) {
-          ScanGridRowMajor(handle.grid(), config.balance, add_locked);
-        } else {
-          ScanGridRowMajor(handle.grid(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kSharded:
-        if (config.direction == Direction::kPull) {
-          // Owner-partitioned gather in the same per-destination order as
-          // the adjacency pull, so the ranks match it bit for bit.
-          ShardScanByDestination(handle.in_csr(), handle.sharded(),
-                                 [&](VertexId dst, std::span<const VertexId> sources,
-                                     std::span<const float> /*weights*/) {
-                                   float sum = 0.0f;
-                                   for (const VertexId src : sources) {
-                                     sum += contrib[src];
-                                   }
-                                   next[dst] = sum;
-                                 });
-        } else {
-          // Shard ownership makes every apply exclusive in both phases —
-          // plain adds, no locks, remote mass rides the aggregation buffers.
-          ShardScanBySource(handle.out_csr(), handle.sharded(), add_plain);
-        }
-        break;
-    }
+    // next[dst] += contributions of dst's in-neighbors. Pull folds each
+    // destination's in-edges in list order (sorted plain and compressed
+    // lists agree, so their ranks match bit for bit).
+    Scan(handle, config, [c = contrib.data()](VertexId src, float /*w*/) { return c[src]; },
+         next.data());
 
     const float teleport = base_teleport + options.damping *
                                                static_cast<float>(dangling) /

@@ -1,9 +1,6 @@
 #include "src/algos/spmv.h"
 
-#include "src/engine/scan.h"
-#include "src/shard/edge_map_sharded.h"
-#include "src/util/atomics.h"
-#include "src/util/spinlock.h"
+#include "src/engine/dispatch.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -13,89 +10,12 @@ SpmvResult RunSpmv(GraphHandle& handle, const std::vector<float>& x, const RunCo
   ExecutionContext::Scope exec_scope(ctx);
   PrepareForRun(handle, config);
   SpmvResult result;
-  const VertexId n = handle.num_vertices();
-  result.y.assign(n, 0.0f);
-  float* y = result.y.data();
-  const float* xv = x.data();
-  StripedLocks& locks = handle.locks();
+  result.y.assign(handle.num_vertices(), 0.0f);
 
   Timer total;
-  auto add_locked = [&](VertexId src, VertexId dst, float w) {
-    SpinlockGuard guard(locks.For(dst));
-    y[dst] += w * xv[src];
-  };
-  auto add_atomic = [&](VertexId src, VertexId dst, float w) { AtomicAdd(&y[dst], w * xv[src]); };
-  auto add_plain = [&](VertexId src, VertexId dst, float w) { y[dst] += w * xv[src]; };
-
-  switch (config.layout) {
-    case Layout::kAdjacency:
-      if (config.direction == Direction::kPull) {
-        ScanCsrByDestination(handle.in_csr(),
-                             [&](VertexId dst, std::span<const VertexId> sources,
-                                 std::span<const float> weights) {
-                               float sum = 0.0f;
-                               for (size_t j = 0; j < sources.size(); ++j) {
-                                 const float w = weights.empty() ? 1.0f : weights[j];
-                                 sum += w * xv[sources[j]];
-                               }
-                               y[dst] = sum;
-                             });
-      } else if (config.sync == Sync::kLocks) {
-        ScanCsrBySource(handle.out_csr(), add_locked);
-      } else {
-        ScanCsrBySource(handle.out_csr(), add_atomic);
-      }
-      break;
-    case Layout::kCompressed:
-      if (config.direction == Direction::kPull) {
-        ScanCompressedByDestination(handle.compressed_in(), config.balance,
-                                    [&](VertexId dst, auto&& decode) {
-                                      float sum = 0.0f;
-                                      decode([&](VertexId src, float w) {
-                                        sum += w * xv[src];
-                                      });
-                                      y[dst] = sum;
-                                    });
-      } else if (config.sync == Sync::kLocks) {
-        ScanCompressedBySource(handle.compressed_out(), config.balance, add_locked);
-      } else {
-        ScanCompressedBySource(handle.compressed_out(), config.balance, add_atomic);
-      }
-      break;
-    case Layout::kEdgeArray:
-      if (config.sync == Sync::kLocks) {
-        ScanEdgeArray(handle.edges(), add_locked);
-      } else {
-        ScanEdgeArray(handle.edges(), add_atomic);
-      }
-      break;
-    case Layout::kGrid:
-      if (config.sync == Sync::kLockFree) {
-        ScanGridColumnOwned(handle.grid(), add_plain);
-      } else if (config.sync == Sync::kLocks) {
-        ScanGridRowMajor(handle.grid(), add_locked);
-      } else {
-        ScanGridRowMajor(handle.grid(), add_atomic);
-      }
-      break;
-    case Layout::kSharded:
-      if (config.direction == Direction::kPull) {
-        ShardScanByDestination(handle.in_csr(), handle.sharded(),
-                               [&](VertexId dst, std::span<const VertexId> sources,
-                                   std::span<const float> weights) {
-                                 float sum = 0.0f;
-                                 for (size_t j = 0; j < sources.size(); ++j) {
-                                   const float w = weights.empty() ? 1.0f : weights[j];
-                                   sum += w * xv[sources[j]];
-                                 }
-                                 y[dst] = sum;
-                               });
-      } else {
-        // Ownership makes both phases' adds exclusive: plain stores.
-        ShardScanBySource(handle.out_csr(), handle.sharded(), add_plain);
-      }
-      break;
-  }
+  // y[dst] accumulates weight * x[src] over dst's in-edges.
+  Scan(handle, config, [xv = x.data()](VertexId src, float w) { return w * xv[src]; },
+       result.y.data());
   result.stats.iterations = 1;
   result.stats.algorithm_seconds = total.Seconds();
   result.stats.per_iteration_seconds.push_back(result.stats.algorithm_seconds);

@@ -2,10 +2,8 @@
 
 #include <limits>
 
-#include "src/engine/edge_map.h"
-#include "src/engine/edge_map_compressed.h"
+#include "src/algos/rounds.h"
 #include "src/obs/phase.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -22,7 +20,7 @@ struct SsspFunctor {
     // value is still a valid upper bound).
     const float candidate = AtomicLoad(&dist[src]) + weight;
     if (candidate < dist[dst]) {
-      dist[dst] = candidate;
+      AtomicStore(&dist[dst], candidate);
       return true;
     }
     return false;
@@ -53,95 +51,11 @@ SsspResult RunSssp(GraphHandle& handle, VertexId source, const RunConfig& config
   obs::TraceSession trace(result.stats.trace, "sssp", config.layout, config.direction,
                           config.sync);
   result.dist[source] = 0.0f;
+  // Every adjacency source carries real weights (compressed lists decode
+  // them from the interleaved stream), so distances are true distances on
+  // every layout, not hop counts.
   SsspFunctor func{result.dist.data()};
-  Frontier frontier = Frontier::Single(n, source);
-  EdgeMapOptions edge_map;
-  edge_map.sync = config.sync;
-  edge_map.balance = config.balance;
-  edge_map.locks = &handle.locks();
-  edge_map.scratch = &ctx.edge_map_scratch();
-
-  while (!frontier.Empty()) {
-    Timer iteration;
-    result.stats.frontier_sizes.push_back(frontier.Count());
-    trace.BeginIteration(frontier.Count(), frontier.has_sparse());
-    Direction used = config.direction;
-    Frontier next;
-    switch (config.layout) {
-      case Layout::kAdjacency:
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapCsrPush(handle.out_csr(), frontier, func, edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapCsrPull(handle.in_csr(), frontier, func, edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapCsrPushPull(handle.out_csr(), handle.in_csr(), frontier, func,
-                                      edge_map, config.pushpull, &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-      case Layout::kCompressed:
-        // Weights decode from the interleaved varint stream, so weighted
-        // graphs relax true distances here, not hop counts.
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapCompressedPush(handle.compressed_out(), frontier, func, edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapCompressedPull(handle.compressed_in(), frontier, func, edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapCompressedPushPull(handle.compressed_out(), handle.compressed_in(),
-                                             frontier, func, edge_map, config.pushpull,
-                                             &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-      case Layout::kEdgeArray:
-        next = EdgeMapEdgeArray(handle.edges(), frontier, func, edge_map);
-        break;
-      case Layout::kGrid:
-        next = EdgeMapGrid(handle.grid(), frontier, func, edge_map);
-        break;
-      case Layout::kSharded:
-        // Shards slice the plain weighted CSRs, so true distances relax here
-        // exactly as in the adjacency backends.
-        switch (config.direction) {
-          case Direction::kPush:
-            next = EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-            break;
-          case Direction::kPull:
-            next = EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-            break;
-          case Direction::kPushPull: {
-            bool used_pull = false;
-            next = EdgeMapShardedPushPull(handle.out_csr(), handle.in_csr(), handle.sharded(),
-                                          frontier, func, edge_map, config.pushpull,
-                                          &used_pull);
-            result.stats.used_pull.push_back(used_pull);
-            used = used_pull ? Direction::kPull : Direction::kPush;
-            break;
-          }
-        }
-        break;
-    }
-    frontier = std::move(next);
-    trace.EndIteration(used);
-    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-    ++result.stats.iterations;
-  }
+  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace, result.stats);
   result.stats.algorithm_seconds = total.Seconds();
   return result;
 }

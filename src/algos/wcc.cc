@@ -1,9 +1,8 @@
 #include "src/algos/wcc.h"
 
-#include "src/engine/edge_map.h"
-#include "src/engine/edge_map_compressed.h"
-#include "src/engine/scan.h"
-#include "src/shard/edge_map_sharded.h"
+#include <atomic>
+
+#include "src/algos/rounds.h"
 #include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
@@ -20,7 +19,7 @@ struct WccFunctor {
     // it atomically (any stale value is still a member of the component).
     const VertexId src_label = AtomicLoad(&label[src]);
     if (src_label < label[dst]) {
-      label[dst] = src_label;
+      AtomicStore(&label[dst], src_label);
       return true;
     }
     return false;
@@ -47,74 +46,15 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
                           config.sync);
   VertexMap(n, [&](VertexId v) { result.label[v] = v; });
 
-  if (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed ||
-      config.layout == Layout::kSharded) {
+  if (IsVertexCentric(config.layout)) {
     // Frontier-driven label propagation over the (symmetrized) adjacency
-    // lists — plain, chunk-compressed, or shard-owned: only re-labeled
-    // vertices propagate next round.
-    const bool compressed = config.layout == Layout::kCompressed;
-    const bool sharded = config.layout == Layout::kSharded;
+    // lists: only re-labeled vertices propagate next round.
     WccFunctor func{result.label.data()};
-    Frontier frontier = Frontier::All(n);
-    EdgeMapOptions edge_map;
-    edge_map.sync = config.sync;
-    edge_map.balance = config.balance;
-    edge_map.locks = &handle.locks();
-    edge_map.scratch = &ctx.edge_map_scratch();
-    while (!frontier.Empty()) {
-      Timer iteration;
-      result.stats.frontier_sizes.push_back(frontier.Count());
-      trace.BeginIteration(frontier.Count(), frontier.has_sparse());
-      Direction used = config.direction;
-      Frontier next;
-      switch (config.direction) {
-        case Direction::kPush:
-          if (compressed) {
-            next = EdgeMapCompressedPush(handle.compressed_out(), frontier, func, edge_map);
-          } else if (sharded) {
-            next = EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-          } else {
-            next = EdgeMapCsrPush(handle.out_csr(), frontier, func, edge_map);
-          }
-          break;
-        case Direction::kPull:
-          if (compressed) {
-            next = EdgeMapCompressedPull(handle.compressed_in(), frontier, func, edge_map);
-          } else if (sharded) {
-            next = EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func,
-                                      edge_map);
-          } else {
-            next = EdgeMapCsrPull(handle.in_csr(), frontier, func, edge_map);
-          }
-          break;
-        case Direction::kPushPull: {
-          bool used_pull = false;
-          if (compressed) {
-            next = EdgeMapCompressedPushPull(handle.compressed_out(), handle.compressed_in(),
-                                             frontier, func, edge_map, config.pushpull,
-                                             &used_pull);
-          } else if (sharded) {
-            next = EdgeMapShardedPushPull(handle.out_csr(), handle.in_csr(), handle.sharded(),
-                                          frontier, func, edge_map, config.pushpull,
-                                          &used_pull);
-          } else {
-            next = EdgeMapCsrPushPull(handle.out_csr(), handle.in_csr(), frontier, func,
-                                      edge_map, config.pushpull, &used_pull);
-          }
-          result.stats.used_pull.push_back(used_pull);
-          used = used_pull ? Direction::kPull : Direction::kPush;
-          break;
-        }
-      }
-      frontier = std::move(next);
-      trace.EndIteration(used);
-      result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-      ++result.stats.iterations;
-    }
+    RunRounds(handle, Frontier::All(n), func, config, ctx, trace, result.stats);
   } else {
     // Edge array / grid: full scans updating *both* endpoints per stored
-    // edge (no symmetrization needed), iterated to fixpoint.
+    // edge (no symmetrization needed), iterated to fixpoint. Both endpoints
+    // move, so every update is atomic whatever the configured sync.
     VertexId* label = result.label.data();
     std::atomic<bool> changed{true};
     auto relax = [label, &changed](VertexId a, VertexId b, float /*w*/) {
@@ -130,15 +70,10 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
         }
       }
     };
-    while (changed.load(std::memory_order_relaxed)) {
-      changed.store(false, std::memory_order_relaxed);
+    while (changed.exchange(false, std::memory_order_relaxed)) {
       Timer iteration;
       trace.BeginIteration(n, /*frontier_sparse=*/false);
-      if (config.layout == Layout::kEdgeArray) {
-        ScanEdgeArray(handle.edges(), relax);
-      } else {
-        ScanGridRowMajor(handle.grid(), config.balance, relax);
-      }
+      ScanStoredEdges(handle, config, relax);
       trace.EndIteration(config.direction);
       result.stats.per_iteration_seconds.push_back(iteration.Seconds());
       ++result.stats.iterations;

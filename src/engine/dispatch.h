@@ -1,0 +1,151 @@
+// The engine's one layout x direction switch. Algorithms hand their RunConfig
+// and a functor to EdgeMap (frontier rounds) or a per-edge value to Scan
+// (all-active sum rounds); only here is a kernel picked: the edge array, the
+// grid, or an adjacency source (plain CSR, compressed CSR, or shards over the
+// plain CSR) in the push or pull direction, with push-pull decided per round.
+#ifndef SRC_ENGINE_DISPATCH_H_
+#define SRC_ENGINE_DISPATCH_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "src/engine/edge_map.h"
+#include "src/engine/frontier.h"
+#include "src/engine/graph_handle.h"
+#include "src/engine/scan.h"
+#include "src/graph/stats.h"
+#include "src/shard/edge_map_sharded.h"
+#include "src/util/atomics.h"
+
+namespace egraph {
+
+// One EdgeMap round under config's layout, direction, sync and balance.
+// Locks come from the handle; `scratch` (optional) carries round state
+// across calls. `used` (optional) receives the direction that ran: push or
+// pull on the vertex-centric layouts (push-pull resolved for this round),
+// config.direction on the edge array and grid, which ignore it.
+template <typename F>
+Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConfig& config,
+                 EdgeMapScratch* scratch = nullptr, Direction* used = nullptr) {
+  const EdgeMapOptions options{config.sync, config.balance, &handle.locks(), scratch};
+  Direction direction = config.direction;
+  if (direction == Direction::kPushPull && IsVertexCentric(config.layout)) {
+    const bool pull = config.layout == Layout::kCompressed
+                          ? PullPays(handle.compressed_out(), frontier, config.pushpull)
+                          : PullPays(handle.out_csr(), frontier, config.pushpull);
+    direction = pull ? Direction::kPull : Direction::kPush;
+  }
+  if (used != nullptr) {
+    *used = direction;
+  }
+  const bool pull = direction == Direction::kPull;
+  switch (config.layout) {
+    case Layout::kEdgeArray:
+      return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
+    case Layout::kGrid:
+      return EdgeMapGrid(handle.grid(), frontier, func, options);
+    case Layout::kAdjacency:
+      return pull ? EdgeMapPull(handle.in_csr(), frontier, func, options)
+                  : EdgeMapPush(handle.out_csr(), frontier, func, options);
+    case Layout::kCompressed:
+      return pull ? EdgeMapPull(handle.compressed_in(), frontier, func, options)
+                  : EdgeMapPush(handle.compressed_out(), frontier, func, options);
+    case Layout::kSharded:
+      return pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func, options)
+                  : EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
+                                       options);
+  }
+  return Frontier::None(handle.num_vertices());
+}
+
+// One all-active pass, sums[dst] += value(src, weight) over every edge
+// (PageRank's and SpMV's y += A^T x), under config's layout, direction,
+// sync and balance. Pull on the vertex-centric layouts folds each
+// destination's in-edges in list order on one thread, so float sums are
+// deterministic and match across plain, compressed and sharded lists. The
+// grid's owned columns (Sync::kLockFree) and both phases of the sharded
+// push add plainly; everywhere else Sync::kLocks adds under dst's striped
+// lock and the other modes add atomically. Push-pull scans by source.
+template <typename Value>
+void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums) {
+  struct Add {
+    Value value;
+    float* sums;
+    void Update(VertexId src, VertexId dst, float w) const { sums[dst] += value(src, w); }
+    void UpdateAtomic(VertexId src, VertexId dst, float w) const {
+      AtomicAdd(&sums[dst], value(src, w));
+    }
+  } add{value, sums};
+  auto owned = [add](VertexId src, VertexId dst, float w) { add.Update(src, dst, w); };
+  const bool pull = config.direction == Direction::kPull;
+  edge_map_internal::WithSharedUpdate(add, config.sync, &handle.locks(), [&](auto& shared) {
+    switch (config.layout) {
+      case Layout::kEdgeArray:
+        ScanEdgeArray(handle.edges(), shared);
+        break;
+      case Layout::kGrid:
+        if (config.sync == Sync::kLockFree) {
+          ScanGridColumnOwned(handle.grid(), owned);
+        } else {
+          ScanGridRowMajor(handle.grid(), config.balance, shared);
+        }
+        break;
+      case Layout::kAdjacency:
+        if (pull) {
+          ScanByDestination(handle.in_csr(), config.balance, value, sums);
+        } else {
+          ScanBySource(handle.out_csr(), config.balance, shared);
+        }
+        break;
+      case Layout::kCompressed:
+        if (pull) {
+          ScanByDestination(handle.compressed_in(), config.balance, value, sums);
+        } else {
+          ScanBySource(handle.compressed_out(), config.balance, shared);
+        }
+        break;
+      case Layout::kSharded:
+        if (pull) {
+          ShardScanByDestination(handle.in_csr(), handle.sharded(), value, sums);
+        } else {
+          ShardScanBySource(handle.out_csr(), handle.sharded(), owned);
+        }
+        break;
+    }
+  });
+}
+
+// Edge-centric pass for the edge array and grid (row-major cells):
+// body(src, dst, weight) for every stored edge, concurrently. For updates
+// that are not a per-destination sum, such as WCC relaxing both endpoints;
+// body synchronizes its own writes.
+template <typename Body>
+void ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
+  if (config.layout == Layout::kGrid) {
+    ScanGridRowMajor(handle.grid(), config.balance, body);
+  } else {
+    ScanEdgeArray(handle.edges(), body);
+  }
+}
+
+// Out-degree of every vertex, read from the layout's out-lists when they
+// are prepared and counted from the edge list otherwise (the edge array has
+// no pre-processing, so the count is part of the algorithm's own work).
+inline std::vector<uint32_t> OutDegrees(const GraphHandle& handle, Layout layout) {
+  const auto from = [&handle](const auto& out) {
+    std::vector<uint32_t> degree(handle.num_vertices());
+    VertexMap(handle.num_vertices(), [&](VertexId v) { degree[v] = out.Degree(v); });
+    return degree;
+  };
+  if (layout == Layout::kCompressed && handle.has_compressed_out()) {
+    return from(handle.compressed_out());
+  }
+  if ((layout == Layout::kAdjacency || layout == Layout::kSharded) && handle.has_out_csr()) {
+    return from(handle.out_csr());
+  }
+  return OutDegrees(handle.edges());
+}
+
+}  // namespace egraph
+
+#endif  // SRC_ENGINE_DISPATCH_H_

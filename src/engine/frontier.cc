@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/layout/compressed_csr.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/util/parallel.h"
@@ -99,32 +98,6 @@ std::vector<Frontier> Frontier::SplitByRanges(const std::vector<VertexId>& bound
     result.push_back(FromVector(num_vertices_, std::move(buckets[i])));
   }
   return result;
-}
-
-uint64_t Frontier::WorkEstimate(const Csr& out) {
-  if (work_estimate_key_ == &out) {
-    return work_estimate_;
-  }
-  EnsureSparse();
-  const uint64_t degree_sum = ParallelReduceSum<uint64_t>(
-      0, static_cast<int64_t>(sparse_.size()),
-      [this, &out](int64_t i) { return out.Degree(sparse_[static_cast<size_t>(i)]); });
-  work_estimate_ = degree_sum + static_cast<uint64_t>(count_);
-  work_estimate_key_ = &out;
-  return work_estimate_;
-}
-
-uint64_t Frontier::WorkEstimate(const CompressedCsr& out) {
-  if (work_estimate_key_ == &out) {
-    return work_estimate_;
-  }
-  EnsureSparse();
-  const uint64_t degree_sum = ParallelReduceSum<uint64_t>(
-      0, static_cast<int64_t>(sparse_.size()),
-      [this, &out](int64_t i) { return out.Degree(sparse_[static_cast<size_t>(i)]); });
-  work_estimate_ = degree_sum + static_cast<uint64_t>(count_);
-  work_estimate_key_ = &out;
-  return work_estimate_;
 }
 
 }  // namespace egraph

@@ -9,12 +9,10 @@
 #include <vector>
 
 #include "src/graph/types.h"
-#include "src/layout/csr.h"
 #include "src/util/bitmap.h"
+#include "src/util/parallel.h"
 
 namespace egraph {
-
-class CompressedCsr;
 
 class Frontier {
  public:
@@ -57,14 +55,25 @@ class Frontier {
   // uses this to turn one query frontier into per-LLC-partition work queues.
   std::vector<Frontier> SplitByRanges(const std::vector<VertexId>& boundaries);
 
-  // |F| + sum of out-degrees of F: the quantity Ligra's push-pull heuristic
-  // compares against |E| / threshold. The active set never changes after
-  // construction, so the sum is computed once per layout and cached —
-  // push-pull and the edge-balanced partitioner may both ask within one
-  // round. The cache is keyed by the layout object's address, so asking with
-  // a different layout (plain vs compressed) recomputes.
-  uint64_t WorkEstimate(const Csr& out);
-  uint64_t WorkEstimate(const CompressedCsr& out);
+  // |F| + sum of out-degrees of F over any adjacency source (Csr or
+  // CompressedCsr): the quantity Ligra's push-pull heuristic compares
+  // against |E| / threshold. The active set never changes after
+  // construction, so the sum is computed once per source and cached. The
+  // cache is keyed by the source object's address, so asking with a
+  // different source (plain vs compressed) recomputes.
+  template <typename Source>
+  uint64_t WorkEstimate(const Source& out) {
+    if (work_estimate_key_ == &out) {
+      return work_estimate_;
+    }
+    EnsureSparse();
+    const uint64_t degree_sum = ParallelReduceSum<uint64_t>(
+        0, static_cast<int64_t>(sparse_.size()),
+        [this, &out](int64_t i) { return out.Degree(sparse_[static_cast<size_t>(i)]); });
+    work_estimate_ = degree_sum + static_cast<uint64_t>(count_);
+    work_estimate_key_ = &out;
+    return work_estimate_;
+  }
 
  private:
   VertexId num_vertices_ = 0;

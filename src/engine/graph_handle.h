@@ -55,6 +55,28 @@ struct PrepareConfig {
   int num_shards = 0;
 };
 
+// The configuration selecting which of the paper's techniques a run
+// enables. Every Run* entry point takes one; the engine's EdgeMap / Scan
+// entry points (src/engine/dispatch.h) switch on it, and PrepareForRun maps
+// it to the PrepareConfig the run needs.
+struct RunConfig {
+  Layout layout = Layout::kAdjacency;
+  Direction direction = Direction::kPush;
+  Sync sync = Sync::kAtomics;
+  // Work partitioning for edge traversals. Edge-balanced is the default:
+  // it is never worse than fixed grains on skewed degree distributions and
+  // costs one prefix sum per round; kVertex remains for the ablation.
+  Balance balance = Balance::kEdge;
+  PushPullConfig pushpull;
+  // Pre-processing method used when the run has to build a missing layout.
+  BuildMethod method = BuildMethod::kRadixSort;
+  // The handle's edge list is already symmetric (undirected): pull and
+  // push-pull reuse the out-CSR as the in-CSR (paper section 6.1.3).
+  bool symmetric_input = false;
+  // For kSharded: shard count; 0 lets the handle pick two per worker.
+  int shards = 0;
+};
+
 class GraphHandle {
  public:
   explicit GraphHandle(EdgeList graph) : graph_(std::move(graph)) {}

@@ -2,6 +2,11 @@
 
 namespace egraph {
 
+bool IsVertexCentric(Layout layout) {
+  return layout == Layout::kAdjacency || layout == Layout::kCompressed ||
+         layout == Layout::kSharded;
+}
+
 const char* LayoutName(Layout layout) {
   switch (layout) {
     case Layout::kEdgeArray:

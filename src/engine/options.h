@@ -44,6 +44,11 @@ enum class Balance {
   kEdge,    // degree-weighted chunk boundaries via prefix sum + search
 };
 
+// True for the layouts that walk per-vertex adjacency lists (plain,
+// compressed, sharded): they honor the direction switch and need the out-
+// and/or in-lists it implies. The edge array and grid scan stored edges.
+bool IsVertexCentric(Layout layout);
+
 const char* LayoutName(Layout layout);
 const char* DirectionName(Direction direction);
 const char* SyncName(Sync sync);

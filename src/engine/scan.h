@@ -1,25 +1,28 @@
 // Whole-graph scan primitives for algorithms where every vertex is active in
-// every round (Pagerank, SpMV): no frontier bookkeeping, just the layout's
-// native iteration order. Each maps to one of the paper's configurations.
+// every round (PageRank, SpMV): no frontier bookkeeping, just the layout's
+// native iteration order. Scan in src/engine/dispatch.h picks among them.
+//
+// The by-source and by-destination scans are written once over the
+// adjacency-source surface (src/layout/csr.h), like the EdgeMap kernels,
+// and serve plain and compressed lists alike; the sharded dense scan and
+// the batch scheduler's PageRank gather reuse the destination fold.
 //
 // All scans iterate in chunks so the edges_scanned counter is bumped once per
 // chunk, not per edge — the metrics cost stays off the inner loop.
 //
-// CSR and row-major grid scans take a Balance knob: Balance::kVertex chunks
-// by item count (fixed grain — the historical behaviour, kept as the default
-// of the two-argument overloads), Balance::kEdge chunks by degree/cell cost
-// using the layout's own offsets array as the prefix sum, so hub vertices
-// and dense cells no longer serialize their chunk.
+// Scans that can split work take a Balance knob: Balance::kVertex chunks by
+// item count (fixed grain), Balance::kEdge chunks by cost using the layout's
+// own prefix (edge offsets, compressed byte offsets, grid cell offsets), so
+// hub vertices and dense cells no longer serialize their chunk.
 #ifndef SRC_ENGINE_SCAN_H_
 #define SRC_ENGINE_SCAN_H_
 
 #include <algorithm>
 #include <vector>
 
+#include "src/engine/edge_map.h"
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
-#include "src/layout/compressed_csr.h"
-#include "src/layout/csr.h"
 #include "src/layout/grid.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
@@ -29,21 +32,40 @@ namespace egraph {
 
 namespace scan_internal {
 
-// Vertex-aligned balanced boundaries over a CSR: cost(v) = degree(v) + 1
-// (the +1 keeps long runs of zero-degree vertices from collapsing into one
-// chunk). The offsets array is already the degree prefix sum.
-inline std::vector<int64_t> CsrBalancedBounds(const Csr& csr, int64_t min_chunk_cost) {
-  const int64_t n = static_cast<int64_t>(csr.num_vertices());
-  const auto& offsets = csr.offsets();
-  const uint64_t total = static_cast<uint64_t>(csr.num_edges()) + static_cast<uint64_t>(n);
-  return BalancedChunkBoundaries(n, BalancedChunkCount(total, min_chunk_cost),
-                                 [&offsets](int64_t v) {
-                                   return static_cast<uint64_t>(offsets[static_cast<size_t>(v)]) +
-                                          static_cast<uint64_t>(v);
-                                 });
+inline constexpr int64_t kScanMinChunkCost = 2048;
+
+// sums[dst] += value(src, weight) over the in-edges of each destination in
+// [lo, hi), folded in list order in a register and stored once per
+// destination. The walk never stops early; ForEachNeighborWhile is the
+// whole-list walk without slice arithmetic. Returns the number of edges
+// walked.
+template <typename Source, typename Value>
+int64_t SumDestinations(const Source& in, int64_t lo, int64_t hi, Value& value, float* sums) {
+  int64_t scanned = 0;
+  for (int64_t v = lo; v < hi; ++v) {
+    const VertexId dst = static_cast<VertexId>(v);
+    float sum = sums[dst];
+    in.ForEachNeighborWhile(dst, [&value, &sum](VertexId src, float w) {
+      sum += value(src, w);
+      return true;
+    });
+    sums[dst] = sum;
+    scanned += static_cast<int64_t>(in.Degree(dst));
+  }
+  return scanned;
 }
 
-inline constexpr int64_t kScanMinChunkCost = 2048;
+// body(src, dst, weight) for every edge of grid cell (i, j), adding the
+// cell's edge count to `scanned` first.
+template <typename Body>
+void ScanCell(const Grid& grid, uint32_t i, uint32_t j, Body& body, int64_t& scanned) {
+  const auto cell = grid.Cell(i, j);
+  const auto weights = grid.CellWeights(i, j);
+  scanned += static_cast<int64_t>(cell.size());
+  for (size_t k = 0; k < cell.size(); ++k) {
+    body(cell[k].src, cell[k].dst, weights.empty() ? 1.0f : weights[k]);
+  }
+}
 
 }  // namespace scan_internal
 
@@ -65,160 +87,71 @@ void ScanEdgeArray(const EdgeList& graph, Body&& body) {
                     });
 }
 
-// Vertex-centric push scan over an out-CSR: body(src, dst, weight); source
-// metadata naturally cached per vertex. Caller synchronizes dst writes.
-template <typename Body>
-void ScanCsrBySource(const Csr& out, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.csr.src",
-                                  static_cast<int64_t>(out.num_edges()));
+// Vertex-centric push scan over an out-adjacency source: body(src, dst,
+// weight) for every edge. Balance::kEdge cuts the cost prefix into equal
+// chunks and splits a list that spans several, so a hub's list spreads
+// across workers (a compressed piece decodes at most one partial chunk it
+// does not report). Caller synchronizes destination writes.
+template <typename Source, typename Body>
+void ScanBySource(const Source& out, Balance balance, Body&& body) {
+  const int64_t n = static_cast<int64_t>(out.num_vertices());
+  obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId src = static_cast<VertexId>(v);
-      const auto neighbors = out.Neighbors(src);
-      const auto weights = out.Weights(src);
-      local += static_cast<int64_t>(neighbors.size());
-      for (size_t j = 0; j < neighbors.size(); ++j) {
-        body(src, neighbors[j], weights.empty() ? 1.0f : weights[j]);
-      }
-    }
-    scanned.Add(local);
+  auto slice = [&](VertexId src, uint64_t j_lo, uint64_t j_hi) {
+    out.ForEachNeighborSlice(src, j_lo, j_hi,
+                             [&body, src](VertexId dst, float w) { body(src, dst, w); });
+    return static_cast<int64_t>(j_hi - j_lo);
   };
   if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        scan_internal::CsrBalancedBounds(out, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256, chunk);
-  }
-}
-
-template <typename Body>
-void ScanCsrBySource(const Csr& out, Body&& body) {
-  ScanCsrBySource(out, Balance::kVertex, std::forward<Body>(body));
-}
-
-// Vertex-centric pull scan over an in-CSR: body(dst, in_neighbors, weights)
-// once per destination; dst is written by exactly one thread (lock-free).
-template <typename Body>
-void ScanCsrByDestination(const Csr& in, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.csr.dst",
-                                  static_cast<int64_t>(in.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId dst = static_cast<VertexId>(v);
-      local += static_cast<int64_t>(in.Neighbors(dst).size());
-      body(dst, in.Neighbors(dst), in.Weights(dst));
-    }
-    scanned.Add(local);
-  };
-  if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        scan_internal::CsrBalancedBounds(in, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256, chunk);
-  }
-}
-
-template <typename Body>
-void ScanCsrByDestination(const Csr& in, Body&& body) {
-  ScanCsrByDestination(in, Balance::kVertex, std::forward<Body>(body));
-}
-
-// Vertex-centric push scan over a compressed out-CSR: body(src, dst, weight)
-// for every decoded edge. Balance::kEdge iterates *chunks*, not vertices,
-// with boundaries from the per-chunk byte prefix — a hub's fixed-size decode
-// chunks spread across workers for free, no per-vertex prefix sum needed.
-// Each worker binary-searches its first chunk's owner once, then walks
-// forward. Caller synchronizes destination writes.
-template <typename Body>
-void ScanCompressedBySource(const CompressedCsr& out, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.compressed.src",
-                                  static_cast<int64_t>(out.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  if (balance == Balance::kEdge) {
-    const int64_t num_chunks = out.num_chunks();
-    const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-        num_chunks,
-        BalancedChunkCount(static_cast<uint64_t>(out.stream_bytes().size()) +
-                               static_cast<uint64_t>(num_chunks),
-                           scan_internal::kScanMinChunkCost),
-        [&out](int64_t c) {
-          return out.ChunkByteOffset(c) + static_cast<uint64_t>(c);
+    edge_map_internal::ParallelForCostChunks(
+        out.CostPrefix(static_cast<VertexId>(n)), scan_internal::kScanMinChunkCost,
+        [&](uint64_t p0, uint64_t p1, int /*worker*/) {
+          int64_t local = 0;
+          edge_map_internal::ForEachSliceInRange(
+              n, p0, p1, [&out](int64_t v) { return out.CostPrefix(static_cast<VertexId>(v)); },
+              [&out](int64_t v) { return out.Degree(static_cast<VertexId>(v)); },
+              [&](int64_t v, uint64_t j_lo, uint64_t j_hi) {
+                local += slice(static_cast<VertexId>(v), j_lo, j_hi);
+              });
+          scanned.Add(local);
         });
-    ParallelForBalancedChunks(bounds, [&](int64_t lo, int64_t hi, int /*worker*/) {
-      if (lo >= hi) {
-        return;
-      }
+  } else {
+    ParallelForChunks(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi, int /*worker*/) {
       int64_t local = 0;
-      VertexId src = out.OwnerOf(lo);
-      uint32_t k = static_cast<uint32_t>(lo - out.ChunkBegin(src));
-      for (int64_t c = lo; c < hi; ++c) {
-        while (k == out.NumChunksOf(src)) {
-          ++src;
-          k = 0;
-        }
-        local += static_cast<int64_t>(out.ChunkSizeOf(src, k));
-        out.DecodeChunk(src, k,
-                        [&body, src](VertexId dst, float w) { body(src, dst, w); });
-        ++k;
+      for (int64_t v = lo; v < hi; ++v) {
+        const VertexId src = static_cast<VertexId>(v);
+        local += slice(src, 0, out.Degree(src));
       }
       scanned.Add(local);
     });
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
-                      [&](int64_t lo, int64_t hi, int /*worker*/) {
-                        int64_t local = 0;
-                        for (int64_t v = lo; v < hi; ++v) {
-                          const VertexId src = static_cast<VertexId>(v);
-                          local += static_cast<int64_t>(out.Degree(src));
-                          out.ForEachNeighborWeighted(
-                              src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
-                        }
-                        scanned.Add(local);
-                      });
   }
 }
 
-// Vertex-centric pull scan over a compressed in-CSR: body(dst, decode) once
-// per destination, where decode(fn) invokes fn(src, weight) for each
-// in-neighbor in ascending order. Stays vertex-aligned — dst is written by
-// exactly one thread (lock-free) — with Balance::kEdge boundaries from the
-// compressed byte prefix (cost(v) = encoded-bytes(v) + 1).
-template <typename Body>
-void ScanCompressedByDestination(const CompressedCsr& in, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.compressed.dst",
-                                  static_cast<int64_t>(in.num_edges()));
+// Vertex-centric pull scan over an in-adjacency source: sums[dst] +=
+// value(src, weight) over every in-edge, each destination folded on one
+// thread in list order, so no write is shared. Compressed lists decode in
+// ascending order, so they fold in the same order as a sorted plain CSR
+// and float sums match it bit for bit. Balance::kEdge keeps chunks
+// vertex-aligned with boundaries from the cost prefix (cost(v) = list cost
+// + 1).
+template <typename Source, typename Value>
+void ScanByDestination(const Source& in, Balance balance, Value&& value, float* sums) {
+  obs::TimelineSpan timeline_span("engine", "scan.dst", static_cast<int64_t>(in.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
   auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId dst = static_cast<VertexId>(v);
-      local += static_cast<int64_t>(in.Degree(dst));
-      body(dst, [&in, dst](auto&& fn) { in.ForEachNeighborWeighted(dst, fn); });
-    }
-    scanned.Add(local);
+    scanned.Add(scan_internal::SumDestinations(in, lo, hi, value, sums));
   };
   if (balance == Balance::kEdge) {
-    const int64_t n = static_cast<int64_t>(in.num_vertices());
-    const uint64_t total =
-        static_cast<uint64_t>(in.stream_bytes().size()) + static_cast<uint64_t>(n);
     ParallelForBalancedChunks(
-        BalancedChunkBoundaries(
-            n, BalancedChunkCount(total, scan_internal::kScanMinChunkCost),
-            [&in](int64_t v) {
-              return in.ByteOffset(static_cast<VertexId>(v)) + static_cast<uint64_t>(v);
-            }),
-        chunk);
+        edge_map_internal::VertexAlignedBounds(in, scan_internal::kScanMinChunkCost), chunk);
   } else {
     ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256, chunk);
   }
 }
 
 // Grid scan, row-major cells: body(src, dst, weight); best source-block
-// locality; caller synchronizes destination writes.
+// locality; caller synchronizes destination writes. Balance::kEdge chunks
+// the cells by edge count (GridCellBounds).
 template <typename Body>
 void ScanGridRowMajor(const Grid& grid, Balance balance, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
@@ -227,80 +160,41 @@ void ScanGridRowMajor(const Grid& grid, Balance balance, Body&& body) {
   auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
     int64_t local = 0;
     for (int64_t c = lo; c < hi; ++c) {
-      const uint32_t i = static_cast<uint32_t>(c / blocks);
-      const uint32_t j = static_cast<uint32_t>(c % blocks);
-      const auto cell = grid.Cell(i, j);
-      const auto weights = grid.CellWeights(i, j);
-      local += static_cast<int64_t>(cell.size());
-      for (size_t k = 0; k < cell.size(); ++k) {
-        body(cell[k].src, cell[k].dst, weights.empty() ? 1.0f : weights[k]);
-      }
+      scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
+                              static_cast<uint32_t>(c % blocks), body, local);
     }
     scanned.Add(local);
   };
   if (balance == Balance::kEdge) {
-    // cell_offsets is row-major: exactly the cost prefix the partitioner
-    // wants, no extra scan needed.
-    const auto& cell_offsets = grid.cell_offsets();
-    const int64_t num_cells = static_cast<int64_t>(blocks) * blocks;
     ParallelForBalancedChunks(
-        BalancedChunkBoundaries(
-            num_cells, BalancedChunkCount(grid.num_edges(), scan_internal::kScanMinChunkCost),
-            [&cell_offsets](int64_t c) { return cell_offsets[static_cast<size_t>(c)]; }),
-        chunk);
+        edge_map_internal::GridCellBounds(grid, scan_internal::kScanMinChunkCost), chunk);
   } else {
     ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1, chunk);
   }
 }
 
-template <typename Body>
-void ScanGridRowMajor(const Grid& grid, Body&& body) {
-  ScanGridRowMajor(grid, Balance::kVertex, std::forward<Body>(body));
-}
-
 // Grid scan with column ownership: each thread exclusively owns the
 // destination blocks it processes, so body may write dst state without
 // synchronization (the paper's lock-removal-by-ownership, section 6.1.2).
-// Columns dispatch in descending edge-count order: the pool's round-robin
-// preload of grain-1 items turns that into a static greedy assignment, so
-// the heaviest columns land on distinct workers instead of wherever index
-// order happens to drop them (columns cannot be split — ownership is the
-// point — so this is the only balancing lever available here).
+// Columns dispatch in descending edge count (GridColumnsByMass), the only
+// balancing lever when columns cannot be split.
 template <typename Body>
 void ScanGridColumnOwned(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   obs::TimelineSpan timeline_span("engine", "scan.grid.cols");
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  const auto& cell_offsets = grid.cell_offsets();
-  std::vector<uint64_t> column_edges(blocks, 0);
-  ParallelFor(0, static_cast<int64_t>(blocks), [&](int64_t j) {
-    uint64_t sum = 0;
-    for (uint32_t i = 0; i < blocks; ++i) {
-      const size_t c = grid.CellIndex(i, static_cast<uint32_t>(j));
-      sum += cell_offsets[c + 1] - cell_offsets[c];
-    }
-    column_edges[static_cast<size_t>(j)] = sum;
-  });
-  std::vector<uint32_t> order(blocks);
-  for (uint32_t j = 0; j < blocks; ++j) {
-    order[j] = j;
-  }
-  std::stable_sort(order.begin(), order.end(), [&column_edges](uint32_t a, uint32_t b) {
-    return column_edges[a] > column_edges[b];
-  });
+  const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
   ParallelForChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
                     [&](int64_t lo, int64_t hi, int /*worker*/) {
+                      // A worker-local copy keeps body's captures in
+                      // registers through the cell loops (PageRank's hot
+                      // loop on the grid) instead of behind a pointer.
+                      auto owner = body;
                       int64_t local = 0;
                       for (int64_t idx = lo; idx < hi; ++idx) {
-                        const uint32_t j = order[static_cast<size_t>(idx)];
+                        const uint32_t j = columns.order[static_cast<size_t>(idx)];
                         for (uint32_t i = 0; i < blocks; ++i) {
-                          const auto cell = grid.Cell(i, j);
-                          const auto weights = grid.CellWeights(i, j);
-                          local += static_cast<int64_t>(cell.size());
-                          for (size_t k = 0; k < cell.size(); ++k) {
-                            body(cell[k].src, cell[k].dst,
-                                 weights.empty() ? 1.0f : weights[k]);
-                          }
+                          scan_internal::ScanCell(grid, i, j, owner, local);
                         }
                       }
                       scanned.Add(local);

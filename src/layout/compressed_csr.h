@@ -90,6 +90,9 @@ class CompressedCsr {
     return chunk_bytes_[static_cast<size_t>(chunk_begin_[v])];
   }
 
+  // Adjacency-source cost prefix (see Csr::CostPrefix): the byte prefix.
+  uint64_t CostPrefix(VertexId v) const { return ByteOffset(v); }
+
   // Byte offset of chunk c — the chunk-aligned cost prefix for scans that
   // balance over chunks directly.
   uint64_t ChunkByteOffset(int64_t c) const { return chunk_bytes_[static_cast<size_t>(c)]; }
@@ -193,6 +196,20 @@ class CompressedCsr {
       local_lo = 0;
       ++k;
     }
+  }
+
+  // Decodes v's neighbors in ascending order until fn(neighbor, weight)
+  // returns false; returns false iff fn stopped the decode. An early stop
+  // ends the current chunk mid-decode and never touches the later chunks.
+  template <typename Fn>
+  bool ForEachNeighborWhile(VertexId v, Fn&& fn) const {
+    const uint32_t chunks = NumChunksOf(v);
+    for (uint32_t k = 0; k < chunks; ++k) {
+      if (!DecodeChunkWhile(v, k, fn)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   // Decodes v's neighbors in ascending order, invoking fn(neighbor).

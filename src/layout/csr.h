@@ -40,6 +40,54 @@ class Csr {
     return weights_.empty() ? 1.0f : weights_[position];
   }
 
+  // --- Adjacency source: the surface the EdgeMap kernels and scans are
+  // written against, shared with CompressedCsr. Callbacks receive
+  // (neighbor, weight), weight 1.0f on unweighted graphs; the weighted
+  // branch is hoisted out of the per-edge loop.
+
+  // Exclusive per-vertex cost prefix for balanced chunking (here the edge
+  // offset); CostPrefix(num_vertices()) is the total.
+  uint64_t CostPrefix(VertexId v) const { return offsets_[v]; }
+
+  // Calls fn(neighbor, weight) for positions [j_lo, j_hi) of v's list.
+  template <typename Fn>
+  void ForEachNeighborSlice(VertexId v, uint64_t j_lo, uint64_t j_hi, Fn&& fn) const {
+    const VertexId* neighbors = neighbors_.data() + offsets_[v];
+    if (weights_.empty()) {
+      for (uint64_t j = j_lo; j < j_hi; ++j) {
+        fn(neighbors[j], 1.0f);
+      }
+    } else {
+      const float* weights = weights_.data() + offsets_[v];
+      for (uint64_t j = j_lo; j < j_hi; ++j) {
+        fn(neighbors[j], weights[j]);
+      }
+    }
+  }
+
+  // Calls fn(neighbor, weight) in list order until it returns false.
+  // Returns false iff fn stopped the walk.
+  template <typename Fn>
+  bool ForEachNeighborWhile(VertexId v, Fn&& fn) const {
+    const VertexId* neighbors = neighbors_.data() + offsets_[v];
+    const uint64_t degree = offsets_[v + 1] - offsets_[v];
+    if (weights_.empty()) {
+      for (uint64_t j = 0; j < degree; ++j) {
+        if (!fn(neighbors[j], 1.0f)) {
+          return false;
+        }
+      }
+    } else {
+      const float* weights = weights_.data() + offsets_[v];
+      for (uint64_t j = 0; j < degree; ++j) {
+        if (!fn(neighbors[j], weights[j])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
   const std::vector<EdgeIndex>& offsets() const { return offsets_; }
   const std::vector<VertexId>& neighbors() const { return neighbors_; }
   const std::vector<float>& weights() const { return weights_; }

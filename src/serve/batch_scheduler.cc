@@ -336,38 +336,35 @@ std::vector<ServeResult> RunBatch(GraphHandle& handle,
                 BatchBfsFunctor func{s.parent.data()};
                 EdgeMapOptions options;
                 options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+                EdgeMapPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
+                                  options, s.dedup, s.discovered[p]);
                 break;
               }
               case QueryKind::kSssp: {
                 BatchSsspFunctor func{s.dist.data()};
                 EdgeMapOptions options;
                 options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+                EdgeMapPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
+                                  options, s.dedup, s.discovered[p]);
                 break;
               }
               case QueryKind::kWcc: {
                 BatchWccFunctor func{s.label.data()};
                 EdgeMapOptions options;
                 options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+                EdgeMapPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
+                                  options, s.dedup, s.discovered[p]);
                 break;
               }
               case QueryKind::kPagerank: {
-                // Per-destination gather in in-CSR order: the same float
-                // additions, in the same order, as the isolated pull path's
-                // ScanCsrByDestination — bit-identical per destination.
-                for (VertexId dst = boundaries[p]; dst < boundaries[p + 1]; ++dst) {
-                  const auto sources = in->Neighbors(dst);
-                  float sum = 0.0f;
-                  for (const VertexId src : sources) {
-                    sum += s.contrib[src];
-                  }
-                  s.next[dst] = sum;
-                }
+                // The isolated pull path's per-destination fold over this
+                // partition's destinations: the same float additions, in
+                // the same order — bit-identical per destination.
+                auto contrib = [c = s.contrib.data()](VertexId src, float /*w*/) {
+                  return c[src];
+                };
+                scan_internal::SumDestinations(*in, boundaries[p], boundaries[p + 1], contrib,
+                                               s.next.data());
                 break;
               }
             }

@@ -10,8 +10,13 @@
 // applies the batches as sequential plain stores. The barrier between the
 // phases is the return of the phase-1 ParallelForChunks. Nothing in either
 // phase takes a lock on vertex state: ownership replaces the striped-lock
-// scatter of EdgeMapCsrPush, so EdgeMapOptions::sync is a no-op here
+// scatter of EdgeMapPush, so EdgeMapOptions::sync is a no-op here
 // (treated as Sync::kLockFree regardless of what the caller sets).
+//
+// Both kernels reuse the engine's shared loops: phase 1 relaxes through the
+// same push inner loop as EdgeMapPush (with an owner-or-enqueue sync
+// policy), and the pull runs the same gather as EdgeMapPull, one shard's
+// destination range per task.
 //
 // The round-dedup bitmap is shared across phases and shards via the atomic
 // Bitmap::TestAndSet — the one cross-shard write that remains, and it is
@@ -27,11 +32,12 @@
 #ifndef SRC_SHARD_EDGE_MAP_SHARDED_H_
 #define SRC_SHARD_EDGE_MAP_SHARDED_H_
 
-#include <type_traits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "src/engine/edge_map.h"
+#include "src/engine/scan.h"
 #include "src/engine/frontier.h"
 #include "src/engine/options.h"
 #include "src/layout/csr.h"
@@ -123,15 +129,14 @@ inline int ShardAt(const std::vector<int>& order, Balance balance, int64_t idx) 
 
 // --- Sharded adjacency push (aggregated cross-shard flushes) ---------------
 //
-// Drop-in peer of EdgeMapCsrPush over the same out-CSR: same functor
-// contract, same sparse next-frontier result, no locks anywhere on the
-// update path. options.sync is ignored (ownership makes every apply
-// exclusive); options.scratch serves the round bitmap and worker buffers
-// exactly as in the plain kernel.
+// Drop-in peer of EdgeMapPush over the same out-CSR: same functor contract,
+// same sparse next-frontier result, no locks anywhere on the update path.
+// options.sync is ignored (ownership makes every apply exclusive);
+// options.scratch serves the round bitmap and worker buffers exactly as in
+// the plain kernel.
 template <typename F>
 Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier& frontier,
                             F& func, const EdgeMapOptions& options) {
-  const VertexId n = out.num_vertices();
   const int num_shards = shards.num_shards();
 
   obs::EngineCounters& metrics = obs::EngineCounters::Get();
@@ -141,125 +146,89 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.push", frontier.Count());
 
   std::vector<Frontier> slices = frontier.SplitByRanges(shards.boundaries());
-
-  const int workers = ThreadPool::Current().num_threads();
-  Bitmap local_next;
-  std::vector<std::vector<VertexId>> local_buffers;
-  Bitmap* next_ptr;
-  std::vector<std::vector<VertexId>>* buffers_ptr;
-  if (options.scratch != nullptr) {
-    next_ptr = &options.scratch->RoundBitmap(n);
-    buffers_ptr = &options.scratch->WorkerBuffers(workers);
-  } else {
-    local_next.Resize(static_cast<int64_t>(n));
-    local_buffers.resize(static_cast<size_t>(workers));
-    next_ptr = &local_next;
-    buffers_ptr = &local_buffers;
-  }
-  Bitmap& next = *next_ptr;
-  std::vector<std::vector<VertexId>>& buffers = *buffers_ptr;
-
+  edge_map_internal::SparseRound round(out.num_vertices(), options.scratch);
+  Bitmap& next = round.next();
   shard_internal::BufferGrid grid(num_shards);
 
-  auto run = [&](auto wtag) {
-    constexpr bool kWeighted = decltype(wtag)::value;
+  // Phase 1: scatter. Task s owns shard s's destinations; everything else
+  // rides an aggregation buffer.
+  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+    auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+    for (int64_t idx = lo; idx < hi; ++idx) {
+      const int s = shard_internal::ShardAt(shards.out_order(), options.balance, idx);
+      Frontier& slice = slices[static_cast<size_t>(s)];
+      if (slice.Empty()) {
+        continue;  // no producer touched row s: nothing to flush either
+      }
+      const uint64_t span_start = obs::TimelineNow();
+      int64_t scanned = 0;
+      int64_t relaxed = 0;
+      int64_t local_updates = 0;
+      int64_t remote_updates = 0;
+      // Owned destinations update in place; remote ones are enqueued and
+      // count as unchanged until their owner applies them in phase 2.
+      auto update = [&](VertexId src, VertexId dst, float w) {
+        const int t = shards.ShardOf(dst);
+        if (t == s) {
+          ++local_updates;
+          return func.Update(src, dst, w);
+        }
+        ++remote_updates;
+        grid.At(s, t).Enqueue(src, dst, w);
+        return false;
+      };
+      for (const VertexId src : slice.Vertices()) {
+        const uint64_t degree = out.Degree(src);
+        edge_map_internal::PushSlice(out, src, 0, degree, func, update, next, buffer, relaxed);
+        scanned += static_cast<int64_t>(degree);
+      }
+      grid.FlushRow(s);
+      metrics.edges_scanned.Add(scanned);
+      metrics.edges_relaxed.Add(relaxed);
+      shard_metrics.local_updates.Add(local_updates);
+      shard_metrics.remote_updates.Add(remote_updates);
+      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
+    }
+  });
 
-    // Phase 1: scatter. Task s owns shard s's destinations; everything else
-    // rides an aggregation buffer.
-    ParallelForChunks(
-        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-          auto& buffer = buffers[static_cast<size_t>(worker)];
-          for (int64_t idx = lo; idx < hi; ++idx) {
-            const int s = shard_internal::ShardAt(shards.out_order(), options.balance, idx);
-            Frontier& slice = slices[static_cast<size_t>(s)];
-            if (slice.Empty()) {
-              continue;  // no producer touched row s: nothing to flush either
+  // Phase 2: apply. Task t is the only writer of shard t's state; every
+  // drained batch lands as sequential plain stores on warm owner pages.
+  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+    auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+    for (int64_t idx = lo; idx < hi; ++idx) {
+      const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
+      const uint64_t span_start = obs::TimelineNow();
+      int64_t relaxed = 0;
+      int64_t applied = 0;
+      for (int s = 0; s < num_shards; ++s) {
+        if (s == t) {
+          continue;
+        }
+        applied += grid.At(s, t).Drain([&](const ShardUpdate& update) {
+          if (!func.Cond(update.dst)) {
+            return;
+          }
+          if (func.Update(update.src, update.dst, update.weight)) {
+            ++relaxed;
+            if (next.TestAndSet(update.dst)) {
+              buffer.push_back(update.dst);
             }
-            const uint64_t span_start = obs::TimelineNow();
-            int64_t scanned = 0;
-            int64_t relaxed = 0;
-            int64_t local_updates = 0;
-            int64_t remote_updates = 0;
-            for (const VertexId src : slice.Vertices()) {
-              const auto neighbors = out.Neighbors(src);
-              const auto weights = out.Weights(src);
-              scanned += static_cast<int64_t>(neighbors.size());
-              for (size_t j = 0; j < neighbors.size(); ++j) {
-                const VertexId dst = neighbors[j];
-                if (!func.Cond(dst)) {
-                  continue;
-                }
-                const float w = kWeighted ? weights[j] : 1.0f;
-                const int t = shards.ShardOf(dst);
-                if (t == s) {
-                  ++local_updates;
-                  if (func.Update(src, dst, w)) {
-                    ++relaxed;
-                    if (next.TestAndSet(dst)) {
-                      buffer.push_back(dst);
-                    }
-                  }
-                } else {
-                  ++remote_updates;
-                  grid.At(s, t).Enqueue(src, dst, w);
-                }
-              }
-            }
-            grid.FlushRow(s);
-            metrics.edges_scanned.Add(scanned);
-            metrics.edges_relaxed.Add(relaxed);
-            shard_metrics.local_updates.Add(local_updates);
-            shard_metrics.remote_updates.Add(remote_updates);
-            obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
           }
         });
-
-    // Phase 2: apply. Task t is the only writer of shard t's state; every
-    // drained batch lands as sequential plain stores on warm owner pages.
-    ParallelForChunks(
-        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-          auto& buffer = buffers[static_cast<size_t>(worker)];
-          for (int64_t idx = lo; idx < hi; ++idx) {
-            const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
-            const uint64_t span_start = obs::TimelineNow();
-            int64_t relaxed = 0;
-            int64_t applied = 0;
-            for (int s = 0; s < num_shards; ++s) {
-              if (s == t) {
-                continue;
-              }
-              applied += grid.At(s, t).Drain([&](const ShardUpdate& update) {
-                if (!func.Cond(update.dst)) {
-                  return;
-                }
-                if (func.Update(update.src, update.dst, update.weight)) {
-                  ++relaxed;
-                  if (next.TestAndSet(update.dst)) {
-                    buffer.push_back(update.dst);
-                  }
-                }
-              });
-            }
-            metrics.edges_relaxed.Add(relaxed);
-            obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, applied);
-          }
-        });
-  };
-  if (out.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
+      }
+      metrics.edges_relaxed.Add(relaxed);
+      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, applied);
+    }
+  });
 
   grid.PublishStats();
-  return Frontier::FromVector(
-      n, edge_map_internal::ConcatBuffers(buffers, /*retain_capacity=*/options.scratch != nullptr));
+  return round.Finish();
 }
 
 // --- Sharded adjacency pull (owner-partitioned gather) ---------------------
 //
-// Same gather loop as EdgeMapCsrPull (word-batched frontier probe, Cond
-// early exit) but chunked by shard ownership: task t gathers exactly the
+// The shared gather of EdgeMapPull (word-batched frontier probe, Cond early
+// exit), chunked by shard ownership: task t gathers exactly the
 // destinations shard t owns, so the write pattern matches the sharded push
 // and the balance knob reuses the precomputed in-edge mass order instead of
 // a per-call offsets scan.
@@ -277,93 +246,23 @@ Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier&
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.pull", frontier.Count());
 
   Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
-  const Bitmap& active_bits = frontier.bitmap();
-
-  auto run = [&](auto wtag) {
-    constexpr bool kWeighted = decltype(wtag)::value;
-    ParallelForChunks(
-        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-          for (int64_t idx = lo; idx < hi; ++idx) {
-            const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
-            const uint64_t span_start = obs::TimelineNow();
-            int64_t local = 0;
-            int64_t scanned = 0;
-            int64_t relaxed = 0;
-            int64_t cached_word_index = -1;
-            uint64_t cached_word = 0;
-            const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(t));
-            const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(t));
-            for (int64_t v = v_lo; v < v_hi; ++v) {
-              const VertexId dst = static_cast<VertexId>(v);
-              if (!func.Cond(dst)) {
-                continue;
-              }
-              const auto neighbors = in.Neighbors(dst);
-              const auto weights = in.Weights(dst);
-              bool updated = false;
-              for (size_t j = 0; j < neighbors.size(); ++j) {
-                const VertexId src = neighbors[j];
-                ++scanned;
-                const int64_t word_index = static_cast<int64_t>(src >> 6);
-                if (word_index != cached_word_index) {
-                  cached_word_index = word_index;
-                  cached_word = active_bits.Word(word_index);
-                }
-                if (((cached_word >> (src & 63)) & 1ULL) == 0) {
-                  continue;
-                }
-                const float w = kWeighted ? weights[j] : 1.0f;
-                if (func.Update(src, dst, w)) {
-                  updated = true;
-                  ++relaxed;
-                }
-                if (!func.Cond(dst)) {
-                  break;  // early exit: dst is done for this round
-                }
-              }
-              if (updated) {
-                next.Set(v);
-                ++local;
-              }
-            }
-            counts[static_cast<size_t>(worker)] += local;
-            shard_metrics.local_updates.Add(relaxed);  // every pull apply is owner-local
-            metrics.edges_scanned.Add(scanned);
-            metrics.edges_relaxed.Add(relaxed);
-            obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
-          }
-        });
-  };
-  if (in.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
-
-  int64_t total = 0;
-  for (const int64_t c : counts) {
-    total += c;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total);
-}
-
-// --- Sharded dynamic push-pull (Beamer/Ligra over shards) ------------------
-template <typename F>
-Frontier EdgeMapShardedPushPull(const Csr& out, const Csr& in, const ShardedGraph& shards,
-                                Frontier& frontier, F& func, const EdgeMapOptions& options,
-                                const PushPullConfig& config, bool* used_pull = nullptr) {
-  const uint64_t work = frontier.WorkEstimate(out);
-  const bool pull = static_cast<double>(work) >
-                    static_cast<double>(out.num_edges()) / config.threshold_den;
-  if (used_pull != nullptr) {
-    *used_pull = pull;
-  }
-  if (pull) {
-    return EdgeMapShardedPull(in, shards, frontier, func, options);
-  }
-  return EdgeMapShardedPush(out, shards, frontier, func, options);
+  std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
+  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+    for (int64_t idx = lo; idx < hi; ++idx) {
+      const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
+      const uint64_t span_start = obs::TimelineNow();
+      const edge_map_internal::GatherCounts c = edge_map_internal::GatherRange(
+          in, static_cast<int64_t>(shards.ShardBegin(t)), static_cast<int64_t>(shards.ShardEnd(t)),
+          frontier.bitmap(), func, next);
+      counts[static_cast<size_t>(worker)] += c.discovered;
+      shard_metrics.local_updates.Add(c.relaxed);  // every pull apply is owner-local
+      metrics.edges_scanned.Add(c.scanned);
+      metrics.edges_relaxed.Add(c.relaxed);
+      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, c.scanned);
+    }
+  });
+  return Frontier::FromBitmap(n, std::move(next),
+                              std::accumulate(counts.begin(), counts.end(), int64_t{0}));
 }
 
 // --- Sharded all-active scans (PageRank / SpMV) ----------------------------
@@ -394,12 +293,8 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
       const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(s));
       for (int64_t v = v_lo; v < v_hi; ++v) {
         const VertexId src = static_cast<VertexId>(v);
-        const auto neighbors = out.Neighbors(src);
-        const auto weights = out.Weights(src);
-        scanned += static_cast<int64_t>(neighbors.size());
-        for (size_t j = 0; j < neighbors.size(); ++j) {
-          const VertexId dst = neighbors[j];
-          const float w = weights.empty() ? 1.0f : weights[j];
+        const uint64_t degree = out.Degree(src);
+        out.ForEachNeighborSlice(src, 0, degree, [&](VertexId dst, float w) {
           const int t = shards.ShardOf(dst);
           if (t == s) {
             ++local_updates;
@@ -408,7 +303,8 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
             ++remote_updates;
             grid.At(s, t).Enqueue(src, dst, w);
           }
-        }
+        });
+        scanned += static_cast<int64_t>(degree);
       }
       grid.FlushRow(s);
       scanned_counter.Add(scanned);
@@ -434,12 +330,13 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
   grid.PublishStats();
 }
 
-// Owner-partitioned dense gather: body(dst, in_neighbors, weights) once per
-// destination, iterated in ascending dst within each shard — the identical
-// per-destination order to ScanCsrByDestination, so floating-point gather
-// sums (PageRank, SpMV) are bit-identical to the plain pull backend.
-template <typename Body>
-void ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Body&& body) {
+// Owner-partitioned dense gather: sums[dst] += value(src, weight) over every
+// in-edge, destinations ascending within each shard and each folded in list
+// order — the same fold as ScanByDestination, so floating-point gather sums
+// (PageRank, SpMV) are bit-identical to the plain pull backend.
+template <typename Value>
+void ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Value&& value,
+                            float* sums) {
   const int num_shards = shards.num_shards();
   obs::TimelineSpan timeline_span("engine", "scan.sharded.dst",
                                   static_cast<int64_t>(in.num_edges()));
@@ -450,15 +347,9 @@ void ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Body&& bo
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
     for (int64_t idx = lo; idx < hi; ++idx) {
       const int t = shards.in_order()[static_cast<size_t>(idx)];
-      int64_t scanned = 0;
-      const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(t));
-      const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(t));
-      for (int64_t v = v_lo; v < v_hi; ++v) {
-        const VertexId dst = static_cast<VertexId>(v);
-        scanned += static_cast<int64_t>(in.Neighbors(dst).size());
-        body(dst, in.Neighbors(dst), in.Weights(dst));
-      }
-      scanned_counter.Add(scanned);
+      scanned_counter.Add(scan_internal::SumDestinations(
+          in, static_cast<int64_t>(shards.ShardBegin(t)),
+          static_cast<int64_t>(shards.ShardEnd(t)), value, sums));
     }
   });
 }

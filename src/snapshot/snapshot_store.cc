@@ -170,7 +170,12 @@ SnapshotChainStats SnapshotStore::chain_stats() const {
     }
     ++out.chain_length;
     out.retained_bytes += HandleRetainedBytes(*handle);
-    chain_[kept++] = std::move(entry);
+    // Self-move-assignment would empty the weak_ptr (libstdc++), forgetting
+    // a live epoch; only move entries whose slot actually changes.
+    if (&chain_[kept] != &entry) {
+      chain_[kept] = std::move(entry);
+    }
+    ++kept;
   }
   chain_.resize(kept);
   return out;

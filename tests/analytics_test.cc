@@ -6,9 +6,10 @@
 
 #include "src/algos/analytics.h"
 #include "src/algos/reference.h"
-#include "src/engine/edge_map_compressed.h"
+#include "src/engine/edge_map.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
+#include "src/layout/compressed_csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/util/atomics.h"
 
@@ -90,7 +91,7 @@ struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId, VertexId d, float) {
     if (visited[d] == 0) {
-      visited[d] = 1;
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;
@@ -126,14 +127,18 @@ TEST(EdgeMapCompressed, BfsReachabilityMatchesPlainCsr) {
     return reached;
   };
 
+  EdgeMapOptions atomics;
+  atomics.locks = &locks;
+  EdgeMapOptions with_locks = atomics;
+  with_locks.sync = Sync::kLocks;
   const auto plain = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(out, f, fn, Sync::kAtomics, &locks);
+    return EdgeMapPush(out, f, fn, atomics);
   });
   const auto packed = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCompressedPush(compressed, f, fn, Sync::kAtomics, &locks);
+    return EdgeMapPush(compressed, f, fn, atomics);
   });
   const auto packed_locks = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCompressedPush(compressed, f, fn, Sync::kLocks, &locks);
+    return EdgeMapPush(compressed, f, fn, with_locks);
   });
   EXPECT_EQ(packed, plain);
   EXPECT_EQ(packed_locks, plain);

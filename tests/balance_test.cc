@@ -14,7 +14,6 @@
 #include "src/algos/bfs.h"
 #include "src/algos/reference.h"
 #include "src/engine/edge_map.h"
-#include "src/engine/edge_map_compressed.h"
 #include "src/engine/execution_context.h"
 #include "src/engine/graph_handle.h"
 #include "src/gen/rmat.h"
@@ -28,7 +27,7 @@ struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId /*s*/, VertexId d, float) {
     if (visited[d] == 0) {
-      visited[d] = 1;
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;
@@ -65,14 +64,14 @@ Frontier Step(GraphHandle& handle, Layout layout, Direction direction, Frontier&
   switch (layout) {
     case Layout::kAdjacency:
       if (direction == Direction::kPull) {
-        return EdgeMapCsrPull(handle.in_csr(), frontier, func, options);
+        return EdgeMapPull(handle.in_csr(), frontier, func, options);
       }
-      return EdgeMapCsrPush(handle.out_csr(), frontier, func, options);
+      return EdgeMapPush(handle.out_csr(), frontier, func, options);
     case Layout::kCompressed:
       if (direction == Direction::kPull) {
-        return EdgeMapCompressedPull(handle.compressed_in(), frontier, func, options);
+        return EdgeMapPull(handle.compressed_in(), frontier, func, options);
       }
-      return EdgeMapCompressedPush(handle.compressed_out(), frontier, func, options);
+      return EdgeMapPush(handle.compressed_out(), frontier, func, options);
     case Layout::kEdgeArray:
       return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
     case Layout::kGrid:
@@ -196,7 +195,7 @@ TEST(BalanceEquivalence, HubSplittingDeduplicates) {
   Frontier frontier = Frontier::Single(handle.num_vertices(), 0);
   EdgeMapOptions options;
   options.scratch = &ExecutionContext::Default().edge_map_scratch();
-  Frontier next = EdgeMapCsrPush(handle.out_csr(), frontier, func, options);
+  Frontier next = EdgeMapPush(handle.out_csr(), frontier, func, options);
 
   EXPECT_EQ(next.Count(), static_cast<int64_t>(leaves));
   const std::vector<VertexId> vertices = SortedVertices(next);
@@ -244,9 +243,9 @@ TEST(BalanceEquivalence, EmptyFrontierYieldsEmptyResult) {
     options.locks = &handle.locks();
     options.scratch = &ExecutionContext::Default().edge_map_scratch();
     Frontier empty_push = Frontier::None(handle.num_vertices());
-    EXPECT_TRUE(EdgeMapCsrPush(handle.out_csr(), empty_push, func, options).Empty());
+    EXPECT_TRUE(EdgeMapPush(handle.out_csr(), empty_push, func, options).Empty());
     Frontier empty_pull = Frontier::None(handle.num_vertices());
-    EXPECT_TRUE(EdgeMapCsrPull(handle.in_csr(), empty_pull, func, options).Empty());
+    EXPECT_TRUE(EdgeMapPull(handle.in_csr(), empty_pull, func, options).Empty());
     Frontier empty_array = Frontier::None(handle.num_vertices());
     options.scratch = nullptr;
     EXPECT_TRUE(EdgeMapEdgeArray(handle.edges(), empty_array, func, options).Empty());

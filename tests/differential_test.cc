@@ -30,6 +30,7 @@
 #include "src/algos/reference.h"
 #include "src/algos/sssp.h"
 #include "src/algos/wcc.h"
+#include "src/engine/execution_context.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
@@ -172,6 +173,13 @@ class DifferentialTest : public ::testing::TestWithParam<Cell> {
 
 std::vector<TestGraph>* DifferentialTest::graphs_ = nullptr;
 
+ExecutionContextOptions PoolOptions(int threads) {
+  ExecutionContextOptions options;
+  options.name = "pool" + std::to_string(threads);
+  options.num_threads = threads;
+  return options;
+}
+
 TEST_P(DifferentialTest, BfsMatchesReference) {
   for (const TestGraph& g : *graphs_) {
     GraphHandle handle(g.edges);
@@ -228,6 +236,53 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
       // that sum to 1 is far tighter than any real divergence.
       EXPECT_NEAR(result.rank[v], g.ref_pagerank[v], 2e-4)
           << CellName() << " on " << g.name << ": vertex " << v;
+    }
+  }
+}
+
+// Deterministic kernels must not depend on the pool width: BFS
+// reachability, SSSP distances (the least fixpoint of monotone float
+// relaxations), WCC labels, and PageRank where it gathers (pull on a
+// vertex-centric layout: fixed per-destination order plus the
+// deterministic dangling reduction) are bit-identical on 1 and 4 threads.
+// Push PageRank is exempt: its atomic float adds land in schedule order.
+TEST_P(DifferentialTest, ResultsIdenticalAcrossPoolWidths) {
+  static ExecutionContext* narrow = new ExecutionContext(PoolOptions(1));
+  static ExecutionContext* wide = new ExecutionContext(PoolOptions(4));
+  RunConfig config = Config();
+  PagerankOptions pagerank;
+  pagerank.iterations = kPagerankIterations;
+  pagerank.damping = kPagerankDamping;
+  const bool gathers = config.direction == Direction::kPull && IsVertexCentric(config.layout);
+  for (const TestGraph& g : *graphs_) {
+    const std::string cell = CellName() + " on " + g.name;
+    {
+      GraphHandle handle(g.edges);
+      const BfsResult a = RunBfs(handle, g.source, config, *narrow);
+      const BfsResult b = RunBfs(handle, g.source, config, *wide);
+      for (VertexId v = 0; v < g.edges.num_vertices(); ++v) {
+        ASSERT_EQ(a.parent[v] == kInvalidVertex, b.parent[v] == kInvalidVertex)
+            << cell << ": bfs reach of vertex " << v;
+      }
+    }
+    {
+      GraphHandle handle(g.weighted);
+      const SsspResult a = RunSssp(handle, g.source, config, *narrow);
+      const SsspResult b = RunSssp(handle, g.source, config, *wide);
+      ASSERT_EQ(a.dist, b.dist) << cell << ": sssp";
+    }
+    {
+      RunConfig wcc = config;
+      wcc.symmetric_input = IsVertexCentric(config.layout);
+      GraphHandle handle(wcc.symmetric_input ? g.edges.MakeUndirected() : g.edges);
+      ASSERT_EQ(RunWcc(handle, wcc, *narrow).label, RunWcc(handle, wcc, *wide).label)
+          << cell << ": wcc";
+    }
+    if (gathers) {
+      GraphHandle handle(g.edges);
+      ASSERT_EQ(RunPagerank(handle, pagerank, config, *narrow).rank,
+                RunPagerank(handle, pagerank, config, *wide).rank)
+          << cell << ": pagerank";
     }
   }
 }

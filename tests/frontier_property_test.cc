@@ -1,7 +1,7 @@
 // Randomized property tests for the Frontier vertex-subset abstraction:
 //   - sparse <-> dense conversions preserve the active set exactly, in both
 //     directions, across random subsets of varying density;
-//   - EdgeMapCsrPush's round-bitmap dedup never emits a duplicate vertex,
+//   - EdgeMapPush's round-bitmap dedup never emits a duplicate vertex,
 //     even when many active sources relax the same destination and the
 //     graph itself contains duplicate edges.
 #include <gtest/gtest.h>
@@ -126,7 +126,10 @@ TEST_P(PushDedupTest, RoundBitmapNeverEmitsDuplicates) {
 
     Frontier frontier = Frontier::FromVector(n, active);
     AlwaysRelaxFunctor func;
-    Frontier next = EdgeMapCsrPush(out, frontier, func, GetParam(), &handle.locks());
+    EdgeMapOptions options;
+    options.sync = GetParam();
+    options.locks = &handle.locks();
+    Frontier next = EdgeMapPush(out, frontier, func, options);
 
     std::vector<VertexId> produced = SortedVertices(next);
     ASSERT_EQ(std::adjacent_find(produced.begin(), produced.end()), produced.end())

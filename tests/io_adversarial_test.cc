@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,15 +238,20 @@ TEST_F(IoAdversarialTest, MixedWeightedUnweightedRejected) {
 // edges on disk, so weights were unknown at insertion time).
 // ---------------------------------------------------------------------------
 
-using NeighborWeights = std::multimap<VertexId, float>;
+// Sorted (neighbor, weight) pairs: a multiset compare. Duplicate (src, dst)
+// edges with different weights land in scatter order once more than one
+// thread builds, so neither the list order nor the order among equal
+// neighbors may enter the comparison.
+using NeighborWeights = std::vector<std::pair<VertexId, float>>;
 
 NeighborWeights VertexPairs(const Csr& csr, VertexId v) {
   NeighborWeights pairs;
   const auto neighbors = csr.Neighbors(v);
   const auto weights = csr.Weights(v);
   for (size_t i = 0; i < neighbors.size(); ++i) {
-    pairs.emplace(neighbors[i], weights.empty() ? 1.0f : weights[i]);
+    pairs.emplace_back(neighbors[i], weights.empty() ? 1.0f : weights[i]);
   }
+  std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 

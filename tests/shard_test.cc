@@ -221,7 +221,7 @@ struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId /*s*/, VertexId d, float) {
     if (visited[d] == 0) {
-      visited[d] = 1;
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;
@@ -390,7 +390,7 @@ TEST(ShardedAlgoTest, SsspMatchesPlainAdjacency) {
 }
 
 // The owner-partitioned pull gather visits in-neighbors in exactly the order
-// ScanCsrByDestination does, so the ranks must match bit for bit.
+// ScanByDestination does, so the ranks must match bit for bit.
 TEST(ShardedAlgoTest, PagerankPullIsBitIdenticalToPlainPull) {
   const EdgeList graph = TestRmat(10);
   PagerankOptions options;

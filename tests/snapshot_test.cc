@@ -265,6 +265,22 @@ TEST(SnapshotTest, UpdatesGrowVertexSpace) {
   EXPECT_EQ(snap.handle->out_csr().Degree(4), 0u);
 }
 
+TEST(SnapshotTest, ChainStatsKeepsPinnedEpochAcrossCalls) {
+  SnapshotOptions options;
+  options.background_refreeze = false;
+  SnapshotStore store(RmatGraph(/*scale=*/6), options);
+  const Snapshot pinned = store.Pin();
+  store.Apply(EdgeUpdate{0, 1, true});
+  store.Refreeze();
+  // Epoch 0 stays live through the pin; every call must still see it (a
+  // pruning pass must not forget entries it keeps in place).
+  for (int call = 0; call < 2; ++call) {
+    const snapshot::SnapshotChainStats chain = store.chain_stats();
+    EXPECT_EQ(chain.chain_length, 2) << "call " << call;
+    EXPECT_EQ(chain.oldest_live_epoch, pinned.epoch) << "call " << call;
+  }
+}
+
 TEST(SnapshotTest, DeleteRemovesEveryCopyButLaterInsertsSurvive) {
   EdgeList base(3, {});
   base.AddEdge(0, 1);

@@ -30,12 +30,7 @@ void ExpectNear(const std::vector<float>& got, const std::vector<float>& expecte
   }
 }
 
-using SpmvParam = std::tuple<Layout, Direction, Sync>;
-
-class SpmvConfigTest : public ::testing::TestWithParam<SpmvParam> {};
-
-TEST_P(SpmvConfigTest, MatchesReference) {
-  const auto [layout, direction, sync] = GetParam();
+void ExpectSpmvMatchesReference(const RunConfig& config) {
   RmatOptions options;
   options.scale = 10;
   EdgeList graph = GenerateRmat(options);
@@ -44,13 +39,19 @@ TEST_P(SpmvConfigTest, MatchesReference) {
   const std::vector<float> expected = RefSpmv(graph, x);
 
   GraphHandle handle(graph);
-  RunConfig config;
-  config.layout = layout;
-  config.direction = direction;
-  config.sync = sync;
   const SpmvResult result = RunSpmv(handle, x, config);
   ExpectNear(result.y, expected);
   EXPECT_EQ(result.stats.iterations, 1);  // single pass by definition
+}
+
+using SpmvParam = std::tuple<Layout, Direction, Sync>;
+
+class SpmvConfigTest : public ::testing::TestWithParam<SpmvParam> {};
+
+TEST_P(SpmvConfigTest, MatchesReference) {
+  RunConfig config;
+  std::tie(config.layout, config.direction, config.sync) = GetParam();
+  ExpectSpmvMatchesReference(config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -66,6 +67,34 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
                          DirectionName(std::get<1>(info.param)) + "_" +
                          SyncName(std::get<2>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// Every layout x direction under both balance modes: the balance knob picks
+// chunk boundaries (and, for compressed and plain by-source scans, where a
+// hub's list splits), never the result.
+using SpmvBalanceParam = std::tuple<Layout, Direction, Balance>;
+
+class SpmvBalanceTest : public ::testing::TestWithParam<SpmvBalanceParam> {};
+
+TEST_P(SpmvBalanceTest, MatchesReference) {
+  RunConfig config;
+  std::tie(config.layout, config.direction, config.balance) = GetParam();
+  ExpectSpmvMatchesReference(config);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, SpmvBalanceTest,
+    ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kCompressed,
+                                         Layout::kEdgeArray, Layout::kGrid,
+                                         Layout::kSharded),
+                       ::testing::Values(Direction::kPush, Direction::kPull),
+                       ::testing::Values(Balance::kVertex, Balance::kEdge)),
+    [](const ::testing::TestParamInfo<SpmvBalanceParam>& info) {
+      std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
+                         DirectionName(std::get<1>(info.param)) + "_" +
+                         BalanceName(std::get<2>(info.param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
