@@ -58,6 +58,15 @@ Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConf
   return Frontier::None(handle.num_vertices());
 }
 
+// Whether an EdgeMap round under `config` costs in proportion to its
+// frontier: push and push-pull on the vertex-centric layouts. The edge array,
+// the grid and pure pull scan O(|E|) per round whatever the frontier, so
+// there more, smaller rounds only multiply the scans (bucketed SSSP keeps a
+// single bucket).
+inline bool RoundCostFollowsFrontier(const RunConfig& config) {
+  return IsVertexCentric(config.layout) && config.direction != Direction::kPull;
+}
+
 // One all-active pass, sums[dst] += value(src, weight) over every edge
 // (PageRank's and SpMV's y += A^T x), under config's layout, direction,
 // sync and balance. Pull on the vertex-centric layouts folds each

@@ -264,6 +264,9 @@ Csr DynamicAdjacencyBuilder::Finalize(double* flatten_seconds) {
   ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
     const EdgeIndex base = offsets[static_cast<size_t>(v)];
     const auto& list = impl.adjacency[static_cast<size_t>(v)];
+    if (list.empty()) {
+      return;  // memcpy's pointers must be non-null even for zero bytes
+    }
     std::memcpy(neighbors.data() + base, list.data(), list.size() * sizeof(VertexId));
     if (impl.weighted) {
       const auto& wl = impl.weight_lists[static_cast<size_t>(v)];

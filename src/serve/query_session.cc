@@ -327,9 +327,10 @@ void QuerySession::CoordinatorLoop() {
     // cohorts; when the queue runs shallow the floor preserves latency.
     queue_depth_ema_ =
         0.75 * queue_depth_ema_ + 0.25 * static_cast<double>(observed_depth);
+    // The floor wins over max_batch (std::clamp would need lo <= hi).
     const int batch_min =
-        std::clamp(static_cast<int>(std::lround(queue_depth_ema_ / 2.0)),
-                   batch_min_floor, static_cast<int>(max_batch));
+        std::max(batch_min_floor, std::min(static_cast<int>(std::lround(queue_depth_ema_ / 2.0)),
+                                           static_cast<int>(max_batch)));
     batch_min_effective_.store(batch_min, std::memory_order_relaxed);
     // The whole cohort left the queue together; cohort formation (classify,
     // prepare, partition) runs from this stamp to RunBatch's exec stamp.

@@ -1,17 +1,66 @@
-// SSSP correctness: frontier Bellman-Ford must converge to Dijkstra's
-// distances under every layout, on weighted and unweighted graphs.
+// SSSP correctness: bucketed rounds must converge to Dijkstra's distances
+// under every layout, on weighted and unweighted graphs, and to the same bits
+// at every bucket width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "src/algos/reference.h"
-#include "src/algos/delta_stepping.h"
 #include "src/algos/sssp.h"
+#include "src/engine/buckets.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
 
 namespace egraph {
+
+// RunSssp at an explicit bucket width (infinity: one bucket). Defined in
+// src/algos/sssp.cc and declared only here, so the width stays out of the
+// public headers and out of RunConfig.
+SsspResult RunSsspAtWidth(GraphHandle& handle, VertexId source, const RunConfig& config,
+                          ExecutionContext& ctx, double width);
+
 namespace {
+
+ExecutionContext& SingleThread() {
+  static ExecutionContext* ctx = [] {
+    ExecutionContextOptions options;
+    options.name = "sssp1";
+    options.num_threads = 1;
+    return new ExecutionContext(options);
+  }();
+  return *ctx;
+}
+
+// 0->1->3 costs 10; 0->2->4->3 costs 3 and is found one round later; 3->5.
+EdgeList Diamond() {
+  EdgeList graph;
+  graph.set_num_vertices(6);
+  graph.AddWeightedEdge(0, 1, 1.0f);
+  graph.AddWeightedEdge(1, 3, 9.0f);
+  graph.AddWeightedEdge(0, 2, 1.0f);
+  graph.AddWeightedEdge(2, 4, 1.0f);
+  graph.AddWeightedEdge(4, 3, 1.0f);
+  graph.AddWeightedEdge(3, 5, 1.0f);
+  return graph;
+}
+
+// At width 1, the heavy edges file 2 and 3 beyond the open window: 2 later
+// improves into the window (its overflow entry goes stale), while 3 (and 4
+// behind it) wait until the window reopens past them.
+EdgeList BeyondOpenWindow() {
+  const float heavy = 2.0f * static_cast<float>(kOpenBuckets);
+  EdgeList graph;
+  graph.set_num_vertices(5);
+  graph.AddWeightedEdge(0, 1, 1.0f);
+  graph.AddWeightedEdge(1, 2, 1.0f);
+  graph.AddWeightedEdge(0, 2, 1.5f * heavy);
+  graph.AddWeightedEdge(0, 3, heavy);
+  graph.AddWeightedEdge(3, 4, 1.0f);
+  return graph;
+}
 
 void ExpectDistancesEqual(const std::vector<float>& got, const std::vector<float>& expected) {
   ASSERT_EQ(got.size(), expected.size());
@@ -118,16 +167,13 @@ TEST(Sssp, RoadGraphLongPaths) {
 
 TEST(Sssp, VertexCanRelaxMultipleTimes) {
   // Diamond with a shortcut that arrives later: 0->1->3 (cost 10) is found
-  // before 0->2->3 with cost 3; vertex 3 must re-enter the frontier.
-  EdgeList graph;
-  graph.set_num_vertices(4);
-  graph.AddWeightedEdge(0, 1, 1.0f);
-  graph.AddWeightedEdge(1, 3, 9.0f);
-  graph.AddWeightedEdge(0, 2, 1.0f);
-  graph.AddWeightedEdge(2, 3, 2.0f);
+  // a round before 0->2->4->3 (cost 3); vertex 3 must be relaxed again, and
+  // pass the better distance on to 5.
+  EdgeList graph = Diamond();
   GraphHandle handle(graph);
   const SsspResult result = RunSssp(handle, 0, RunConfig{});
   EXPECT_FLOAT_EQ(result.dist[3], 3.0f);
+  EXPECT_FLOAT_EQ(result.dist[5], 4.0f);
 }
 
 TEST(DeltaStepping, MatchesDijkstraOnWeightedRmat) {
@@ -137,25 +183,56 @@ TEST(DeltaStepping, MatchesDijkstraOnWeightedRmat) {
   graph.AssignRandomWeights(0.1f, 3.0f, 23);
   const std::vector<float> expected = RefDijkstra(graph, 0);
   GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
+  const SsspResult result = RunSssp(handle, 0, RunConfig{});
   ExpectDistancesEqual(result.dist, expected);
   EXPECT_GT(result.stats.iterations, 0);
 }
 
+// Distances are the least fixpoint of the float relaxations, so every bucket
+// width yields the same bits: narrow buckets that overflow the open window,
+// the derived mean, wide ones, and a single bucket (frontier Bellman-Ford).
 TEST(DeltaStepping, DeltaSweepAllCorrect) {
-  RmatOptions options;
-  options.scale = 8;
-  EdgeList graph = GenerateRmat(options);
-  graph.AssignRandomWeights(0.5f, 2.0f, 29);
-  const std::vector<float> expected = RefDijkstra(graph, 3);
-  GraphHandle handle(graph);
-  for (const float delta : {0.25f, 1.0f, 4.0f, 100.0f}) {
-    DeltaSteppingOptions options_ds;
-    options_ds.delta = delta;
-    const SsspResult result = RunSsspDeltaStepping(handle, 3, options_ds, RunConfig{});
-    ExpectDistancesEqual(result.dist, expected);
+  RmatOptions rmat_options;
+  rmat_options.scale = 8;
+  EdgeList rmat = GenerateRmat(rmat_options);
+  rmat.AssignRandomWeights(0.5f, 2.0f, 29);
+  RoadOptions road_options;
+  road_options.width = 32;
+  road_options.height = 32;
+  EdgeList road = GenerateRoad(road_options);
+  road.AssignRandomWeights(1.0f, 10.0f, 37);
+  const EdgeList diamond = Diamond();
+  const EdgeList overflow = BeyondOpenWindow();
+  const struct {
+    const char* name;
+    const EdgeList& graph;
+    VertexId source;
+  } cases[] = {{"rmat", rmat, 3}, {"road", road, 0}, {"diamond", diamond, 0},
+               {"overflow", overflow, 0}};
+  for (const auto& c : cases) {
+    const std::vector<float> expected = RefDijkstra(c.graph, c.source);
+    double sum = 0.0;
+    for (const float w : c.graph.weights()) {
+      sum += w;
+    }
+    const double mean = sum / static_cast<double>(c.graph.num_edges());
+    GraphHandle handle(c.graph);
+    const SsspResult one_bucket = RunSsspAtWidth(handle, c.source, RunConfig{}, SingleThread(),
+                                                 std::numeric_limits<double>::infinity());
+    ExpectDistancesEqual(one_bucket.dist, expected);
+    for (const double width : {0.25, 1.0, mean, 4.0 * mean, 100.0}) {
+      const SsspResult result =
+          RunSsspAtWidth(handle, c.source, RunConfig{}, SingleThread(), width);
+      EXPECT_EQ(result.dist, one_bucket.dist) << c.name << " at width " << width;
+    }
   }
+  // At width 100 the diamond is one bucket: vertex 3 is relaxed at cost 10,
+  // improves to 3 inside that bucket, and is relaxed again.
+  GraphHandle diamond_handle(diamond);
+  const SsspResult wide = RunSsspAtWidth(diamond_handle, 0, RunConfig{}, SingleThread(), 100.0);
+  EXPECT_EQ(std::accumulate(wide.stats.frontier_sizes.begin(), wide.stats.frontier_sizes.end(),
+                            int64_t{0}),
+            8);
 }
 
 TEST(DeltaStepping, UnweightedDegeneratesToBfsLevels) {
@@ -164,15 +241,19 @@ TEST(DeltaStepping, UnweightedDegeneratesToBfsLevels) {
   const EdgeList graph = GenerateRmat(options);
   const std::vector<uint32_t> levels = RefBfsLevels(graph, 0);
   GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
+  const SsspResult result = RunSssp(handle, 0, RunConfig{});
+  std::vector<int64_t> level_sizes;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (levels[v] == UINT32_MAX) {
       EXPECT_TRUE(std::isinf(result.dist[v]));
     } else {
       EXPECT_FLOAT_EQ(result.dist[v], static_cast<float>(levels[v]));
+      level_sizes.resize(std::max<size_t>(level_sizes.size(), levels[v] + 1));
+      ++level_sizes[levels[v]];
     }
   }
+  // Unit weights: every bucket is one BFS level, relaxed in one round.
+  EXPECT_EQ(result.stats.frontier_sizes, level_sizes);
 }
 
 TEST(DeltaStepping, RoadGraphLongPaths) {
@@ -183,9 +264,71 @@ TEST(DeltaStepping, RoadGraphLongPaths) {
   graph.AssignRandomWeights(1.0f, 2.0f, 31);
   const std::vector<float> expected = RefDijkstra(graph, 0);
   GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
+  const SsspResult result = RunSssp(handle, 0, RunConfig{});
   ExpectDistancesEqual(result.dist, expected);
+}
+
+// Work efficiency without timing: on a road lattice, bucketed rounds relax
+// each reachable vertex about once, where a single bucket (frontier
+// Bellman-Ford) relaxes it once per improvement.
+TEST(Sssp, BucketedRoundsRelaxEachVertexAboutOnce) {
+  RoadOptions options;
+  options.width = 128;
+  options.height = 128;
+  EdgeList graph = GenerateRoad(options);
+  graph.AssignRandomWeights(1.0f, 10.0f, 41);
+  GraphHandle handle(graph);
+  const SsspResult bucketed = RunSssp(handle, 0, RunConfig{}, SingleThread());
+  const int64_t reachable = std::count_if(bucketed.dist.begin(), bucketed.dist.end(),
+                                          [](float d) { return !std::isinf(d); });
+  const auto relaxed = [](const SsspResult& result) {
+    return std::accumulate(result.stats.frontier_sizes.begin(),
+                           result.stats.frontier_sizes.end(), int64_t{0});
+  };
+  EXPECT_LE(static_cast<double>(relaxed(bucketed)), 1.25 * static_cast<double>(reachable));
+  const SsspResult one_bucket = RunSsspAtWidth(handle, 0, RunConfig{}, SingleThread(),
+                                               std::numeric_limits<double>::infinity());
+  EXPECT_EQ(one_bucket.dist, bucketed.dist);
+  EXPECT_GT(static_cast<double>(relaxed(one_bucket)), 2.0 * static_cast<double>(reachable));
+}
+
+// One round discovering tens of thousands of vertices files them from
+// several workers' lists, and taking a bucket merges them; the distances
+// match Dijkstra and the one-thread run bit for bit.
+TEST(Sssp, WideRoundsMatchAcrossPoolWidths) {
+  constexpr VertexId kLeaves = 20000;
+  constexpr VertexId kHubs = 100;
+  EdgeList graph;
+  graph.set_num_vertices(1 + kLeaves + kHubs);
+  for (VertexId leaf = 1; leaf <= kLeaves; ++leaf) {
+    graph.AddEdge(0, leaf);
+    graph.AddEdge(leaf, 1 + kLeaves + leaf % kHubs);
+  }
+  graph.AssignRandomWeights(0.5f, 4.0f, 43);
+  ExecutionContextOptions options;
+  options.name = "sssp4";
+  options.num_threads = 4;
+  ExecutionContext wide(options);
+  GraphHandle handle(graph);
+  const SsspResult result = RunSssp(handle, 0, RunConfig{}, wide);
+  ExpectDistancesEqual(result.dist, RefDijkstra(graph, 0));
+  EXPECT_EQ(result.dist, RunSssp(handle, 0, RunConfig{}, SingleThread()).dist);
+}
+
+// A negative edge can improve a vertex into a bucket already taken, so
+// negative weights keep one bucket: 2 improves to 0.5 after its bucket at 1
+// is done, and 3 must still see it.
+TEST(Sssp, NegativeWeightsKeepOneBucket) {
+  EdgeList graph;
+  graph.set_num_vertices(4);
+  graph.AddWeightedEdge(0, 1, 5.0f);
+  graph.AddWeightedEdge(0, 2, 1.0f);
+  graph.AddWeightedEdge(1, 2, -4.5f);
+  graph.AddWeightedEdge(2, 3, 1.0f);
+  GraphHandle handle(graph);
+  const SsspResult result = RunSssp(handle, 0, RunConfig{}, SingleThread());
+  EXPECT_FLOAT_EQ(result.dist[2], 0.5f);
+  EXPECT_FLOAT_EQ(result.dist[3], 1.5f);
 }
 
 TEST(Sssp, UnreachableStaysInfinite) {
