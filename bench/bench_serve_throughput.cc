@@ -1,24 +1,14 @@
 // Serving throughput: queries/second of a QuerySession over one frozen
-// Twitter-proxy R-MAT handle, as session concurrency grows 1 -> 16, in both
-// execution modes:
+// Twitter-proxy R-MAT handle, as session concurrency grows 1 -> 16. Each
+// worker owns a private ExecutionContext and runs its queries against the
+// shared handle; cells keep their historical "serve batch cN" names (one
+// "batch" is the 24-query burst) so baselines stay comparable.
 //
-//   isolated — each worker owns a private ExecutionContext and sweeps the
-//   whole graph independently (PR-5 behaviour; cells keep their historical
-//   "serve batch cN" names so baselines stay comparable),
-//   batched  — the fork-processing scheduler drains one LLC-sized CSR
-//   partition across all in-flight queries before advancing.
-//
-// Beside throughput, every (mode, concurrency) cell records per-query p50
-// and p95 latency, making the batching trade-off (throughput up, tail
-// latency?) visible in BENCH_*.json. The bench double-checks correctness
-// while it measures: every cell — batched included — must reproduce the
-// checksums of the isolated concurrency-1 reference bit-identically.
-//
-// Wall-clock cache effects are invisible at bench scale on a shared CI box,
-// so the LLC claim is gated deterministically instead: a cachesim replay of
-// 8 concurrent sweeps (isolated interleaving vs partition-lockstep over the
-// same boundaries the scheduler would pick) must show fewer misses batched
-// than isolated. The replay is single-core and seeded — the gate is hard.
+// Beside throughput, every concurrency cell records per-query p50 and p95
+// latency in BENCH_*.json. The bench double-checks correctness while it
+// measures: every cell must reproduce the checksums of the concurrency-1
+// reference bit-identically, and every result's lifecycle trace must be
+// complete with phases that sum to its total.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -27,11 +17,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/cachesim/cache_model.h"
-#include "src/cachesim/trace.h"
 #include "src/engine/graph_handle.h"
 #include "src/obs/request_trace.h"
-#include "src/serve/batch_scheduler.h"
 #include "src/serve/query_session.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
@@ -39,8 +26,8 @@
 namespace {
 
 // Acceptance gate: every served result must carry a complete lifecycle
-// trace whose phase breakdown (admission + queue + cohort + execute) sums
-// to the measured total within 5%, in both execution modes.
+// trace whose phase breakdown (admission + queue + dispatch + execute) sums
+// to the measured total within 5%.
 bool TraceIsConsistent(const egraph::serve::ServeResult& result) {
   const egraph::obs::RequestTrace& trace = result.trace;
   if (!trace.Complete()) {
@@ -49,7 +36,7 @@ bool TraceIsConsistent(const egraph::serve::ServeResult& result) {
     return false;
   }
   const double phase_sum = trace.AdmissionSeconds() + trace.QueueWaitSeconds() +
-                           trace.CohortFormSeconds() + trace.ExecuteSeconds();
+                           trace.DispatchSeconds() + trace.ExecuteSeconds();
   const double total = trace.TotalSeconds();
   if (std::abs(phase_sum - total) > total * 0.05 + 1e-9) {
     std::fprintf(stderr,
@@ -79,9 +66,8 @@ int main() {
   using namespace egraph;
   using namespace egraph::bench;
   PrintBanner("Serve throughput: concurrent QuerySessions on one frozen handle",
-              "isolated qps rises with concurrency 1 -> 4 (needs >= 4 hardware "
-              "threads); checksums identical across every concurrency and mode; "
-              "batched replay shows fewer simulated LLC misses than isolated at c8",
+              "qps rises with concurrency 1 -> 4 (needs >= 4 hardware threads); "
+              "checksums identical across every concurrency",
               "twitter-proxy rmat at EG_SCALE, symmetrized + weighted");
 
   EdgeList graph = Twitter();
@@ -93,9 +79,8 @@ int main() {
   GraphHandle handle(std::move(graph));
 
   // The query mix covers all four kernels: BFS / SSSP from a spread of
-  // sources, pull-direction PageRank (the batchable variant), and WCC.
-  // Sources, counts and configs are identical across every cell so the
-  // batches are comparable.
+  // sources, pull-direction PageRank, and WCC. Sources, counts and configs
+  // are identical across every cell so the batches are comparable.
   RunConfig config;
   config.layout = Layout::kAdjacency;
   config.direction = Direction::kPush;
@@ -135,29 +120,15 @@ int main() {
 
   constexpr int kReps = 3;
   std::vector<serve::ServeResult> reference;
-  std::vector<double> isolated_qps;
-  std::vector<double> isolated_wall;
+  std::vector<double> level_qps;
+  std::vector<double> level_wall;
   bool checksums_match = true;
 
-  struct Level {
-    serve::ExecutionMode mode;
-    int concurrency;
-  };
-  const std::vector<Level> levels = {
-      {serve::ExecutionMode::kIsolated, 1},  {serve::ExecutionMode::kIsolated, 2},
-      {serve::ExecutionMode::kIsolated, 4},  {serve::ExecutionMode::kIsolated, 8},
-      {serve::ExecutionMode::kIsolated, 16}, {serve::ExecutionMode::kBatched, 4},
-      {serve::ExecutionMode::kBatched, 8},   {serve::ExecutionMode::kBatched, 16},
-  };
-
-  Table table({"mode", "concurrency", "dataset", "batch wall", "queries/s", "p50", "p95",
-               "checksums"});
-  for (const Level& level : levels) {
-    const bool batched = level.mode == serve::ExecutionMode::kBatched;
-    // Historical cell name: "serve batch cN" = the isolated 24-query batch.
-    const std::string cell_base = batched
-                                      ? "serve batched c" + std::to_string(level.concurrency)
-                                      : "serve batch c" + std::to_string(level.concurrency);
+  const std::vector<int> levels = {1, 2, 4, 8, 16};
+  Table table({"concurrency", "dataset", "batch wall", "queries/s", "p50", "p95", "checksums"});
+  for (const int concurrency : levels) {
+    // Historical cell name: "serve batch cN" = the 24-query batch at cN.
+    const std::string cell_base = "serve batch c" + std::to_string(concurrency);
     double last_wall = 0.0;
     double last_qps = 0.0;
     double last_p50 = 0.0;
@@ -165,8 +136,7 @@ int main() {
     bool level_match = true;
     for (int rep = 0; rep < kReps; ++rep) {
       serve::QuerySessionOptions options;
-      options.mode = level.mode;
-      options.concurrency = level.concurrency;
+      options.concurrency = concurrency;
       options.threads_per_query = 1;
       options.queue_capacity = queries.size();
       serve::QuerySession session(handle, options);
@@ -208,24 +178,22 @@ int main() {
       RecordResult(cell_base + " p95", last_p95, dataset);
     }
     checksums_match &= level_match;
-    if (!batched) {
-      isolated_qps.push_back(last_qps);
-      isolated_wall.push_back(last_wall);
-    }
+    level_qps.push_back(last_qps);
+    level_wall.push_back(last_wall);
     char wall[32], qps[32], p50[32], p95[32];
     std::snprintf(wall, sizeof(wall), "%.4fs", last_wall);
     std::snprintf(qps, sizeof(qps), "%.1f", last_qps);
     std::snprintf(p50, sizeof(p50), "%.4fs", last_p50);
     std::snprintf(p95, sizeof(p95), "%.4fs", last_p95);
-    table.AddRow({batched ? "batched" : "isolated", std::to_string(level.concurrency),
-                  dataset, wall, qps, p50, p95, level_match ? "match" : "MISMATCH"});
+    table.AddRow({std::to_string(concurrency), dataset, wall, qps, p50, p95,
+                  level_match ? "match" : "MISMATCH"});
   }
   table.Print("serve throughput (24-query batch: 6 bfs + 6 sssp + 6 pagerank + 6 wcc)");
 
   if (!checksums_match) {
     std::fprintf(stderr,
-                 "serve bench: FAIL - results diverge from the isolated "
-                 "concurrency-1 reference\n");
+                 "serve bench: FAIL - results diverge from the concurrency-1 "
+                 "reference\n");
     return 1;
   }
 
@@ -234,79 +202,16 @@ int main() {
   // otherwise it only bounds a regression.
   const unsigned hw = std::thread::hardware_concurrency();
   bool armed = false;
-  const bool scaled = TimingGate(isolated_wall[2], isolated_wall[0], 1.0, hw >= 4, &armed);
+  const bool scaled = TimingGate(level_wall[2], level_wall[0], 1.0, hw >= 4, &armed);
   if (!scaled) {
     std::fprintf(stderr,
-                 "serve bench: FAIL - isolated qps %s (c1 %.1f -> c4 %.1f) on %u "
+                 "serve bench: FAIL - qps %s (c1 %.1f -> c4 %.1f) on %u "
                  "hardware threads\n",
                  armed ? "did not rise with concurrency" : "outside the regression bound",
-                 isolated_qps[0], isolated_qps[2], hw);
+                 level_qps[0], level_qps[2], hw);
     return 1;
   }
-  std::printf("scaling (%s): isolated qps %.1f (c1) -> %.1f (c4), %u hardware threads\n",
-              armed ? "gated" : "regression bound only", isolated_qps[0], isolated_qps[2],
-              hw);
-
-  // --- Deterministic LLC gate (cachesim replay, 8 concurrent sweeps) ------
-  //
-  // The simulated LLC is sized well below the CSR (a quarter of it, floored
-  // at 256 KiB) so the working set genuinely does not fit — the regime the
-  // fork-processing scheduler targets. Partition boundaries come from the
-  // very partitioner the batched session uses against this LLC size.
-  {
-    constexpr int kSimQueries = 8;
-    constexpr uint32_t kMetaBytes = 4;  // one 4-byte vertex value per query
-    const Csr& out = handle.out_csr();
-    // Floor low enough that even smoke-test scales keep the CSR bigger than
-    // the cache; a 256 KiB floor at EG_SCALE=9 would fit the whole graph and
-    // leave both replays with identical compulsory misses.
-    const uint64_t llc_bytes =
-        std::max<uint64_t>(32ull << 10, out.MemoryBytes() / 4);
-    CacheConfig cache_config;
-    cache_config.size_bytes = llc_bytes;
-    const std::vector<VertexId> boundaries =
-        serve::ComputeLlcPartitionBoundaries(out, llc_bytes);
-
-    CacheModel isolated_cache(cache_config);
-    TraceServeIsolated(isolated_cache, out, kSimQueries, kMetaBytes,
-                       /*chunk_vertices=*/64);
-    CacheModel batched_cache(cache_config);
-    TraceServeBatched(batched_cache, out, kSimQueries, kMetaBytes, boundaries);
-
-    Table cache_table({"replay", "LLC", "partitions", "accesses", "misses", "miss ratio"});
-    char llc[32], ratio[32];
-    std::snprintf(llc, sizeof(llc), "%.1f MiB",
-                  static_cast<double>(llc_bytes) / (1024.0 * 1024.0));
-    std::snprintf(ratio, sizeof(ratio), "%.4f", isolated_cache.MissRatio());
-    cache_table.AddRow({"isolated c8", llc, "-",
-                        std::to_string(isolated_cache.hits() + isolated_cache.misses()),
-                        std::to_string(isolated_cache.misses()), ratio});
-    std::snprintf(ratio, sizeof(ratio), "%.4f", batched_cache.MissRatio());
-    cache_table.AddRow({"batched c8", llc, std::to_string(boundaries.size() - 1),
-                        std::to_string(batched_cache.hits() + batched_cache.misses()),
-                        std::to_string(batched_cache.misses()), ratio});
-    cache_table.Print("simulated LLC misses: 8 concurrent sweeps, shared CSR");
-
-    // Miss counts are deterministic, so record them as regression cells (the
-    // "seconds" slot carries a count; the gate only compares ratios).
-    RecordResult("serve llc-miss isolated c8",
-                 static_cast<double>(isolated_cache.misses()), dataset);
-    RecordResult("serve llc-miss batched c8",
-                 static_cast<double>(batched_cache.misses()), dataset);
-
-    if (batched_cache.misses() >= isolated_cache.misses()) {
-      std::fprintf(stderr,
-                   "serve bench: FAIL - batched replay missed %lld times vs isolated "
-                   "%lld; partition batching lost its cache advantage\n",
-                   static_cast<long long>(batched_cache.misses()),
-                   static_cast<long long>(isolated_cache.misses()));
-      return 1;
-    }
-    std::printf("llc gate: batched misses %lld < isolated misses %lld (%.2fx fewer)\n",
-                static_cast<long long>(batched_cache.misses()),
-                static_cast<long long>(isolated_cache.misses()),
-                static_cast<double>(isolated_cache.misses()) /
-                    static_cast<double>(batched_cache.misses()));
-  }
+  std::printf("scaling (%s): qps %.1f (c1) -> %.1f (c4), %u hardware threads\n",
+              armed ? "gated" : "regression bound only", level_qps[0], level_qps[2], hw);
   return 0;
 }

@@ -37,8 +37,8 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
     trace.BeginIteration(n, /*frontier_sparse=*/false);
     // Per-vertex contribution; dangling vertices spread their mass uniformly.
     // The deterministic reduction keeps the dangling mass — and therefore the
-    // whole rank sequence — bit-identical across pool sizes, so the serve
-    // layer can cross-check isolated and batched executions exactly.
+    // whole rank sequence — bit-identical across pool sizes, so results can
+    // be cross-checked exactly between contexts of different widths.
     double dangling = ParallelReduceSumDeterministic<double>(0, static_cast<int64_t>(n),
                                                              [&](int64_t v) {
       if (degree[static_cast<size_t>(v)] == 0) {

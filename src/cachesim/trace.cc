@@ -1,6 +1,5 @@
 #include "src/cachesim/trace.h"
 
-#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -19,37 +18,6 @@ constexpr uint64_t kHeapBase = 0x1000'0000'0000ULL;
 
 uint64_t MetaAddr(VertexId v, uint32_t meta_bytes) {
   return kMetaBase + static_cast<uint64_t>(v) * meta_bytes;
-}
-
-// Per-query vertex metadata for the serve replays: each concurrent query
-// owns a private state array, placed in a fresh high region far above every
-// shared-array base so queries never alias each other or the CSR.
-constexpr uint64_t kServeMetaBase = 0x100'0000'0000ULL;
-constexpr uint64_t kServeMetaStride = 0x10'0000'0000ULL;
-
-uint64_t ServeMetaAddr(int query, VertexId v, uint32_t meta_bytes) {
-  return kServeMetaBase + static_cast<uint64_t>(query) * kServeMetaStride +
-         static_cast<uint64_t>(v) * meta_bytes;
-}
-
-// One query's adjacency pass over the vertex range [lo, hi): the same access
-// classes as TraceAdjacencyPass, with the vertex metadata privatized to the
-// query and the offsets/neighbors arrays shared across queries.
-void ServeSweepRange(CacheModel& cache, const Csr& out, int query, uint32_t meta_bytes,
-                     VertexId lo, VertexId hi) {
-  for (VertexId v = lo; v < hi; ++v) {
-    cache.Access(kOffsetsBase + static_cast<uint64_t>(v) * sizeof(EdgeIndex));
-    const auto neighbors = out.Neighbors(v);
-    if (neighbors.empty()) {
-      continue;
-    }
-    cache.Access(ServeMetaAddr(query, v, meta_bytes));
-    const uint64_t position = out.offsets()[v];
-    for (size_t j = 0; j < neighbors.size(); ++j) {
-      cache.Access(kNeighborsBase + (position + j) * sizeof(VertexId));
-      cache.Access(ServeMetaAddr(query, neighbors[j], meta_bytes));
-    }
-  }
 }
 
 }  // namespace
@@ -92,62 +60,6 @@ void TraceGridPass(CacheModel& cache, const Grid& grid, uint32_t meta_bytes) {
         cache.Access(MetaAddr(cell[k].src, meta_bytes));
         cache.Access(MetaAddr(cell[k].dst, meta_bytes));
       }
-    }
-  }
-}
-
-void TraceServeIsolated(CacheModel& cache, const Csr& out, int num_queries,
-                        uint32_t meta_bytes, VertexId chunk_vertices) {
-  const VertexId n = out.num_vertices();
-  if (n == 0 || num_queries <= 0) {
-    return;
-  }
-  if (chunk_vertices == 0) {
-    chunk_vertices = 1;
-  }
-  // Each query sweeps all n vertices starting at its own offset (q * n / Q):
-  // unsynchronized workers are spread across the graph, so one query's
-  // freshly-fetched edge lines do NOT happen to serve the next query — which
-  // is exactly the thrash the batched schedule removes. Chunks interleave
-  // round-robin to model the sweeps progressing concurrently on one LLC.
-  std::vector<VertexId> cursor(static_cast<size_t>(num_queries));
-  for (int q = 0; q < num_queries; ++q) {
-    cursor[static_cast<size_t>(q)] = static_cast<VertexId>(
-        (static_cast<uint64_t>(q) * n) / static_cast<uint64_t>(num_queries));
-  }
-  std::vector<VertexId> remaining(static_cast<size_t>(num_queries), n);
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (int q = 0; q < num_queries; ++q) {
-      VertexId& left = remaining[static_cast<size_t>(q)];
-      if (left == 0) {
-        continue;
-      }
-      progressed = true;
-      const VertexId take = std::min(chunk_vertices, left);
-      VertexId v = cursor[static_cast<size_t>(q)];
-      for (VertexId step = 0; step < take; ++step) {
-        ServeSweepRange(cache, out, q, meta_bytes, v, v + 1);
-        v = v + 1 == n ? 0 : v + 1;  // wrap: the sweep covers all of [0, n)
-      }
-      cursor[static_cast<size_t>(q)] = v;
-      left -= take;
-    }
-  }
-}
-
-void TraceServeBatched(CacheModel& cache, const Csr& out, int num_queries,
-                       uint32_t meta_bytes, const std::vector<VertexId>& boundaries) {
-  if (out.num_vertices() == 0 || num_queries <= 0) {
-    return;
-  }
-  // Partition-lockstep: every query's pass over partition p runs before any
-  // query touches p+1, so the partition's slice of the shared CSR is fetched
-  // by the first query and re-hit by the rest while still resident.
-  for (size_t p = 0; p + 1 < boundaries.size(); ++p) {
-    for (int q = 0; q < num_queries; ++q) {
-      ServeSweepRange(cache, out, q, meta_bytes, boundaries[p], boundaries[p + 1]);
     }
   }
 }

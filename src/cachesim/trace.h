@@ -14,8 +14,6 @@
 #ifndef SRC_CACHESIM_TRACE_H_
 #define SRC_CACHESIM_TRACE_H_
 
-#include <vector>
-
 #include "src/cachesim/cache_model.h"
 #include "src/graph/edge_list.h"
 #include "src/layout/csr.h"
@@ -37,31 +35,6 @@ void TraceAdjacencyPass(CacheModel& cache, const Csr& out, uint32_t meta_bytes);
 // blocks fit in cache, which is the mechanism behind the paper's halved miss
 // ratio.
 void TraceGridPass(CacheModel& cache, const Grid& grid, uint32_t meta_bytes);
-
-// --- Concurrent-serve traces (fork-processing batch scheduler) ------------
-//
-// Model the LLC behaviour of `num_queries` concurrent whole-graph sweeps
-// over one shared CSR. Per-query vertex metadata lives at disjoint bases
-// (queries never share state); the offsets and neighbors arrays are shared
-// (queries traverse one frozen handle). The two replays interleave the same
-// per-vertex access sequence two ways:
-//
-//   Isolated — each query sweeps the full vertex range independently;
-//   sweeps are interleaved chunk-round-robin with staggered start offsets,
-//   approximating N unsynchronized workers. Every query streams the whole
-//   edge array through the cache by itself.
-//
-//   Batched — queries advance partition-lockstep: all queries drain
-//   partition p before any moves to p+1 (the boundaries come from
-//   ComputeLlcPartitionBoundaries). The partition's slice of the shared
-//   offsets/neighbors arrays stays resident while every query's pass over it
-//   runs, so the cohort fetches it once instead of num_queries times.
-
-void TraceServeIsolated(CacheModel& cache, const Csr& out, int num_queries,
-                        uint32_t meta_bytes, VertexId chunk_vertices);
-
-void TraceServeBatched(CacheModel& cache, const Csr& out, int num_queries,
-                       uint32_t meta_bytes, const std::vector<VertexId>& boundaries);
 
 // --- Pre-processing traces (paper Table 2) --------------------------------
 

@@ -434,51 +434,6 @@ bool PullPays(const Source& out, Frontier& frontier, const PushPullConfig& confi
          static_cast<double>(out.num_edges()) / config.threshold_den;
 }
 
-// --- Partition-scoped push (serve-layer batch scheduler) -------------------
-//
-// The fork-processing batch scheduler drains one LLC-sized partition across
-// all in-flight queries before advancing, so it needs a push that (a) takes
-// an explicit active-vertex slice instead of a whole Frontier and (b) shares
-// the round's dedup state across several calls: one query's round touches
-// many partitions, and a destination relaxed from two partitions must still
-// enter the next frontier exactly once. The caller owns `dedup` and clears
-// it once per query round, after all partitions have run; newly discovered
-// destinations are appended to `discovered`. Called from inside a parallel
-// region (the scheduler's (query, partition) task loop) the whole slice
-// runs serially on the calling worker, matching the thread pool's
-// nested-call contract; at top level it uses the balanced push machinery.
-template <typename Source, typename F>
-void EdgeMapPushScoped(const Source& out, std::span<const VertexId> active, F& func,
-                       const EdgeMapOptions& options, Bitmap& dedup,
-                       std::vector<VertexId>& discovered) {
-  if (active.empty()) {
-    return;
-  }
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
-  edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-    if (ThreadPool::InParallelRegion() || ThreadPool::Current().num_threads() == 1) {
-      int64_t scanned = 0;
-      int64_t relaxed = 0;
-      for (const VertexId src : active) {
-        const uint64_t degree = out.Degree(src);
-        edge_map_internal::PushSlice(out, src, 0, degree, func, update, dedup, discovered,
-                                     relaxed);
-        scanned += static_cast<int64_t>(degree);
-      }
-      metrics.edges_scanned.Add(scanned);
-      metrics.edges_relaxed.Add(relaxed);
-      return;
-    }
-    std::vector<std::vector<VertexId>> buffers(
-        static_cast<size_t>(ThreadPool::Current().num_threads()));
-    edge_map_internal::PushActive(out, active, func, update, options, dedup, buffers);
-    for (auto& buffer : buffers) {
-      discovered.insert(discovered.end(), buffer.begin(), buffer.end());
-    }
-  });
-}
-
 // --- Edge array (edge-centric: always a full scan; paper section 4.1) ------
 //
 // Per-edge cost is uniform, so Balance::kEdge here means an adaptive chunk

@@ -51,8 +51,8 @@ class Frontier {
   // boundaries[0] == 0 and boundaries[P] == num_vertices(); partition p owns
   // [boundaries[p], boundaries[p+1]). Returns P frontiers over the same
   // vertex space whose active sets partition this frontier's; ranges with no
-  // active vertices yield empty frontiers. The serve-layer batch scheduler
-  // uses this to turn one query frontier into per-LLC-partition work queues.
+  // active vertices yield empty frontiers. The sharded push uses this to
+  // hand each source shard its slice of the frontier.
   std::vector<Frontier> SplitByRanges(const std::vector<VertexId>& boundaries);
 
   // |F| + sum of out-degrees of F over any adjacency source (Csr or

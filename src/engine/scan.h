@@ -4,8 +4,8 @@
 //
 // The by-source and by-destination scans are written once over the
 // adjacency-source surface (src/layout/csr.h), like the EdgeMap kernels,
-// and serve plain and compressed lists alike; the sharded dense scan and
-// the batch scheduler's PageRank gather reuse the destination fold.
+// and serve plain and compressed lists alike; the sharded dense scan reuses
+// the destination fold.
 //
 // All scans iterate in chunks so the edges_scanned counter is bumped once per
 // chunk, not per edge — the metrics cost stays off the inner loop.

@@ -1,50 +1,25 @@
 #include "src/obs/request_trace.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace egraph::obs {
 
-const char* BatchFallbackName(BatchFallback fallback) {
-  switch (fallback) {
-    case BatchFallback::kNone:
-      return "none";
-    case BatchFallback::kIsolatedMode:
-      return "isolated-mode";
-    case BatchFallback::kNotBatchable:
-      return "not-batchable";
-    case BatchFallback::kCohortTooSmall:
-      return "cohort-too-small";
-  }
-  return "?";
-}
-
 std::string FormatSlowQuery(const SlowQueryRecord& record) {
   const RequestTrace& t = record.trace;
   char buffer[320];
-  int n = std::snprintf(
+  const int n = std::snprintf(
       buffer, sizeof(buffer),
       "slow query %lld: %s total %.3fms = admission %.3fms + queue %.3fms + "
-      "cohort %.3fms + execute %.3fms (worker %d, epoch %llu, delta-depth %lld",
+      "dispatch %.3fms + execute %.3fms (worker %d, epoch %llu, delta-depth %lld)",
       static_cast<long long>(record.id), record.kind.c_str(),
       t.TotalSeconds() * 1e3, t.AdmissionSeconds() * 1e3,
-      t.QueueWaitSeconds() * 1e3, t.CohortFormSeconds() * 1e3,
+      t.QueueWaitSeconds() * 1e3, t.DispatchSeconds() * 1e3,
       t.ExecuteSeconds() * 1e3, record.worker,
       static_cast<unsigned long long>(t.epoch),
       static_cast<long long>(t.delta_depth_at_pin));
-  std::string out(buffer, n < 0 ? 0 : static_cast<size_t>(n));
-  if (record.batched) {
-    n = std::snprintf(buffer, sizeof(buffer),
-                      ", cohort %lld of %d over %d partitions, %d rounds",
-                      static_cast<long long>(t.cohort_id), t.cohort_size,
-                      t.partitions, t.rounds);
-    out.append(buffer, n < 0 ? 0 : static_cast<size_t>(n));
-  } else if (t.fallback != BatchFallback::kIsolatedMode) {
-    n = std::snprintf(buffer, sizeof(buffer), ", fallback %s",
-                      BatchFallbackName(t.fallback));
-    out.append(buffer, n < 0 ? 0 : static_cast<size_t>(n));
-  }
-  out += ")";
-  return out;
+  // snprintf returns the untruncated length; never read past the buffer.
+  return std::string(buffer, n < 0 ? 0 : std::min(static_cast<size_t>(n), sizeof(buffer) - 1));
 }
 
 SlowQueryLog::SlowQueryLog(double threshold_seconds, size_t capacity)

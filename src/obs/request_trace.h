@@ -1,11 +1,9 @@
 // Serve-path request observability: one RequestTrace per served query,
 // recording a monotonic timestamp at every lifecycle transition — submit,
-// admission, queue dequeue, cohort formation (batched mode), execution
-// start, completion — plus the epoch it pinned and, for batched queries,
-// which cohort ran it and how. The engine traces (trace.h) answer "what did
-// the algorithm do each round"; this answers the serving question the
-// ROADMAP's production north star needs: "where did query #4182's 40 ms go —
-// queue wait, cohort formation, partition rounds, or execution?"
+// admission, queue dequeue, execution start, completion — plus the epoch it
+// pinned. The engine traces (trace.h) answer "what did the algorithm do each
+// round"; this answers the serving question: "where did query #4182's 40 ms
+// go — admission, queue wait, dispatch, or execution?"
 //
 // The stamps are steady-clock nanoseconds taken at phase transitions (a
 // handful of clock reads per query, never per edge or per round), so they
@@ -34,18 +32,6 @@ inline uint64_t RequestNowNs() {
           .count());
 }
 
-// Why a query in a batched-mode session did NOT run through the
-// fork-processing scheduler. kNone means it ran batched (or the session is
-// isolated-mode, where the question does not arise).
-enum class BatchFallback : uint8_t {
-  kNone = 0,            // executed by the batch scheduler
-  kIsolatedMode = 1,    // isolated-mode session: batching never considered
-  kNotBatchable = 2,    // layout/direction the scheduler cannot reproduce
-  kCohortTooSmall = 3,  // cohort below batch_min: bookkeeping would not pay
-};
-
-const char* BatchFallbackName(BatchFallback fallback);
-
 // Per-query lifecycle trace. Stamps are 0 until the transition happens;
 // phases are right-open intervals between consecutive stamps, so the four
 // phase durations sum to Total() exactly (the acceptance property the tests
@@ -54,29 +40,20 @@ struct RequestTrace {
   uint64_t submit_ns = 0;       // Submit() entered
   uint64_t admit_ns = 0;        // admission decided (query accepted + queued)
   uint64_t dequeue_ns = 0;      // popped from the bounded queue
-  uint64_t exec_start_ns = 0;   // Run* / RunBatch round loop began
+  uint64_t exec_start_ns = 0;   // Run* call began
   uint64_t done_ns = 0;         // result materialized (checksum included)
 
   // Epoch pin (snapshot-store sessions; 0/0 for plain-handle sessions).
   uint64_t epoch = 0;
   int64_t delta_depth_at_pin = 0;  // updates buffered behind the pinned epoch
 
-  // Batched-mode fields. cohort_id is a session-wide sequence number (-1
-  // when the query never joined a cohort); partitions/rounds describe the
-  // fork-processing execution that produced the result.
-  int64_t cohort_id = -1;
-  int cohort_size = 0;
-  int partitions = 0;
-  int rounds = 0;
-  BatchFallback fallback = BatchFallback::kIsolatedMode;
-
   // Derived breakdown, in seconds. Unset stamps collapse the corresponding
   // phase to 0 rather than producing garbage.
   double AdmissionSeconds() const { return Delta(submit_ns, admit_ns); }
   double QueueWaitSeconds() const { return Delta(admit_ns, dequeue_ns); }
-  // Batched: dequeue -> cohort assembled + partitions resolved. Isolated:
-  // the (tiny) gap between pop and Run*.
-  double CohortFormSeconds() const { return Delta(dequeue_ns, exec_start_ns); }
+  // Dequeue -> Run* start: the worker's (tiny) gap between popping the
+  // query and executing it.
+  double DispatchSeconds() const { return Delta(dequeue_ns, exec_start_ns); }
   double ExecuteSeconds() const { return Delta(exec_start_ns, done_ns); }
   double TotalSeconds() const { return Delta(submit_ns, done_ns); }
 
@@ -100,13 +77,11 @@ struct SlowQueryRecord {
   int64_t id = 0;
   std::string kind;    // query kind name ("bfs", ...)
   int worker = -1;
-  bool batched = false;
   RequestTrace trace;
 };
 
 // Renders one offender as a single diagnostic line: id, kind, total, and
-// the full phase breakdown (admission / queue / cohort / execute), plus the
-// batched-mode fields when they apply.
+// the full phase breakdown (admission / queue / dispatch / execute).
 std::string FormatSlowQuery(const SlowQueryRecord& record);
 
 // Bounded newest-kept ring of queries whose total latency crossed a

@@ -54,8 +54,12 @@ struct EngineTrace {
 //
 // Edge counts come from counter deltas, so they include everything the
 // EdgeMap/scan instrumentation records during the iteration (and read as
-// zero under EGRAPH_METRICS=0). The destructor stamps total_seconds and
-// deposits a copy of the trace in the TraceSink.
+// zero under EGRAPH_METRICS=0). The counters are the process-global
+// EngineCounters, so the deltas are exact only while one algorithm runs at
+// a time: under a QuerySession with concurrency > 1, a query's trace also
+// counts the edges other queries scan and relax during its rounds. The
+// destructor stamps total_seconds and deposits a copy of the trace in the
+// TraceSink.
 class TraceSession {
  public:
   TraceSession(EngineTrace& trace, const char* algorithm, Layout layout,

@@ -1,8 +1,8 @@
-// Order-independent result fingerprints shared by the isolated executor and
-// the fork-processing batch scheduler. Both paths must produce bit-identical
-// checksums for the same query on the same frozen handle — the serve
-// differential tests gate on exactly that — so the mixing and quantization
-// live in one place.
+// Order-independent result fingerprints of served queries. The same query on
+// the same frozen handle must produce bit-identical checksums at every
+// session concurrency and against a serial reference — the serve
+// differential tests and the benchmark's re-run check gate on exactly that —
+// so the mixing and quantization live in one place.
 #ifndef SRC_SERVE_CHECKSUM_H_
 #define SRC_SERVE_CHECKSUM_H_
 

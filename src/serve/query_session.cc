@@ -1,7 +1,6 @@
 #include "src/serve/query_session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -11,7 +10,6 @@
 #include "src/algos/sssp.h"
 #include "src/algos/wcc.h"
 #include "src/obs/metrics.h"
-#include "src/serve/batch_scheduler.h"
 #include "src/serve/checksum.h"
 
 namespace egraph::serve {
@@ -133,15 +131,6 @@ QuerySession::QuerySession(snapshot::SnapshotStore& store, QuerySessionOptions o
 }
 
 void QuerySession::StartWorkers() {
-  if (options_.mode == ExecutionMode::kBatched) {
-    // One coordinator owns the whole cohort: it drains the queue, runs
-    // batchable queries through the fork-processing scheduler on a pool as
-    // wide as the isolated configuration's thread budget, and executes the
-    // rest isolated on the same pool.
-    worker_results_.resize(1);
-    workers_.emplace_back([this] { CoordinatorLoop(); });
-    return;
-  }
   const int concurrency = options_.concurrency < 1 ? 1 : options_.concurrency;
   worker_results_.resize(static_cast<size_t>(concurrency));
   workers_.reserve(static_cast<size_t>(concurrency));
@@ -228,8 +217,6 @@ QuerySessionStats QuerySession::stats() const {
   stats.rejected_closed = rejected_closed_.load(std::memory_order_relaxed);
   stats.rejected = stats.rejected_full + stats.rejected_closed;
   stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.batched = batched_completed_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -245,7 +232,9 @@ QuerySessionStats QuerySession::stats() const {
 void QuerySession::WorkerLoop(int worker_index) {
   ExecutionContextOptions ctx_options;
   ctx_options.name = "serve.w" + std::to_string(worker_index);
-  ctx_options.num_threads = options_.threads_per_query;
+  // A context with num_threads <= 0 owns no pool and would run every worker's
+  // ParallelFor on the process-wide pool, which serializes whole regions.
+  ctx_options.num_threads = std::max(1, options_.threads_per_query);
   ctx_options.seed = options_.seed + static_cast<uint64_t>(worker_index);
   ExecutionContext ctx(ctx_options);
 
@@ -268,147 +257,6 @@ void QuerySession::WorkerLoop(int worker_index) {
     worker_results_[static_cast<size_t>(worker_index)].push_back(result);
     // The pinned snapshot drops here: a retired epoch frees as soon as its
     // last in-flight query completes.
-  }
-}
-
-void QuerySession::CoordinatorLoop() {
-  const int concurrency = options_.concurrency < 1 ? 1 : options_.concurrency;
-  const int threads_per_query = options_.threads_per_query < 1 ? 1 : options_.threads_per_query;
-  ExecutionContextOptions ctx_options;
-  ctx_options.name = "serve.batch";
-  ctx_options.num_threads = concurrency * threads_per_query;
-  ctx_options.seed = options_.seed;
-  ExecutionContext ctx(ctx_options);
-  // Fallback queries run on a pool shaped exactly like an isolated worker's:
-  // pool width changes float-summation order (push pagerank), and mode must
-  // never change a result, batchable or not.
-  ExecutionContextOptions fallback_options;
-  fallback_options.name = "serve.batch.fallback";
-  fallback_options.num_threads = threads_per_query;
-  fallback_options.seed = options_.seed;
-  ExecutionContext fallback_ctx(fallback_options);
-
-  const int batch_min_floor = std::max(1, options_.batch_min);
-  const size_t max_batch =
-      static_cast<size_t>(std::max(1, options_.max_batch));
-  batch_min_effective_.store(batch_min_floor, std::memory_order_relaxed);
-  // Partition boundaries are a function of the cohort's CSR, so they are
-  // cached per epoch handle and recomputed when the cohort's epoch moves.
-  // Holding the snapshot the cache was computed for keeps that epoch alive,
-  // so the cache key (the handle address) can never be reused by a newer
-  // epoch allocated at the same address.
-  std::vector<VertexId> boundaries;
-  const GraphHandle* boundaries_handle = nullptr;
-  snapshot::Snapshot boundaries_snap;
-
-  while (true) {
-    std::vector<Pending> cohort;
-    size_t observed_depth = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // closed and drained
-      }
-      observed_depth = queue_.size();
-      // A cohort shares one partition residency, so it must share one
-      // graph: pop only consecutive queries pinned to the same snapshot.
-      cohort.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      while (!queue_.empty() && cohort.size() < max_batch &&
-             queue_.front().snap.handle == cohort.front().snap.handle) {
-        cohort.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    // Adaptive cohort minimum: under a deep backlog cohorts are large
-    // anyway, so demanding more batchable queries (half the smoothed depth)
-    // before paying partition bookkeeping filters out mostly-unbatchable
-    // cohorts; when the queue runs shallow the floor preserves latency.
-    queue_depth_ema_ =
-        0.75 * queue_depth_ema_ + 0.25 * static_cast<double>(observed_depth);
-    // The floor wins over max_batch (std::clamp would need lo <= hi).
-    const int batch_min =
-        std::max(batch_min_floor, std::min(static_cast<int>(std::lround(queue_depth_ema_ / 2.0)),
-                                           static_cast<int>(max_batch)));
-    batch_min_effective_.store(batch_min, std::memory_order_relaxed);
-    // The whole cohort left the queue together; cohort formation (classify,
-    // prepare, partition) runs from this stamp to RunBatch's exec stamp.
-    const uint64_t dequeue_ns = obs::RequestNowNs();
-    for (Pending& pending : cohort) {
-      pending.trace.dequeue_ns = dequeue_ns;
-    }
-    in_flight_.fetch_add(static_cast<int64_t>(cohort.size()),
-                         std::memory_order_relaxed);
-    GraphHandle& cohort_handle = ResolveHandle(cohort.front());
-    const uint64_t cohort_epoch = cohort.front().snap.epoch;
-
-    std::vector<ServeQuery> batchable;
-    std::vector<obs::RequestTrace> batchable_traces;
-    std::vector<Pending*> fallback;
-    for (Pending& pending : cohort) {
-      if (BatchableQuery(pending.query)) {
-        batchable.push_back(pending.query);
-        batchable_traces.push_back(pending.trace);
-      } else {
-        pending.trace.fallback = obs::BatchFallback::kNotBatchable;
-        fallback.push_back(&pending);
-      }
-    }
-    if (static_cast<int>(batchable.size()) < batch_min) {
-      // Too few to amortize partition bookkeeping — run the whole cohort
-      // isolated, in arrival order.
-      batchable.clear();
-      batchable_traces.clear();
-      fallback.clear();
-      for (Pending& pending : cohort) {
-        if (pending.trace.fallback == obs::BatchFallback::kIsolatedMode) {
-          pending.trace.fallback = obs::BatchFallback::kCohortTooSmall;
-        }
-        fallback.push_back(&pending);
-      }
-    }
-
-    std::vector<ServeResult>& sink = worker_results_[0];
-    if (!batchable.empty()) {
-      const int64_t cohort_id = cohort_seq_++;
-      for (obs::RequestTrace& trace : batchable_traces) {
-        trace.fallback = obs::BatchFallback::kNone;
-        trace.cohort_id = cohort_id;
-        trace.cohort_size = static_cast<int>(batchable.size());
-      }
-      for (const ServeQuery& query : batchable) {
-        PrepareForRun(cohort_handle, query.config);
-      }
-      if (boundaries_handle != &cohort_handle) {
-        // When the handle carries the sharded layout, partition-major
-        // rounds follow shard ownership: every scoped push/pull slice then
-        // writes only vertices its shard owns, and the cohort's partition
-        // residency coincides with the shards the sharded EdgeMap warms.
-        boundaries = cohort_handle.has_sharded()
-                         ? cohort_handle.sharded().boundaries()
-                         : ComputeLlcPartitionBoundaries(cohort_handle.out_csr(),
-                                                         options_.llc_bytes);
-        boundaries_handle = &cohort_handle;
-        boundaries_snap = cohort.front().snap;
-      }
-      std::vector<ServeResult> batch_results =
-          RunBatch(cohort_handle, batchable, boundaries, ctx, batchable_traces);
-      for (ServeResult& result : batch_results) {
-        result.epoch = cohort_epoch;
-        RecordCompletion(result);
-      }
-      sink.insert(sink.end(), batch_results.begin(), batch_results.end());
-      batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    for (Pending* pending : fallback) {
-      ServeResult result = Execute(cohort_handle, *pending, fallback_ctx, 0);
-      result.epoch = cohort_epoch;
-      RecordCompletion(result);
-      sink.push_back(result);
-    }
-    // `cohort` (and its pinned snapshots) drops here, retiring the epoch if
-    // this was its last reader.
   }
 }
 
@@ -459,15 +307,9 @@ ServeResult QuerySession::Execute(GraphHandle& handle, const Pending& pending,
   return result;
 }
 
-void QuerySession::RecordCompletion(ServeResult& result) {
-  if (result.trace.done_ns == 0) {
-    result.trace.done_ns = obs::RequestNowNs();
-  }
+void QuerySession::RecordCompletion(const ServeResult& result) {
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (result.batched) {
-    batched_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
   const KindLatencyMetrics& metrics = KindLatencyMetrics::ForKind(result.kind);
   metrics.queue_wait_us.Record(Micros(result.trace.QueueWaitSeconds()));
   metrics.execute_us.Record(Micros(result.trace.ExecuteSeconds()));
@@ -477,7 +319,6 @@ void QuerySession::RecordCompletion(ServeResult& result) {
     record.id = result.id;
     record.kind = QueryKindName(result.kind);
     record.worker = result.worker;
-    record.batched = result.batched;
     record.trace = result.trace;
     slow_log_->MaybeRecord(record);
   }
@@ -493,9 +334,6 @@ std::vector<obs::GaugeSample> ServeGauges(const QuerySession& session,
       {"serve.completed", static_cast<double>(stats.completed)},
       {"serve.rejected_full", static_cast<double>(stats.rejected_full)},
       {"serve.rejected_closed", static_cast<double>(stats.rejected_closed)},
-      {"serve.batched", static_cast<double>(stats.batched)},
-      {"serve.batches", static_cast<double>(stats.batches)},
-      {"serve.batch_min_effective", static_cast<double>(session.batch_min_effective())},
       {"serve.qps", stats.qps},
   };
   if (session.slow_query_log() != nullptr) {

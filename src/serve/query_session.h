@@ -1,24 +1,12 @@
 // QuerySession: a bounded multi-query executor over one frozen GraphHandle —
 // the serving-side counterpart of the paper's one-algorithm-at-a-time
-// benchmarks. Two execution modes:
-//
-//   kIsolated — N worker threads each own a private ExecutionContext (pool,
-//   trace sink, scratch), pull queries from a bounded queue, and run the
-//   requested algorithm against the shared snapshot. Because the handle is
-//   frozen and every per-query mutable state lives in the worker's context,
-//   queries are data-race free by construction; because each context owns a
-//   private pool, they scale with concurrency instead of serializing on the
-//   process-wide pool's region lock. The catch (ROADMAP): N concurrent
-//   whole-graph sweeps thrash the shared LLC N ways at once.
-//
-//   kBatched — one coordinator thread drains the queue into cohorts and runs
-//   them through the fork-processing batch scheduler (batch_scheduler.h):
-//   the CSR is cut into LLC-sized vertex ranges and each round drains one
-//   partition across ALL in-flight queries before advancing, so the
-//   partition's edges are fetched once per round instead of once per query.
-//   Cohorts below `batch_min` — and queries the scheduler cannot reproduce
-//   bit-identically — fall back to the isolated path on the coordinator.
-//   Result checksums are bit-identical between the two modes.
+// benchmarks. N worker threads each own a private ExecutionContext (pool,
+// trace sink, scratch), pull queries from a bounded queue, and run the
+// requested algorithm against the shared snapshot. Because the handle is
+// frozen and every per-query mutable state lives in the worker's context,
+// queries are data-race free by construction; because each context owns a
+// private pool, they scale with concurrency instead of serializing on the
+// process-wide pool's region lock.
 //
 // Admission control is explicit: Submit() rejects — with a distinct status
 // for "queue full" vs "session draining" — so a producer that outruns the
@@ -28,9 +16,7 @@
 // snapshot::SnapshotStore instead of a single handle, Submit() pins the
 // store's current epoch and the query runs against that pinned snapshot no
 // matter how many refreezes publish while it waits in the queue — snapshot
-// isolation per query, in both execution modes. Batched cohorts group only
-// queries pinned to the same epoch (a cohort shares one CSR's partition
-// residency, so it must share one CSR).
+// isolation per query.
 #ifndef SRC_SERVE_QUERY_SESSION_H_
 #define SRC_SERVE_QUERY_SESSION_H_
 
@@ -79,9 +65,7 @@ struct ServeResult {
   QueryKind kind = QueryKind::kBfs;
   bool ok = false;
   int worker = -1;         // session worker that executed the query
-  bool batched = false;    // true when the fork-processing scheduler ran it
-  double seconds = 0.0;    // wall time of the Run* call (batched: from cohort
-                           // start to the round the query completed)
+  double seconds = 0.0;    // wall time of the Run* call
   int iterations = 0;      // rounds the algorithm took
   // Order-independent fingerprint of the query's output (reached set for
   // BFS, quantized distances for SSSP, component labels for WCC, quantized
@@ -94,9 +78,8 @@ struct ServeResult {
   // snapshot-store sessions, the epoch pinned at Submit time).
   uint64_t epoch = 0;
   // Lifecycle trace: where this query's latency went (submit -> admission ->
-  // queue wait -> cohort formation -> execution), plus epoch-pin and
-  // batched-cohort detail. Always populated; trace.Complete() holds for
-  // every result a Drain returns.
+  // queue wait -> dispatch -> execution), plus the epoch pin. Always
+  // populated; trace.Complete() holds for every result a Drain returns.
   obs::RequestTrace trace;
 };
 
@@ -108,38 +91,17 @@ enum class SubmitStatus {
   kClosed = 2,     // Drain() already began; the session takes no more work
 };
 
-enum class ExecutionMode {
-  kIsolated = 0,  // one worker context per query (PR-5 behaviour)
-  kBatched = 1,   // fork-processing partition batches across queries
-};
-
 struct QuerySessionOptions {
-  // Isolated: worker threads, each owning an ExecutionContext. Batched: the
-  // width of the coordinator's shared pool. At least 1.
+  // Worker threads, each owning an ExecutionContext. At least 1.
   int concurrency = 1;
-  // Threads of each worker's private pool. 1 keeps a query on its worker's
-  // thread (intra-query parallelism off — the throughput configuration);
-  // larger values trade per-query latency for throughput. Batched mode
-  // multiplies this into the coordinator pool so the thread budget matches
-  // the isolated configuration it is compared against.
+  // Threads of each worker's private pool; at least 1 (smaller values are
+  // raised to 1). 1 keeps a query on its worker's thread (intra-query
+  // parallelism off — the throughput configuration); larger values trade
+  // per-query latency for throughput.
   int threads_per_query = 1;
   // Submit() rejects once this many queries are waiting.
   size_t queue_capacity = 1024;
   uint64_t seed = 0;  // seed base for the workers' contexts
-  ExecutionMode mode = ExecutionMode::kIsolated;
-  // --- Batched-mode knobs (ignored in kIsolated) ---
-  // Last-level cache size the partitioner targets; partitions are sized so
-  // one partition's edges plus per-query state fit in roughly half of it.
-  uint64_t llc_bytes = 16ull << 20;
-  // Cohorts smaller than this run isolated — partition bookkeeping only
-  // pays for itself when several queries share each partition's residency.
-  // This is the FLOOR of an adaptive minimum: the coordinator tracks an EMA
-  // of the queue depth it observes at cohort formation and demands half of
-  // that backlog be batchable before paying partition bookkeeping (clamped
-  // to [batch_min, max_batch]), exposed as serve.batch_min_effective.
-  int batch_min = 2;
-  // Upper bound on queries drained into one cohort.
-  int max_batch = 16;
   // > 0: completed queries whose total latency (submit to completion)
   // reaches this many seconds are retained in the session's SlowQueryLog
   // with their full phase breakdown. 0 disables the log.
@@ -152,8 +114,6 @@ struct QuerySessionStats {
   int64_t rejected_full = 0;    // bounced by admission control (queue at capacity)
   int64_t rejected_closed = 0;  // bounced because the session was draining
   int64_t completed = 0;
-  int64_t batched = 0;   // completed queries that ran through the batch scheduler
-  int64_t batches = 0;   // cohorts the batch scheduler executed
   int64_t queue_depth = 0;  // queries waiting for a worker right now
   int64_t in_flight = 0;    // queries dequeued but not yet completed
   double wall_seconds = 0.0;  // construction until now (post-drain: until
@@ -208,13 +168,6 @@ class QuerySession {
   // The slow-query log, or nullptr when options.slow_query_seconds == 0.
   const obs::SlowQueryLog* slow_query_log() const { return slow_log_.get(); }
 
-  // The batched coordinator's current adaptive cohort minimum (the
-  // serve.batch_min_effective gauge); 0 until the coordinator starts, and
-  // always 0 in isolated mode.
-  int batch_min_effective() const {
-    return batch_min_effective_.load(std::memory_order_relaxed);
-  }
-
  private:
   // A queued query plus the snapshot it pinned at Submit time (an empty
   // handle for plain-handle sessions, which run against *handle_) and the
@@ -227,17 +180,15 @@ class QuerySession {
 
   void StartWorkers();
   void WorkerLoop(int worker_index);
-  void CoordinatorLoop();
   // Resolves which graph `pending` runs against.
   GraphHandle& ResolveHandle(const Pending& pending) {
     return pending.snap.handle ? *pending.snap.handle : *handle_;
   }
   ServeResult Execute(GraphHandle& handle, const Pending& pending,
                       ExecutionContext& ctx, int worker_index);
-  // Completion bookkeeping every execution path funnels through: stamps
-  // done_ns if the executor did not, feeds the per-kind latency histograms,
-  // and offers the result to the slow-query log.
-  void RecordCompletion(ServeResult& result);
+  // Completion bookkeeping: feeds the per-kind latency histograms and
+  // offers the result to the slow-query log.
+  void RecordCompletion(const ServeResult& result);
 
   GraphHandle* handle_ = nullptr;             // plain-handle sessions
   snapshot::SnapshotStore* store_ = nullptr;  // snapshot-store sessions
@@ -258,12 +209,7 @@ class QuerySession {
   std::atomic<int64_t> rejected_full_{0};
   std::atomic<int64_t> rejected_closed_{0};
   std::atomic<int64_t> completed_{0};
-  std::atomic<int64_t> batched_completed_{0};
-  std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> in_flight_{0};
-  int64_t cohort_seq_ = 0;          // coordinator-thread only
-  double queue_depth_ema_ = 0.0;    // coordinator-thread only
-  std::atomic<int> batch_min_effective_{0};
   std::unique_ptr<obs::SlowQueryLog> slow_log_;
   bool draining_ = false;        // guarded by mutex_: a Drain is in flight
   bool drained_ = false;         // guarded by mutex_

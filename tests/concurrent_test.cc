@@ -29,6 +29,7 @@
 #include "src/gen/rmat.h"
 #include "src/obs/request_trace.h"
 #include "src/serve/query_session.h"
+#include "src/util/thread_pool.h"
 
 namespace egraph {
 namespace {
@@ -274,11 +275,57 @@ TEST(ConcurrentTest, QuerySessionRunsMixedQueries) {
   }
 }
 
+// threads_per_query <= 0 is raised to 1: each worker still gets a private
+// one-thread pool instead of running its queries on the process-wide pool,
+// where concurrent workers would serialize on the region lock and every
+// query would silently run EG_THREADS wide. Results must match the serial
+// session's, and the process-wide pool must run none of the session's work.
+TEST(ConcurrentTest, ZeroThreadsPerQueryKeepsPrivatePools) {
+  GraphHandle handle(TestGraph());
+  RunConfig config = PushConfig();
+  config.symmetric_input = true;
+  RunConfig pull = config;
+  pull.direction = Direction::kPull;
+  PrepareForRun(handle, config);
+  PrepareForRun(handle, pull);
+
+  std::vector<serve::ServeQuery> queries;
+  for (int i = 0; i < 16; ++i) {
+    serve::ServeQuery query;
+    query.id = i;
+    query.kind = static_cast<serve::QueryKind>(i % 4);
+    query.source = static_cast<VertexId>(i * 37);
+    query.iterations = 5;
+    query.config = query.kind == serve::QueryKind::kPagerank ? pull : config;
+    queries.push_back(query);
+  }
+  auto run = [&](int concurrency, int threads_per_query) {
+    serve::QuerySessionOptions options;
+    options.concurrency = concurrency;
+    options.threads_per_query = threads_per_query;
+    serve::QuerySession session(handle, options);
+    for (const serve::ServeQuery& query : queries) {
+      EXPECT_EQ(session.Submit(query), serve::SubmitStatus::kAccepted);
+    }
+    return session.Drain();
+  };
+  const std::vector<serve::ServeResult> serial = run(1, 1);
+  const uint64_t process_steals = ThreadPool::Get().steal_count();
+  const std::vector<serve::ServeResult> results = run(4, 0);
+  EXPECT_EQ(ThreadPool::Get().steal_count(), process_steals)
+      << "queries ran on the process-wide pool";
+  ASSERT_EQ(results.size(), serial.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].ok) << "query " << i;
+    EXPECT_EQ(results[i].checksum, serial[i].checksum)
+        << "query " << i << " (" << serve::QueryKindName(results[i].kind) << ")";
+  }
+}
+
 // Every drained result carries a complete lifecycle trace whose phase
-// breakdown (admission + queue wait + cohort formation + execute) sums to
-// the total exactly — the stamps are consecutive right-open intervals, so
-// nothing can leak between phases. Isolated-mode sessions must report the
-// isolated fallback and no cohort.
+// breakdown (admission + queue wait + dispatch + execute) sums to the total
+// exactly — the stamps are consecutive right-open intervals, so nothing can
+// leak between phases.
 TEST(ConcurrentTest, RequestTraceBreakdownIsConsistent) {
   GraphHandle handle(TestGraph());
   const RunConfig config = PushConfig();
@@ -303,10 +350,10 @@ TEST(ConcurrentTest, RequestTraceBreakdownIsConsistent) {
     EXPECT_TRUE(trace.Complete()) << "query " << result.id;
     EXPECT_GE(trace.AdmissionSeconds(), 0.0);
     EXPECT_GE(trace.QueueWaitSeconds(), 0.0);
-    EXPECT_GE(trace.CohortFormSeconds(), 0.0);
+    EXPECT_GE(trace.DispatchSeconds(), 0.0);
     EXPECT_GT(trace.ExecuteSeconds(), 0.0) << "query " << result.id;
     const double phase_sum = trace.AdmissionSeconds() + trace.QueueWaitSeconds() +
-                             trace.CohortFormSeconds() + trace.ExecuteSeconds();
+                             trace.DispatchSeconds() + trace.ExecuteSeconds();
     const double total = trace.TotalSeconds();
     EXPECT_GT(total, 0.0) << "query " << result.id;
     // Exact by construction; 5% is the acceptance bound, 1e-9 the slack for
@@ -316,12 +363,8 @@ TEST(ConcurrentTest, RequestTraceBreakdownIsConsistent) {
     // hair longer than result.seconds, never shorter.
     EXPECT_GE(trace.ExecuteSeconds(), result.seconds) << "query " << result.id;
     EXPECT_GE(total, result.seconds) << "query " << result.id;
-    // Isolated mode: batching was never considered, no cohort, no epoch pin
-    // (plain-handle session).
-    EXPECT_EQ(trace.fallback, obs::BatchFallback::kIsolatedMode);
-    EXPECT_EQ(trace.cohort_id, -1);
+    // Plain-handle session: no epoch pin.
     EXPECT_EQ(trace.epoch, 0u);
-    EXPECT_FALSE(result.batched);
   }
 }
 

@@ -3,10 +3,8 @@
 // GraphHandle preparation accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "src/algos/bfs.h"
@@ -212,7 +210,7 @@ TEST_F(EdgeMapTest, GridAtomics) {
   EXPECT_EQ(reached, *expected_);
 }
 
-// --- Partition-scoped kernels (batch-scheduler building blocks) -------------
+// --- Frontier range split (sharded push building block) --------------------
 
 TEST(Frontier, SplitByRangesPreservesMembership) {
   Frontier f = Frontier::FromVector(100, {0, 9, 10, 11, 49, 50, 99});
@@ -241,68 +239,6 @@ TEST(Frontier, SplitByRangesSinglePartitionIsIdentity) {
   ASSERT_EQ(parts.size(), 1u);
   parts[0].EnsureSparse();
   EXPECT_EQ(parts[0].Vertices(), (std::vector<VertexId>{3, 17, 63}));
-}
-
-class PartitionScopedTest : public EdgeMapTest {
- protected:
-  // Runs the whole reachability fixpoint with the partition-scoped push:
-  // each round splits the frontier at fixed boundaries (including a
-  // zero-width partition), pushes each slice with the shared dedup bitmap,
-  // and rebuilds the next frontier from the union of discoveries. The set
-  // reached per round must match the whole-graph EdgeMapPush run in
-  // lockstep, and the fixpoint must match the sequential reference.
-  void ExpectScopedPushMatches(Balance balance) {
-    const Csr& out = handle_->out_csr();
-    const VertexId n = graph_->num_vertices();
-    const std::vector<VertexId> boundaries = {0, n / 3, n / 3, (2 * n) / 3, n};
-    std::vector<uint8_t> ref_visited(n, 0);
-    std::vector<uint8_t> visited(n, 0);
-    ref_visited[0] = visited[0] = 1;
-    ReachFunctor ref_func{ref_visited.data()};
-    ReachFunctor func{visited.data()};
-    Frontier ref_frontier = Frontier::Single(n, 0);
-    Frontier frontier = Frontier::Single(n, 0);
-    EdgeMapOptions options;
-    options.balance = balance;
-    options.locks = &handle_->locks();
-    Bitmap dedup(n);
-    while (!ref_frontier.Empty()) {
-      ref_frontier = EdgeMapPush(out, ref_frontier, ref_func, options);
-      std::vector<VertexId> discovered;
-      std::vector<Frontier> parts = frontier.SplitByRanges(boundaries);
-      for (Frontier& part : parts) {
-        part.EnsureSparse();
-        EdgeMapPushScoped(out, std::span<const VertexId>(part.Vertices()), func, options,
-                          dedup, discovered);
-      }
-      dedup.Clear();
-      frontier = Frontier::FromVector(n, std::move(discovered));
-
-      ref_frontier.EnsureSparse();
-      frontier.EnsureSparse();
-      std::vector<VertexId> ref_round = ref_frontier.Vertices();
-      std::vector<VertexId> round = frontier.Vertices();
-      std::sort(ref_round.begin(), ref_round.end());
-      std::sort(round.begin(), round.end());
-      ASSERT_EQ(round, ref_round) << BalanceName(balance);
-    }
-    EXPECT_TRUE(frontier.Empty());
-    std::set<VertexId> reached;
-    for (VertexId v = 0; v < n; ++v) {
-      if (visited[v]) {
-        reached.insert(v);
-      }
-    }
-    EXPECT_EQ(reached, *expected_) << BalanceName(balance);
-  }
-};
-
-TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphVertexBalanced) {
-  ExpectScopedPushMatches(Balance::kVertex);
-}
-
-TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphEdgeBalanced) {
-  ExpectScopedPushMatches(Balance::kEdge);
 }
 
 TEST(EdgeMapThreshold, LowThresholdForcesPull) {

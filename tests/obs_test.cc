@@ -399,12 +399,12 @@ TEST_F(ObsTest, MetricsTableListsPhasesCountersAndHistograms) {
 // --- Request traces / slow-query log ---------------------------------------
 
 RequestTrace MakeTrace(uint64_t submit_ns, uint64_t admission_ns, uint64_t queue_ns,
-                       uint64_t cohort_ns, uint64_t execute_ns) {
+                       uint64_t dispatch_ns, uint64_t execute_ns) {
   RequestTrace trace;
   trace.submit_ns = submit_ns;
   trace.admit_ns = trace.submit_ns + admission_ns;
   trace.dequeue_ns = trace.admit_ns + queue_ns;
-  trace.exec_start_ns = trace.dequeue_ns + cohort_ns;
+  trace.exec_start_ns = trace.dequeue_ns + dispatch_ns;
   trace.done_ns = trace.exec_start_ns + execute_ns;
   return trace;
 }
@@ -415,10 +415,10 @@ TEST_F(ObsTest, RequestTracePhaseBreakdownSumsExactly) {
   EXPECT_TRUE(trace.Complete());
   EXPECT_DOUBLE_EQ(trace.AdmissionSeconds(), 200e-9);
   EXPECT_DOUBLE_EQ(trace.QueueWaitSeconds(), 600e-9);
-  EXPECT_DOUBLE_EQ(trace.CohortFormSeconds(), 100e-9);
+  EXPECT_DOUBLE_EQ(trace.DispatchSeconds(), 100e-9);
   EXPECT_DOUBLE_EQ(trace.ExecuteSeconds(), 4'000e-9);
   EXPECT_DOUBLE_EQ(trace.AdmissionSeconds() + trace.QueueWaitSeconds() +
-                       trace.CohortFormSeconds() + trace.ExecuteSeconds(),
+                       trace.DispatchSeconds() + trace.ExecuteSeconds(),
                    trace.TotalSeconds());
 
   // Unset stamps collapse their phase to zero instead of going negative,
@@ -457,37 +457,29 @@ TEST_F(ObsTest, SlowQueryLogThresholdAndRingAccounting) {
   EXPECT_EQ(snapshot[2].id, 5);  // ... to newest
 }
 
-TEST_F(ObsTest, FormatSlowQueryReportsBreakdownAndCohort) {
+TEST_F(ObsTest, FormatSlowQueryReportsBreakdown) {
   SlowQueryRecord record;
   record.id = 42;
   record.kind = "bfs";
   record.worker = 3;
-  record.batched = true;
   record.trace = MakeTrace(1'000'000'000ull, 2'000'000, 3'000'000,
                            1'000'000, 4'000'000);  // 10ms total
   record.trace.epoch = 2;
-  record.trace.cohort_id = 7;
-  record.trace.cohort_size = 5;
-  record.trace.partitions = 4;
-  record.trace.rounds = 9;
-  record.trace.fallback = BatchFallback::kNone;
-  const std::string batched_line = FormatSlowQuery(record);
+  record.trace.delta_depth_at_pin = 17;
+  const std::string line = FormatSlowQuery(record);
   for (const char* piece : {"slow query 42", "bfs", "total 10.000ms",
-                            "admission 2.000ms", "queue 3.000ms", "cohort 1.000ms",
-                            "execute 4.000ms", "worker 3", "epoch 2",
-                            "cohort 7 of 5 over 4 partitions, 9 rounds"}) {
-    EXPECT_NE(batched_line.find(piece), std::string::npos)
-        << "missing \"" << piece << "\" in: " << batched_line;
+                            "admission 2.000ms", "queue 3.000ms", "dispatch 1.000ms",
+                            "execute 4.000ms", "worker 3", "epoch 2", "delta-depth 17)"}) {
+    EXPECT_NE(line.find(piece), std::string::npos)
+        << "missing \"" << piece << "\" in: " << line;
   }
 
-  record.batched = false;
-  record.trace.fallback = BatchFallback::kNotBatchable;
-  EXPECT_NE(FormatSlowQuery(record).find("fallback not-batchable"), std::string::npos);
-
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kNone), "none");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kIsolatedMode), "isolated-mode");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kNotBatchable), "not-batchable");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kCohortTooSmall), "cohort-too-small");
+  // A kind longer than the line buffer truncates the line instead of
+  // reading past the buffer (ASan checks the read).
+  record.kind = std::string(400, 'k');
+  const std::string truncated = FormatSlowQuery(record);
+  EXPECT_LT(truncated.size(), 400u);
+  EXPECT_EQ(truncated.rfind("slow query 42: kkk", 0), 0u);
 }
 
 // --- Exposition ------------------------------------------------------------

@@ -373,8 +373,7 @@ TEST(SnapshotTest, ConcurrentReadersDuringBackgroundRefreeze) {
 }
 
 // A query reads the epoch current at Submit time, not at execution time:
-// submissions interleaved with refreezes see a consistent per-query graph
-// in both execution modes.
+// submissions interleaved with refreezes see a consistent per-query graph.
 TEST(SnapshotTest, QuerySessionPinsEpochAtSubmit) {
   // Two components {0,1} and {2,3}; the update bridges them, changing WCC's
   // checksum. Edges are mirrored by hand (WCC wants symmetric adjacency).
@@ -410,26 +409,6 @@ TEST(SnapshotTest, QuerySessionPinsEpochAtSubmit) {
   EXPECT_EQ(results[1].epoch, 1u);
   EXPECT_NE(results[0].checksum, results[1].checksum)
       << "bridging the components must change the WCC fingerprint";
-
-  // Batched mode over the same store: per-epoch cohorts reproduce the
-  // isolated checksums exactly.
-  serve::QuerySessionOptions batched_options;
-  batched_options.mode = serve::ExecutionMode::kBatched;
-  batched_options.concurrency = 2;
-  batched_options.batch_min = 1;
-  serve::QuerySession batched(store, batched_options);
-  wcc.id = 0;
-  ASSERT_EQ(batched.Submit(wcc), serve::SubmitStatus::kAccepted);
-  store.Apply(std::vector<EdgeUpdate>{{0, 3, true}, {3, 0, true}});
-  store.Refreeze();
-  wcc.id = 1;
-  ASSERT_EQ(batched.Submit(wcc), serve::SubmitStatus::kAccepted);
-  const std::vector<serve::ServeResult> batched_results = batched.Drain();
-  ASSERT_EQ(batched_results.size(), 2u);
-  EXPECT_EQ(batched_results[0].epoch, 1u);
-  EXPECT_EQ(batched_results[1].epoch, 2u);
-  EXPECT_EQ(batched_results[0].checksum, results[1].checksum)
-      << "same epoch-1 graph, same fingerprint, any mode";
 }
 
 TEST(SnapshotTest, ReadUpdateFileParsesOpsAndComments) {

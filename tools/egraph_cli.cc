@@ -6,7 +6,6 @@
 //   stats     FILE                       print Table-1-style statistics
 //   serve     --queries=FILE --concurrency=N [--threads-per-query=K]
 //             [--queue-capacity=M] [--symmetrize]
-//             [--batch=1] [--llc-mb=N] [--batch-min=K] [--max-batch=M]
 //             [--updates=FILE] [--update-batch=N]
 //             [--stats-out=FILE] [--stats-interval-ms=N] [--slow-query-ms=N]
 //             [--layout=...] [--direction=...] [--sync=...] [--balance=...]
@@ -28,11 +27,6 @@
 // the query file (one `<algo> [source]` per line) on N concurrent workers,
 // each with its own ExecutionContext — the library's serving mode. WCC
 // queries need --symmetrize (adjacency WCC expects an undirected list).
-// `serve --batch` switches to the fork-processing scheduler: queries are
-// drained in cohorts (up to --max-batch) and executed partition-by-partition
-// over --llc-mb-sized CSR ranges, sharing each partition's cache residency
-// across the whole cohort; cohorts below --batch-min fall back to isolated
-// execution. Result checksums are identical in both modes.
 // `serve --updates=FILE` serves against a SnapshotStore instead of a single
 // frozen handle: the update stream (`add|del SRC DST` per line) is applied
 // in --update-batch-sized batches interleaved with query submission, each
@@ -48,8 +42,8 @@
 // snapshot store's epoch, refreeze backlog, chain length and retained bytes.
 // A final sample is written after the drain. `serve --slow-query-ms=N`
 // retains every query whose submit-to-completion latency reaches N ms and
-// prints its full phase breakdown (admission / queue wait / cohort formation
-// / execute) after the run.
+// prints its full phase breakdown (admission / queue wait / dispatch /
+// execute) after the run.
 // `--layout=sharded` runs the sharded execution substrate: the CSR vertex
 // space is split into --shards contiguous shards (0 = two per worker), each
 // EdgeMap round applies shard-local updates directly and routes cross-shard
@@ -64,6 +58,8 @@
 // report (use `-` for stdout). `--timeline=FILE` (or EG_TIMELINE=1 in the
 // environment) records per-worker timeline spans across the whole run and
 // writes a Chrome-trace/Perfetto-compatible file plus a per-worker summary.
+// A flag the subcommand never read is reported on stderr as
+// `egraph_cli: ignored flag --NAME`; the exit code does not change.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -639,13 +635,12 @@ int CmdServeUpdates(const Flags& flags, const RunConfig& config,
 
   for (const serve::ServeResult& result : results) {
     std::printf(
-        "query %lld: %s %s in %.4fs (epoch %llu, %d iterations, worker %d%s, "
+        "query %lld: %s %s in %.4fs (epoch %llu, %d iterations, worker %d, "
         "checksum %016llx)\n",
         static_cast<long long>(result.id), serve::QueryKindName(result.kind),
         result.ok ? "ok" : "FAILED", result.seconds,
         static_cast<unsigned long long>(result.epoch), result.iterations,
-        result.worker, result.batched ? ", batched" : "",
-        static_cast<unsigned long long>(result.checksum));
+        result.worker, static_cast<unsigned long long>(result.checksum));
   }
   const snapshot::SnapshotStoreStats sstats = store.stats();
   std::printf(
@@ -717,12 +712,6 @@ int CmdServe(const Flags& flags) {
   options.queue_capacity = static_cast<size_t>(flags.GetInt("queue-capacity", 1024));
   options.slow_query_seconds =
       static_cast<double>(flags.GetInt("slow-query-ms", 0)) * 1e-3;
-  if (flags.GetBool("batch", false)) {
-    options.mode = serve::ExecutionMode::kBatched;
-    options.llc_bytes = static_cast<uint64_t>(flags.GetInt("llc-mb", 16)) << 20;
-    options.batch_min = static_cast<int>(flags.GetInt("batch-min", 2));
-    options.max_batch = static_cast<int>(flags.GetInt("max-batch", 16));
-  }
 
   if (!flags.GetString("updates", "").empty()) {
     return CmdServeUpdates(flags, config, queries, std::move(graph), options,
@@ -758,11 +747,10 @@ int CmdServe(const Flags& flags) {
   const serve::QuerySessionStats stats = session.stats();
 
   for (const serve::ServeResult& result : results) {
-    std::printf("query %lld: %s %s in %.4fs (%d iterations, worker %d%s, checksum %016llx)\n",
+    std::printf("query %lld: %s %s in %.4fs (%d iterations, worker %d, checksum %016llx)\n",
                 static_cast<long long>(result.id), serve::QueryKindName(result.kind),
                 result.ok ? "ok" : "FAILED", result.seconds, result.iterations,
-                result.worker, result.batched ? ", batched" : "",
-                static_cast<unsigned long long>(result.checksum));
+                result.worker, static_cast<unsigned long long>(result.checksum));
   }
   std::printf("serve: %lld/%zu queries accepted, %lld completed, %lld rejected "
               "(%lld queue-full, %lld closed)\n",
@@ -771,11 +759,6 @@ int CmdServe(const Flags& flags) {
               static_cast<long long>(stats.rejected),
               static_cast<long long>(stats.rejected_full),
               static_cast<long long>(stats.rejected_closed));
-  if (stats.batches > 0) {
-    std::printf("serve: %lld queries ran batched across %lld cohort(s)\n",
-                static_cast<long long>(stats.batched),
-                static_cast<long long>(stats.batches));
-  }
   std::printf("serve: load %.3fs, preprocess %.3fs, concurrency %d -> %.1f queries/s "
               "(%.3fs wall)\n",
               load_seconds, handle.preprocess_seconds(), options.concurrency, stats.qps,
@@ -783,33 +766,46 @@ int CmdServe(const Flags& flags) {
   return stats.completed == accepted ? 0 : 1;
 }
 
+using Command = int (*)(const Flags&);
+
+Command FindCommand(const std::string& name) {
+  if (name == "generate") {
+    return CmdGenerate;
+  }
+  if (name == "convert") {
+    return CmdConvert;
+  }
+  if (name == "stats") {
+    return CmdStats;
+  }
+  if (name == "run") {
+    return CmdRun;
+  }
+  if (name == "serve") {
+    return CmdServe;
+  }
+  return nullptr;
+}
+
 int Main(int argc, char** argv) {
-  if (argc < 2) {
+  const Command command = argc < 2 ? nullptr : FindCommand(argv[1]);
+  if (command == nullptr) {
     return Usage();
   }
-  const std::string command = argv[1];
   const Flags flags(argc - 1, argv + 1);
+  int status = 0;
   try {
-    if (command == "generate") {
-      return CmdGenerate(flags);
-    }
-    if (command == "convert") {
-      return CmdConvert(flags);
-    }
-    if (command == "stats") {
-      return CmdStats(flags);
-    }
-    if (command == "run") {
-      return CmdRun(flags);
-    }
-    if (command == "serve") {
-      return CmdServe(flags);
-    }
+    status = command(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return Usage();
+  // A flag the subcommand never read changed nothing; say so instead of
+  // letting a typo or a removed option pass silently.
+  for (const std::string& key : flags.UnusedKeys()) {
+    std::fprintf(stderr, "egraph_cli: ignored flag --%s\n", key.c_str());
+  }
+  return status;
 }
 
 }  // namespace
