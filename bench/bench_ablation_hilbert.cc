@@ -55,7 +55,7 @@ int main() {
 
   Table table({"traversal order", "sync", "pagerank algo(s)"});
   const double row_major_seconds = PagerankGridSeconds(
-      grid, degree, 10, [&](auto body) { ScanGridRowMajor(grid, Balance::kVertex, body); });
+      grid, degree, 10, [&](auto body) { ScanGridRowMajor(grid, body); });
   RecordResult("row-major", row_major_seconds, "rmat");
   table.AddRow({"row-major", "atomics", Sec(row_major_seconds)});
   const double hilbert_seconds = PagerankGridSeconds(

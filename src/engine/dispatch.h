@@ -19,7 +19,7 @@
 
 namespace egraph {
 
-// One EdgeMap round under config's layout, direction, sync and balance.
+// One EdgeMap round under config's layout, direction and sync.
 // Locks come from the handle; `scratch` (optional) carries round state
 // across calls. `used` (optional) receives the direction that ran: push or
 // pull on the vertex-centric layouts (push-pull resolved for this round),
@@ -27,7 +27,7 @@ namespace egraph {
 template <typename F>
 Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConfig& config,
                  EdgeMapScratch* scratch = nullptr, Direction* used = nullptr) {
-  const EdgeMapOptions options{config.sync, config.balance, &handle.locks(), scratch};
+  const EdgeMapOptions options{config.sync, &handle.locks(), scratch};
   Direction direction = config.direction;
   if (direction == Direction::kPushPull && IsVertexCentric(config.layout)) {
     const bool pull = config.layout == Layout::kCompressed
@@ -45,13 +45,13 @@ Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConf
     case Layout::kGrid:
       return EdgeMapGrid(handle.grid(), frontier, func, options);
     case Layout::kAdjacency:
-      return pull ? EdgeMapPull(handle.in_csr(), frontier, func, options)
+      return pull ? EdgeMapPull(handle.in_csr(), frontier, func)
                   : EdgeMapPush(handle.out_csr(), frontier, func, options);
     case Layout::kCompressed:
-      return pull ? EdgeMapPull(handle.compressed_in(), frontier, func, options)
+      return pull ? EdgeMapPull(handle.compressed_in(), frontier, func)
                   : EdgeMapPush(handle.compressed_out(), frontier, func, options);
     case Layout::kSharded:
-      return pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func, options)
+      return pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func)
                   : EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
                                        options);
   }
@@ -68,13 +68,13 @@ inline bool RoundCostFollowsFrontier(const RunConfig& config) {
 }
 
 // One all-active pass, sums[dst] += value(src, weight) over every edge
-// (PageRank's and SpMV's y += A^T x), under config's layout, direction,
-// sync and balance. Pull on the vertex-centric layouts folds each
-// destination's in-edges in list order on one thread, so float sums are
-// deterministic and match across plain, compressed and sharded lists. The
-// grid's owned columns (Sync::kLockFree) and both phases of the sharded
-// push add plainly; everywhere else Sync::kLocks adds under dst's striped
-// lock and the other modes add atomically. Push-pull scans by source.
+// (PageRank's and SpMV's y += A^T x), under config's layout, direction and
+// sync. Pull on the vertex-centric layouts folds each destination's
+// in-edges in list order on one thread, so float sums are deterministic and
+// match across plain, compressed and sharded lists. The grid's owned
+// columns (Sync::kLockFree) and both phases of the sharded push add
+// plainly; everywhere else Sync::kLocks adds under dst's striped lock and
+// the other modes add atomically. Push-pull scans by source.
 template <typename Value>
 void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums) {
   struct Add {
@@ -96,21 +96,21 @@ void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums
         if (config.sync == Sync::kLockFree) {
           ScanGridColumnOwned(handle.grid(), owned);
         } else {
-          ScanGridRowMajor(handle.grid(), config.balance, shared);
+          ScanGridRowMajor(handle.grid(), shared);
         }
         break;
       case Layout::kAdjacency:
         if (pull) {
-          ScanByDestination(handle.in_csr(), config.balance, value, sums);
+          ScanByDestination(handle.in_csr(), value, sums);
         } else {
-          ScanBySource(handle.out_csr(), config.balance, shared);
+          ScanBySource(handle.out_csr(), shared);
         }
         break;
       case Layout::kCompressed:
         if (pull) {
-          ScanByDestination(handle.compressed_in(), config.balance, value, sums);
+          ScanByDestination(handle.compressed_in(), value, sums);
         } else {
-          ScanBySource(handle.compressed_out(), config.balance, shared);
+          ScanBySource(handle.compressed_out(), shared);
         }
         break;
       case Layout::kSharded:
@@ -131,7 +131,7 @@ void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums
 template <typename Body>
 void ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
   if (config.layout == Layout::kGrid) {
-    ScanGridRowMajor(handle.grid(), config.balance, body);
+    ScanGridRowMajor(handle.grid(), body);
   } else {
     ScanEdgeArray(handle.edges(), body);
   }

@@ -21,26 +21,23 @@
 //
 // Push, pull and the push-pull decision are written once, against the
 // adjacency-source surface Csr and CompressedCsr share (src/layout/csr.h):
-// Degree(v), CostPrefix(v), ForEachNeighborSlice(v, lo, hi, fn) and
-// ForEachNeighborWhile(v, fn). The sharded backends reuse the same push
-// inner loop and pull gather; the edge array and grid keep their own
-// iteration orders. The one layout x direction switch that picks among them
-// lives in src/engine/dispatch.h.
+// Degree(v), ForEachNeighbor(v, fn) and ForEachNeighborWhile(v, fn). The
+// sharded backends reuse the same push inner loop and pull gather; the edge
+// array and grid keep their own iteration orders. The one layout x
+// direction switch that picks among them lives in src/engine/dispatch.h.
 //
-// Work partitioning (EdgeMapOptions::balance): every kernel can chunk its
-// iteration space either by item count (Balance::kVertex — the classic
-// fixed grain) or by edge cost (Balance::kEdge — chunk boundaries from a
-// cost prefix sum, so a power-law hub cannot serialize its chunk). Push
-// even splits a single hub's adjacency list across chunks; pull stays
-// vertex-aligned (one writer per destination) but weights boundaries by
-// list cost. Chunks dispatch at grain 1 on the work-stealing pool, so
-// residual imbalance is stolen around.
+// Work partitioning: every kernel hands the work-stealing pool fixed-size
+// chunks, as the paper's engine hands Cilk workers fixed grains (section
+// 2): push 64 frontier vertices, pull 256 destinations, the edge array 4096
+// edges, the grid's row-major scan one cell. Column-owned grid work cannot
+// be split, so it dispatches whole columns in descending edge count. An
+// adjacency list is never split: a hub's list is walked by one worker while
+// the others steal the remaining chunks (DESIGN.md section 5).
 #ifndef SRC_ENGINE_EDGE_MAP_H_
 #define SRC_ENGINE_EDGE_MAP_H_
 
 #include <algorithm>
 #include <numeric>
-#include <span>
 #include <vector>
 
 #include "src/engine/edge_map_scratch.h"
@@ -58,14 +55,9 @@ namespace egraph {
 // Per-call execution knobs shared by every EdgeMap kernel.
 struct EdgeMapOptions {
   Sync sync = Sync::kAtomics;
-  Balance balance = Balance::kEdge;
   StripedLocks* locks = nullptr;      // required when sync == Sync::kLocks
   EdgeMapScratch* scratch = nullptr;  // optional cross-round scratch reuse
 };
-
-// Smallest edge cost a balanced chunk is allowed to carry: keeps tiny
-// frontiers from shattering into per-vertex dispatches.
-inline constexpr int64_t kEdgeMapMinChunkCost = 1024;
 
 namespace edge_map_internal {
 
@@ -148,85 +140,14 @@ void WithSharedUpdate(F& func, Sync sync, StripedLocks* locks, Run&& run) {
   }
 }
 
-// Cuts the cost range [0, total) into balanced chunks (BalancedChunkCount)
-// and calls chunk(p0, p1, worker) for each non-empty one, dispatched as
-// grain-1 work items on the stealing pool.
-template <typename Chunk>
-void ParallelForCostChunks(uint64_t total, int64_t min_chunk_cost, Chunk&& chunk) {
-  const int64_t num_chunks = BalancedChunkCount(total, min_chunk_cost);
-  const uint64_t target =
-      (total + static_cast<uint64_t>(num_chunks) - 1) / static_cast<uint64_t>(num_chunks);
-  ParallelForChunks(0, num_chunks, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-    for (int64_t c = lo; c < hi; ++c) {
-      const uint64_t p0 = static_cast<uint64_t>(c) * target;
-      const uint64_t p1 = std::min<uint64_t>(p0 + target, total);
-      if (p0 < p1) {
-        chunk(p0, p1, worker);
-      }
-    }
-  });
-}
-
-// Neighbor position `cost` units into a list of `degree` entries spanning
-// `span` cost units: proportional, and exact when cost counts edges.
-inline uint64_t PositionAtCost(uint64_t cost, uint64_t span, uint64_t degree) {
-  if (span == degree) {
-    return cost;
-  }
-  return static_cast<uint64_t>(static_cast<unsigned __int128>(cost) * degree / span);
-}
-
-// Edge-balanced slicing. Items [0, m) own neighbor lists whose costs
-// concatenate into [0, prefix(m)); prefix(i) is the exclusive cost prefix
-// and degree(i) the list length. Calls visit(i, j_lo, j_hi) for every item
-// overlapping the cost range [p0, p1), with the neighbor sub-range that
-// range covers, so a hub whose cost spans several chunks is split among
-// them and every edge lands in exactly one piece.
-template <typename Prefix, typename Degree, typename Visit>
-void ForEachSliceInRange(int64_t m, uint64_t p0, uint64_t p1, Prefix&& prefix, Degree&& degree,
-                         Visit&& visit) {
-  // Item containing p0: the last i with prefix(i) <= p0 (skips any zero-cost
-  // plateau ending at p0).
-  int64_t lo = 0;
-  int64_t hi = m;
-  while (hi - lo > 1) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (static_cast<uint64_t>(prefix(mid)) <= p0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  for (int64_t i = lo; i < m; ++i) {
-    const uint64_t base = prefix(i);
-    if (base >= p1) {
-      break;
-    }
-    const uint64_t end = prefix(i + 1);
-    if (end == base) {
-      continue;
-    }
-    const uint64_t d = degree(i);
-    const uint64_t j_lo = PositionAtCost(std::max(p0, base) - base, end - base, d);
-    const uint64_t j_hi = PositionAtCost(std::min(p1, end) - base, end - base, d);
-    if (j_lo < j_hi) {
-      visit(i, j_lo, j_hi);
-    }
-  }
-}
-
-// The push inner loop, shared by every push backend: relaxes neighbors
-// [j_lo, j_hi) of `src` through `update` (the backend's sync policy), and
-// for each changed destination sets the round bitmap, appending first-time
-// discoveries to the worker's buffer. A half-open sub-range, not always the
-// full list: the edge-balanced partitioner splits hub lists across chunks,
-// and the shared bitmap keeps the output deduplicated regardless of which
-// chunk wins a destination.
+// The push inner loop, shared by every push backend: relaxes the out-edges
+// of `src` through `update` (the backend's sync policy), and for each
+// changed destination sets the round bitmap, appending first-time
+// discoveries to the worker's buffer. Returns the edges walked.
 template <typename Source, typename F, typename Update>
-inline void PushSlice(const Source& out, VertexId src, uint64_t j_lo, uint64_t j_hi, F& func,
-                      Update& update, Bitmap& next, std::vector<VertexId>& buffer,
-                      int64_t& relaxed) {
-  out.ForEachNeighborSlice(src, j_lo, j_hi, [&](VertexId dst, float w) {
+inline int64_t PushNeighbors(const Source& out, VertexId src, F& func, Update& update,
+                             Bitmap& next, std::vector<VertexId>& buffer, int64_t& relaxed) {
+  out.ForEachNeighbor(src, [&](VertexId dst, float w) {
     if (!func.Cond(dst)) {
       return;
     }
@@ -237,63 +158,7 @@ inline void PushSlice(const Source& out, VertexId src, uint64_t j_lo, uint64_t j
       }
     }
   });
-}
-
-// Core of the push kernel: relaxes the out-edges of `active` under the
-// selected balance mode, marking discoveries in `next` and appending them to
-// per-worker `buffers`. Balance::kEdge partitions the frontier's
-// concatenated neighbor positions [0, sum of active degrees): an exclusive
-// prefix sum over active degrees maps a position range to (vertex, neighbor
-// sub-range) pairs, so a mega-hub's list is split across as many chunks as
-// its degree warrants (a compressed list decodes at most one partial chunk
-// of skipped prefix per piece).
-template <typename Source, typename F, typename Update>
-void PushActive(const Source& out, std::span<const VertexId> active, F& func, Update& update,
-                const EdgeMapOptions& options, Bitmap& next,
-                std::vector<std::vector<VertexId>>& buffers) {
-  const int64_t m = static_cast<int64_t>(active.size());
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  if (options.balance == Balance::kEdge) {
-    std::vector<uint64_t> local_prefix;
-    std::vector<uint64_t>& prefix =
-        options.scratch != nullptr ? options.scratch->PrefixStorage() : local_prefix;
-    prefix.resize(static_cast<size_t>(m) + 1);
-    prefix[static_cast<size_t>(m)] = 0;  // becomes the total: prefix(m) == sum
-    ParallelFor(0, m, [&](int64_t i) {
-      prefix[static_cast<size_t>(i)] = out.Degree(active[static_cast<size_t>(i)]);
-    });
-    const uint64_t total = ParallelExclusiveScan(prefix);
-    ParallelForCostChunks(total, kEdgeMapMinChunkCost, [&](uint64_t p0, uint64_t p1, int worker) {
-      obs::TimelineSpan chunk_span("engine", "edgemap.chunk", static_cast<int64_t>(p1 - p0));
-      auto& buffer = buffers[static_cast<size_t>(worker)];
-      int64_t relaxed = 0;
-      ForEachSliceInRange(
-          m, p0, p1, [&](int64_t i) { return prefix[static_cast<size_t>(i)]; },
-          [&](int64_t i) { return out.Degree(active[static_cast<size_t>(i)]); },
-          [&](int64_t i, uint64_t j_lo, uint64_t j_hi) {
-            PushSlice(out, active[static_cast<size_t>(i)], j_lo, j_hi, func, update, next,
-                      buffer, relaxed);
-          });
-      metrics.edges_scanned.Add(static_cast<int64_t>(p1 - p0));
-      metrics.edges_relaxed.Add(relaxed);
-    });
-  } else {
-    ParallelForChunks(0, m, /*grain=*/64, [&](int64_t lo, int64_t hi, int worker) {
-      auto& buffer = buffers[static_cast<size_t>(worker)];
-      const uint64_t span_start = obs::TimelineNow();
-      int64_t scanned = 0;
-      int64_t relaxed = 0;
-      for (int64_t i = lo; i < hi; ++i) {
-        const VertexId src = active[static_cast<size_t>(i)];
-        const uint64_t degree = out.Degree(src);
-        PushSlice(out, src, 0, degree, func, update, next, buffer, relaxed);
-        scanned += static_cast<int64_t>(degree);
-      }
-      metrics.edges_scanned.Add(scanned);
-      metrics.edges_relaxed.Add(relaxed);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
-    });
-  }
+  return static_cast<int64_t>(out.Degree(src));
 }
 
 // Tallies of one gather pass.
@@ -347,22 +212,6 @@ GatherCounts GatherRange(const Source& in, int64_t lo, int64_t hi, const Bitmap&
   return counts;
 }
 
-// Vertex-aligned balanced chunk boundaries over an adjacency source:
-// cost(v) = cost of v's list + 1, read off the cost prefix (the +1 charges
-// the per-vertex probe, so runs of empty lists still count as work). Lists
-// stay whole, so every destination keeps exactly one writer.
-template <typename Source>
-std::vector<int64_t> VertexAlignedBounds(const Source& source, int64_t min_chunk_cost) {
-  const int64_t n = static_cast<int64_t>(source.num_vertices());
-  const uint64_t total =
-      source.CostPrefix(static_cast<VertexId>(n)) + static_cast<uint64_t>(n);
-  return BalancedChunkBoundaries(n, BalancedChunkCount(total, min_chunk_cost),
-                                 [&source](int64_t v) {
-                                   return source.CostPrefix(static_cast<VertexId>(v)) +
-                                          static_cast<uint64_t>(v);
-                                 });
-}
-
 }  // namespace edge_map_internal
 
 // --- Adjacency push (paper: enables working on the active subset) ----------
@@ -376,12 +225,26 @@ Frontier EdgeMapPush(const Source& out, Frontier& frontier, F& func,
                      const EdgeMapOptions& options) {
   frontier.EnsureSparse();
   const auto& active = frontier.Vertices();
-  obs::EngineCounters::Get().edgemap_calls.Add(1);
+  obs::EngineCounters& metrics = obs::EngineCounters::Get();
+  metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.push", static_cast<int64_t>(active.size()));
   edge_map_internal::SparseRound round(out.num_vertices(), options.scratch);
   edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-    edge_map_internal::PushActive(out, std::span<const VertexId>(active), func, update,
-                                  options, round.next(), round.buffers());
+    ParallelForChunks(0, static_cast<int64_t>(active.size()), /*grain=*/64,
+                      [&](int64_t lo, int64_t hi, int worker) {
+                        auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+                        const uint64_t span_start = obs::TimelineNow();
+                        int64_t scanned = 0;
+                        int64_t relaxed = 0;
+                        for (int64_t i = lo; i < hi; ++i) {
+                          scanned += edge_map_internal::PushNeighbors(
+                              out, active[static_cast<size_t>(i)], func, update, round.next(),
+                              buffer, relaxed);
+                        }
+                        metrics.edges_scanned.Add(scanned);
+                        metrics.edges_relaxed.Add(relaxed);
+                        obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
+                      });
   });
   return round.Finish();
 }
@@ -389,12 +252,11 @@ Frontier EdgeMapPush(const Source& out, Frontier& frontier, F& func,
 // --- Adjacency pull (lock-free: each dst is written by one thread) ---------
 //
 // Over any adjacency source (plain or compressed in-lists): the shared
-// gather over every destination. Balance::kEdge keeps chunks vertex-aligned
-// with boundaries from the source's cost prefix (edge offsets, or encoded
-// bytes for compressed lists).
+// gather over every destination, 256 destinations per chunk. Takes no
+// EdgeMapOptions: no write is shared, and the next frontier's bitmap moves
+// into the result, so neither sync nor scratch applies.
 template <typename Source, typename F>
-Frontier EdgeMapPull(const Source& in, Frontier& frontier, F& func,
-                     const EdgeMapOptions& options) {
+Frontier EdgeMapPull(const Source& in, Frontier& frontier, F& func) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();
 
@@ -404,21 +266,16 @@ Frontier EdgeMapPull(const Source& in, Frontier& frontier, F& func,
 
   Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
   std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
-  auto chunk_body = [&](int64_t lo, int64_t hi, int worker) {
-    const uint64_t span_start = obs::TimelineNow();
-    const edge_map_internal::GatherCounts c =
-        edge_map_internal::GatherRange(in, lo, hi, frontier.bitmap(), func, next);
-    counts[static_cast<size_t>(worker)] += c.discovered;
-    metrics.edges_scanned.Add(c.scanned);
-    metrics.edges_relaxed.Add(c.relaxed);
-    obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, c.scanned);
-  };
-  if (options.balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        edge_map_internal::VertexAlignedBounds(in, kEdgeMapMinChunkCost), chunk_body);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(n), /*grain=*/256, chunk_body);
-  }
+  ParallelForChunks(0, static_cast<int64_t>(n), /*grain=*/256,
+                    [&](int64_t lo, int64_t hi, int worker) {
+                      const uint64_t span_start = obs::TimelineNow();
+                      const edge_map_internal::GatherCounts c = edge_map_internal::GatherRange(
+                          in, lo, hi, frontier.bitmap(), func, next);
+                      counts[static_cast<size_t>(worker)] += c.discovered;
+                      metrics.edges_scanned.Add(c.scanned);
+                      metrics.edges_relaxed.Add(c.relaxed);
+                      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, c.scanned);
+                    });
   return Frontier::FromBitmap(n, std::move(next),
                               std::accumulate(counts.begin(), counts.end(), int64_t{0}));
 }
@@ -436,9 +293,7 @@ bool PullPays(const Source& out, Frontier& frontier, const PushPullConfig& confi
 
 // --- Edge array (edge-centric: always a full scan; paper section 4.1) ------
 //
-// Per-edge cost is uniform, so Balance::kEdge here means an adaptive chunk
-// size (~kBalancedChunksPerWorker chunks per worker) instead of the fixed
-// 4096 grain — equal counts already are equal cost.
+// Per-edge cost is uniform, so fixed 4096-edge chunks are equal-cost chunks.
 template <typename F>
 Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
                           const EdgeMapOptions& options) {
@@ -454,17 +309,10 @@ Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
   Bitmap next(n);
   std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
 
-  int64_t grain = 4096;
-  if (options.balance == Balance::kEdge) {
-    const int64_t num_chunks =
-        BalancedChunkCount(static_cast<uint64_t>(num_edges), kEdgeMapMinChunkCost);
-    grain = std::max<int64_t>(1, (num_edges + num_chunks - 1) / num_chunks);
-  }
-
   const bool weighted = graph.has_weights();
   const auto& weights = graph.weights();
   edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-    ParallelForChunks(0, num_edges, grain, [&](int64_t lo, int64_t hi, int worker) {
+    ParallelForChunks(0, num_edges, /*grain=*/4096, [&](int64_t lo, int64_t hi, int worker) {
       const uint64_t span_start = obs::TimelineNow();
       int64_t local = 0;
       int64_t relaxed = 0;
@@ -527,27 +375,15 @@ inline GridColumns GridColumnsByMass(const Grid& grid) {
   return columns;
 }
 
-// Row-major cell chunks of roughly equal edge count: cell_offsets is
-// row-major, so it is exactly the cost prefix the partitioner needs.
-inline std::vector<int64_t> GridCellBounds(const Grid& grid, int64_t min_chunk_cost) {
-  const auto& cell_offsets = grid.cell_offsets();
-  const int64_t num_cells = static_cast<int64_t>(grid.num_blocks()) * grid.num_blocks();
-  return BalancedChunkBoundaries(
-      num_cells, BalancedChunkCount(grid.num_edges(), min_chunk_cost),
-      [&cell_offsets](int64_t c) { return cell_offsets[static_cast<size_t>(c)]; });
-}
-
 }  // namespace edge_map_internal
 
 // Sync::kLockFree exploits the grid's natural partition (paper section
 // 6.1.2): each thread owns a set of destination blocks (columns), so all
 // writes are exclusive and plain Update suffices — regardless of push/pull
-// direction. Columns dispatch in descending edge count (GridColumnsByMass);
-// the balance knob does not apply to them.
+// direction. Columns dispatch in descending edge count (GridColumnsByMass).
 //
-// Sync::kLocks / kAtomics iterate cells row-major (best source locality)
-// with synchronized updates; Balance::kEdge groups the row-major cell
-// sequence into chunks of roughly equal edge count (GridCellBounds).
+// Sync::kLocks / kAtomics iterate cells row-major (best source locality),
+// one cell per chunk, with synchronized updates.
 template <typename F>
 Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
                      const EdgeMapOptions& options) {
@@ -605,23 +441,19 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
                       });
   } else {
     edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-      auto cells = [&](int64_t lo, int64_t hi, int worker) {
-        const uint64_t span_start = obs::TimelineNow();
-        for (int64_t c = lo; c < hi; ++c) {
-          process_cell(static_cast<uint32_t>(c / blocks), static_cast<uint32_t>(c % blocks),
-                       worker, update);
-        }
-        obs::TimelineEndSpan(
-            "engine", "edgemap.chunk", span_start,
-            static_cast<int64_t>(cell_offsets[static_cast<size_t>(hi)] -
-                                 cell_offsets[static_cast<size_t>(lo)]));
-      };
-      if (options.balance == Balance::kEdge) {
-        ParallelForBalancedChunks(
-            edge_map_internal::GridCellBounds(grid, kEdgeMapMinChunkCost), cells);
-      } else {
-        ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1, cells);
-      }
+      ParallelForChunks(
+          0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
+          [&](int64_t lo, int64_t hi, int worker) {
+            const uint64_t span_start = obs::TimelineNow();
+            for (int64_t c = lo; c < hi; ++c) {
+              process_cell(static_cast<uint32_t>(c / blocks), static_cast<uint32_t>(c % blocks),
+                           worker, update);
+            }
+            obs::TimelineEndSpan(
+                "engine", "edgemap.chunk", span_start,
+                static_cast<int64_t>(cell_offsets[static_cast<size_t>(hi)] -
+                                     cell_offsets[static_cast<size_t>(lo)]));
+          });
     });
   }
   return Frontier::FromBitmap(n, std::move(next),

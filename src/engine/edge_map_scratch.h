@@ -1,11 +1,11 @@
 // EdgeMapScratch: reusable per-round scratch state for the EdgeMap kernels.
 // Frontier-driven algorithms call EdgeMap once per iteration; without reuse
 // every call pays a fresh Bitmap(n) allocation (page faults included) for
-// round deduplication, a per-worker output-buffer vector, and the
-// partitioner's degree-prefix array. An ExecutionContext owns one scratch
-// object so those allocations happen once per run and stay warm across
-// rounds — and so concurrent queries (each in its own context) never share
-// scratch even when they share one frozen GraphHandle.
+// round deduplication and a per-worker output-buffer vector. An
+// ExecutionContext owns one scratch object so those allocations happen once
+// per run and stay warm across rounds — and so concurrent queries (each in
+// its own context) never share scratch even when they share one frozen
+// GraphHandle.
 //
 // Concurrency contract: a scratch object serves ONE EdgeMap call at a time.
 // The engine runs EdgeMaps sequentially (one per iteration), so a context's
@@ -52,14 +52,9 @@ class EdgeMapScratch {
     return buffers_;
   }
 
-  // Backing store for the edge-balanced partitioner's frontier degree
-  // prefix; callers resize to the active count they need.
-  std::vector<uint64_t>& PrefixStorage() { return prefix_; }
-
  private:
   Bitmap round_bitmap_;
   std::vector<std::vector<VertexId>> buffers_;
-  std::vector<uint64_t> prefix_;
 };
 
 }  // namespace egraph

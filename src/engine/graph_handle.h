@@ -63,10 +63,6 @@ struct RunConfig {
   Layout layout = Layout::kAdjacency;
   Direction direction = Direction::kPush;
   Sync sync = Sync::kAtomics;
-  // Work partitioning for edge traversals. Edge-balanced is the default:
-  // it is never worse than fixed grains on skewed degree distributions and
-  // costs one prefix sum per round; kVertex remains for the ablation.
-  Balance balance = Balance::kEdge;
   PushPullConfig pushpull;
   // Pre-processing method used when the run has to build a missing layout.
   BuildMethod method = BuildMethod::kRadixSort;

@@ -47,14 +47,4 @@ const char* SyncName(Sync sync) {
   return "?";
 }
 
-const char* BalanceName(Balance balance) {
-  switch (balance) {
-    case Balance::kVertex:
-      return "vertex";
-    case Balance::kEdge:
-      return "edge";
-  }
-  return "?";
-}
-
 }  // namespace egraph

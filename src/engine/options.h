@@ -34,16 +34,6 @@ enum class Sync {
   kLockFree,  // no synchronization, safe by ownership (pull / grid columns)
 };
 
-// Work-partitioning strategy for parallel edge traversals. Vertex-balanced
-// chunking splits the iteration space into equal vertex counts — cheap, but
-// a single hub vertex serializes its whole chunk on power-law graphs.
-// Edge-balanced chunking splits by (out-/in-)degree sums so every chunk
-// carries roughly the same number of edges.
-enum class Balance {
-  kVertex,  // fixed vertex-count grains (the pre-partitioner behaviour)
-  kEdge,    // degree-weighted chunk boundaries via prefix sum + search
-};
-
 // True for the layouts that walk per-vertex adjacency lists (plain,
 // compressed, sharded): they honor the direction switch and need the out-
 // and/or in-lists it implies. The edge array and grid scan stored edges.
@@ -52,7 +42,6 @@ bool IsVertexCentric(Layout layout);
 const char* LayoutName(Layout layout);
 const char* DirectionName(Direction direction);
 const char* SyncName(Sync sync);
-const char* BalanceName(Balance balance);
 
 // Per-phase end-to-end timing, the paper's reporting unit.
 struct TimingBreakdown {

@@ -7,21 +7,16 @@
 // and serve plain and compressed lists alike; the sharded dense scan reuses
 // the destination fold.
 //
-// All scans iterate in chunks so the edges_scanned counter is bumped once per
-// chunk, not per edge — the metrics cost stays off the inner loop.
-//
-// Scans that can split work take a Balance knob: Balance::kVertex chunks by
-// item count (fixed grain), Balance::kEdge chunks by cost using the layout's
-// own prefix (edge offsets, compressed byte offsets, grid cell offsets), so
-// hub vertices and dense cells no longer serialize their chunk.
+// All scans iterate in fixed-size chunks (256 vertices, 4096 edges, or one
+// grid cell; whole grid columns when a column is owned) so the
+// edges_scanned counter is bumped once per chunk, not per edge — the
+// metrics cost stays off the inner loop.
 #ifndef SRC_ENGINE_SCAN_H_
 #define SRC_ENGINE_SCAN_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "src/engine/edge_map.h"
-#include "src/engine/options.h"
 #include "src/graph/edge_list.h"
 #include "src/layout/grid.h"
 #include "src/obs/metrics.h"
@@ -32,23 +27,16 @@ namespace egraph {
 
 namespace scan_internal {
 
-inline constexpr int64_t kScanMinChunkCost = 2048;
-
 // sums[dst] += value(src, weight) over the in-edges of each destination in
 // [lo, hi), folded in list order in a register and stored once per
-// destination. The walk never stops early; ForEachNeighborWhile is the
-// whole-list walk without slice arithmetic. Returns the number of edges
-// walked.
+// destination. Returns the number of edges walked.
 template <typename Source, typename Value>
 int64_t SumDestinations(const Source& in, int64_t lo, int64_t hi, Value& value, float* sums) {
   int64_t scanned = 0;
   for (int64_t v = lo; v < hi; ++v) {
     const VertexId dst = static_cast<VertexId>(v);
     float sum = sums[dst];
-    in.ForEachNeighborWhile(dst, [&value, &sum](VertexId src, float w) {
-      sum += value(src, w);
-      return true;
-    });
+    in.ForEachNeighbor(dst, [&value, &sum](VertexId src, float w) { sum += value(src, w); });
     sums[dst] = sum;
     scanned += static_cast<int64_t>(in.Degree(dst));
   }
@@ -88,89 +76,56 @@ void ScanEdgeArray(const EdgeList& graph, Body&& body) {
 }
 
 // Vertex-centric push scan over an out-adjacency source: body(src, dst,
-// weight) for every edge. Balance::kEdge cuts the cost prefix into equal
-// chunks and splits a list that spans several, so a hub's list spreads
-// across workers (a compressed piece decodes at most one partial chunk it
-// does not report). Caller synchronizes destination writes.
+// weight) for every edge, 256 sources per chunk. Caller synchronizes
+// destination writes.
 template <typename Source, typename Body>
-void ScanBySource(const Source& out, Balance balance, Body&& body) {
-  const int64_t n = static_cast<int64_t>(out.num_vertices());
+void ScanBySource(const Source& out, Body&& body) {
   obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto slice = [&](VertexId src, uint64_t j_lo, uint64_t j_hi) {
-    out.ForEachNeighborSlice(src, j_lo, j_hi,
-                             [&body, src](VertexId dst, float w) { body(src, dst, w); });
-    return static_cast<int64_t>(j_hi - j_lo);
-  };
-  if (balance == Balance::kEdge) {
-    edge_map_internal::ParallelForCostChunks(
-        out.CostPrefix(static_cast<VertexId>(n)), scan_internal::kScanMinChunkCost,
-        [&](uint64_t p0, uint64_t p1, int /*worker*/) {
-          int64_t local = 0;
-          edge_map_internal::ForEachSliceInRange(
-              n, p0, p1, [&out](int64_t v) { return out.CostPrefix(static_cast<VertexId>(v)); },
-              [&out](int64_t v) { return out.Degree(static_cast<VertexId>(v)); },
-              [&](int64_t v, uint64_t j_lo, uint64_t j_hi) {
-                local += slice(static_cast<VertexId>(v), j_lo, j_hi);
-              });
-          scanned.Add(local);
-        });
-  } else {
-    ParallelForChunks(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi, int /*worker*/) {
-      int64_t local = 0;
-      for (int64_t v = lo; v < hi; ++v) {
-        const VertexId src = static_cast<VertexId>(v);
-        local += slice(src, 0, out.Degree(src));
-      }
-      scanned.Add(local);
-    });
-  }
+  ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
+                    [&](int64_t lo, int64_t hi, int /*worker*/) {
+                      int64_t local = 0;
+                      for (int64_t v = lo; v < hi; ++v) {
+                        const VertexId src = static_cast<VertexId>(v);
+                        out.ForEachNeighbor(
+                            src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
+                        local += static_cast<int64_t>(out.Degree(src));
+                      }
+                      scanned.Add(local);
+                    });
 }
 
 // Vertex-centric pull scan over an in-adjacency source: sums[dst] +=
-// value(src, weight) over every in-edge, each destination folded on one
-// thread in list order, so no write is shared. Compressed lists decode in
-// ascending order, so they fold in the same order as a sorted plain CSR
-// and float sums match it bit for bit. Balance::kEdge keeps chunks
-// vertex-aligned with boundaries from the cost prefix (cost(v) = list cost
-// + 1).
+// value(src, weight) over every in-edge, 256 destinations per chunk, each
+// destination folded on one thread in list order, so no write is shared.
+// Compressed lists decode in ascending order, so they fold in the same
+// order as a sorted plain CSR and float sums match it bit for bit.
 template <typename Source, typename Value>
-void ScanByDestination(const Source& in, Balance balance, Value&& value, float* sums) {
+void ScanByDestination(const Source& in, Value&& value, float* sums) {
   obs::TimelineSpan timeline_span("engine", "scan.dst", static_cast<int64_t>(in.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    scanned.Add(scan_internal::SumDestinations(in, lo, hi, value, sums));
-  };
-  if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        edge_map_internal::VertexAlignedBounds(in, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256, chunk);
-  }
+  ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256,
+                    [&](int64_t lo, int64_t hi, int /*worker*/) {
+                      scanned.Add(scan_internal::SumDestinations(in, lo, hi, value, sums));
+                    });
 }
 
-// Grid scan, row-major cells: body(src, dst, weight); best source-block
-// locality; caller synchronizes destination writes. Balance::kEdge chunks
-// the cells by edge count (GridCellBounds).
+// Grid scan, row-major cells, one cell per chunk: body(src, dst, weight);
+// best source-block locality; caller synchronizes destination writes.
 template <typename Body>
-void ScanGridRowMajor(const Grid& grid, Balance balance, Body&& body) {
+void ScanGridRowMajor(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   obs::TimelineSpan timeline_span("engine", "scan.grid.rows");
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t c = lo; c < hi; ++c) {
-      scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
-                              static_cast<uint32_t>(c % blocks), body, local);
-    }
-    scanned.Add(local);
-  };
-  if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        edge_map_internal::GridCellBounds(grid, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1, chunk);
-  }
+  ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
+                    [&](int64_t lo, int64_t hi, int /*worker*/) {
+                      int64_t local = 0;
+                      for (int64_t c = lo; c < hi; ++c) {
+                        scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
+                                                static_cast<uint32_t>(c % blocks), body, local);
+                      }
+                      scanned.Add(local);
+                    });
 }
 
 // Grid scan with column ownership: each thread exclusively owns the

@@ -4,11 +4,11 @@
 // delta-encoded and varint-packed, and every list is cut into fixed-size
 // chunks of at most chunk_edges() entries. Each chunk carries its own byte
 // offset and re-anchors its first neighbor against the owning vertex, so
-//   - a hub's adjacency decodes in parallel, chunk by chunk, and
-//   - the edge-balanced EdgeMap partitioner can split a hub's list across
-//     workers exactly like it splits a plain CSR slice, and
+//   - every chunk decodes independently of the ones before it, and
 //   - a selective loader can decompress any vertex range from disk without
 //     touching bytes outside it (the per-chunk offsets are the seek table).
+// The EdgeMap kernels walk a list whole, like a plain CSR list: they chunk
+// work by vertex count (src/engine/edge_map.h), never inside a list.
 //
 // Encoding per chunk of vertex v covering sorted neighbors n_a..n_b:
 //   zigzag-varint(n_a - v), then varint(n_i - n_{i-1}) for i in (a, b].
@@ -20,9 +20,7 @@
 // chunk index (u32), and the per-chunk byte seek table (u64). Everything
 // else (chunk owner, chunk size, edge offsets) is derived, which keeps the
 // metadata small enough that low-degree graphs still compress below the
-// plain CSR footprint. Kernels balance work by stream bytes rather than a
-// global edge prefix; bytes per edge are bounded (1..10), so byte balance
-// tracks edge balance closely.
+// plain CSR footprint.
 #ifndef SRC_LAYOUT_COMPRESSED_CSR_H_
 #define SRC_LAYOUT_COMPRESSED_CSR_H_
 
@@ -83,19 +81,11 @@ class CompressedCsr {
         std::min<uint64_t>(chunk_edges_, degrees_[v] - consumed));
   }
 
-  // Byte offset of v's encoded adjacency within the stream — the exclusive
-  // byte prefix kernels balance over (ByteOffset(num_vertices()) is the
-  // stream size). Bytes per edge are bounded, so this tracks edge balance.
+  // Byte offset of v's encoded adjacency within the stream
+  // (ByteOffset(num_vertices()) is the stream size).
   uint64_t ByteOffset(VertexId v) const {
     return chunk_bytes_[static_cast<size_t>(chunk_begin_[v])];
   }
-
-  // Adjacency-source cost prefix (see Csr::CostPrefix): the byte prefix.
-  uint64_t CostPrefix(VertexId v) const { return ByteOffset(v); }
-
-  // Byte offset of chunk c — the chunk-aligned cost prefix for scans that
-  // balance over chunks directly.
-  uint64_t ChunkByteOffset(int64_t c) const { return chunk_bytes_[static_cast<size_t>(c)]; }
 
   // Owning vertex of chunk c, by binary search over the per-vertex chunk
   // index table. O(log n) — positioning cost paid once per worker range,
@@ -104,14 +94,6 @@ class CompressedCsr {
     const auto it = std::upper_bound(chunk_begin_.begin(), chunk_begin_.end(),
                                      static_cast<uint32_t>(c));
     return static_cast<VertexId>(it - chunk_begin_.begin() - 1);
-  }
-
-  // Decodes every entry of v's k-th chunk, invoking fn(neighbor, weight);
-  // weight is 1.0f on unweighted graphs. Chunks decode independently — this
-  // is the unit of parallelism.
-  template <typename Fn>
-  void DecodeChunk(VertexId v, uint32_t k, Fn&& fn) const {
-    DecodeChunkSlice(v, k, 0, ChunkSizeOf(v, k), fn);
   }
 
   // Decodes v's k-th chunk until fn(neighbor, weight) returns false. Returns
@@ -142,62 +124,6 @@ class CompressedCsr {
     return true;
   }
 
-  // Decodes entries [j_lo, j_hi) of v's k-th chunk (chunk-local positions),
-  // invoking fn(neighbor, weight). Entries before j_lo are delta-decoded but
-  // not reported — within one chunk that prefix is at most chunk_edges()
-  // entries, the bound that makes mid-list positioning cheap.
-  template <typename Fn>
-  void DecodeChunkSlice(VertexId v, uint32_t k, uint32_t j_lo, uint32_t j_hi,
-                        Fn&& fn) const {
-    if (j_lo >= j_hi) {
-      return;
-    }
-    const size_t c = static_cast<size_t>(chunk_begin_[v]) + k;
-    const uint8_t* cursor = bytes_.data() + chunk_bytes_[c];
-    VertexId neighbor = 0;
-    for (uint32_t i = 0; i < j_hi; ++i) {
-      if (i == 0) {
-        const uint64_t zigzag = DecodeVarint(cursor);
-        const int64_t delta =
-            static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-        neighbor = static_cast<VertexId>(static_cast<int64_t>(v) + delta);
-      } else {
-        neighbor += static_cast<VertexId>(DecodeVarint(cursor));
-      }
-      float weight = 1.0f;
-      if (has_weights_) {
-        weight = std::bit_cast<float>(static_cast<uint32_t>(DecodeVarint(cursor)));
-      }
-      if (i >= j_lo) {
-        fn(neighbor, weight);
-      }
-    }
-  }
-
-  // Decodes the neighbor sub-range [j_lo, j_hi) of v's full list (positions
-  // within the vertex, spanning chunks as needed), invoking
-  // fn(neighbor, weight). This is the hub-splitting entry point: the
-  // edge-balanced push kernel lands mid-list and pays at most one partial
-  // chunk of skipped decode, never a whole hub prefix.
-  template <typename Fn>
-  void ForEachNeighborSlice(VertexId v, uint64_t j_lo, uint64_t j_hi, Fn&& fn) const {
-    if (j_lo >= j_hi) {
-      return;
-    }
-    uint32_t k = static_cast<uint32_t>(j_lo / chunk_edges_);
-    uint32_t local_lo = static_cast<uint32_t>(j_lo % chunk_edges_);
-    uint64_t remaining = j_hi - j_lo;
-    while (remaining > 0) {
-      const uint32_t size = ChunkSizeOf(v, k);
-      const uint32_t take = static_cast<uint32_t>(
-          std::min<uint64_t>(static_cast<uint64_t>(size - local_lo), remaining));
-      DecodeChunkSlice(v, k, local_lo, local_lo + take, fn);
-      remaining -= take;
-      local_lo = 0;
-      ++k;
-    }
-  }
-
   // Decodes v's neighbors in ascending order until fn(neighbor, weight)
   // returns false; returns false iff fn stopped the decode. An early stop
   // ends the current chunk mid-decode and never touches the later chunks.
@@ -212,29 +138,22 @@ class CompressedCsr {
     return true;
   }
 
-  // Decodes v's neighbors in ascending order, invoking fn(neighbor).
+  // Decodes v's neighbors in ascending order, invoking fn(neighbor, weight);
+  // weight is 1.0f on unweighted graphs. The whole-list walk of the
+  // adjacency-source surface (see Csr::ForEachNeighbor).
   template <typename Fn>
   void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    const uint32_t chunks = NumChunksOf(v);
-    for (uint32_t k = 0; k < chunks; ++k) {
-      DecodeChunk(v, k, [&fn](VertexId neighbor, float /*weight*/) { fn(neighbor); });
-    }
-  }
-
-  // Decodes v's neighbors with weights, invoking fn(neighbor, weight).
-  template <typename Fn>
-  void ForEachNeighborWeighted(VertexId v, Fn&& fn) const {
-    const uint32_t chunks = NumChunksOf(v);
-    for (uint32_t k = 0; k < chunks; ++k) {
-      DecodeChunk(v, k, fn);
-    }
+    ForEachNeighborWhile(v, [&fn](VertexId neighbor, float weight) {
+      fn(neighbor, weight);
+      return true;
+    });
   }
 
   // Materializes v's neighbor list (testing convenience).
   std::vector<VertexId> Neighbors(VertexId v) const {
     std::vector<VertexId> out;
     out.reserve(Degree(v));
-    ForEachNeighbor(v, [&out](VertexId n) { out.push_back(n); });
+    ForEachNeighbor(v, [&out](VertexId n, float /*weight*/) { out.push_back(n); });
     return out;
   }
 
@@ -245,7 +164,7 @@ class CompressedCsr {
       return out;
     }
     out.reserve(Degree(v));
-    ForEachNeighborWeighted(v, [&out](VertexId, float w) { out.push_back(w); });
+    ForEachNeighbor(v, [&out](VertexId, float w) { out.push_back(w); });
     return out;
   }
 

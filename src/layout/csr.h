@@ -45,21 +45,18 @@ class Csr {
   // (neighbor, weight), weight 1.0f on unweighted graphs; the weighted
   // branch is hoisted out of the per-edge loop.
 
-  // Exclusive per-vertex cost prefix for balanced chunking (here the edge
-  // offset); CostPrefix(num_vertices()) is the total.
-  uint64_t CostPrefix(VertexId v) const { return offsets_[v]; }
-
-  // Calls fn(neighbor, weight) for positions [j_lo, j_hi) of v's list.
+  // Calls fn(neighbor, weight) for every entry of v's list, in list order.
   template <typename Fn>
-  void ForEachNeighborSlice(VertexId v, uint64_t j_lo, uint64_t j_hi, Fn&& fn) const {
+  void ForEachNeighbor(VertexId v, Fn&& fn) const {
     const VertexId* neighbors = neighbors_.data() + offsets_[v];
+    const uint64_t degree = offsets_[v + 1] - offsets_[v];
     if (weights_.empty()) {
-      for (uint64_t j = j_lo; j < j_hi; ++j) {
+      for (uint64_t j = 0; j < degree; ++j) {
         fn(neighbors[j], 1.0f);
       }
     } else {
       const float* weights = weights_.data() + offsets_[v];
-      for (uint64_t j = j_lo; j < j_hi; ++j) {
+      for (uint64_t j = 0; j < degree; ++j) {
         fn(neighbors[j], weights[j]);
       }
     }

@@ -1,5 +1,7 @@
 #include "src/numa/numa_run.h"
 
+#include <algorithm>
+
 #include "src/util/atomics.h"
 #include "src/util/bitmap.h"
 #include "src/util/parallel.h"
@@ -8,55 +10,55 @@
 namespace egraph {
 namespace {
 
-// Per-worker access accumulator, padded to avoid false sharing.
-struct alignas(64) WorkerCounts {
-  uint64_t local = 0;
-  uint64_t remote = 0;
-  uint64_t per_node[8] = {0};
-};
-
+// Per-worker access accumulator. Each worker owns a row of 2 + num_nodes
+// counters (local, remote, then one per node) followed by a cache line of
+// padding, so no two workers' counters ever share a line.
 class Accountant {
  public:
   Accountant(const NumaPartition* partition, int num_workers)
       : partition_(partition),
         num_nodes_(partition->num_nodes()),
         num_workers_(num_workers),
-        counts_(static_cast<size_t>(num_workers)) {}
+        stride_(kPerNode + static_cast<size_t>(num_nodes_) + kCountersPerLine),
+        counts_(static_cast<size_t>(num_workers) * stride_, 0) {}
 
   int HomeNode(int worker) const { return worker * num_nodes_ / num_workers_; }
 
   // Records an access by `worker` to vertex `v`'s metadata.
   void Touch(int worker, VertexId v) {
     const int node = partition_->NodeOf(v);
-    WorkerCounts& wc = counts_[static_cast<size_t>(worker)];
-    if (node == HomeNode(worker)) {
-      ++wc.local;
-    } else {
-      ++wc.remote;
-    }
-    ++wc.per_node[node & 7];
+    uint64_t* row = counts_.data() + static_cast<size_t>(worker) * stride_;
+    ++row[node == HomeNode(worker) ? kLocal : kRemote];
+    ++row[kPerNode + static_cast<size_t>(node)];
   }
 
   // Drains accumulated counts into an AccessCounts and resets.
   AccessCounts Collect() {
     AccessCounts total;
     total.per_node.assign(static_cast<size_t>(num_nodes_), 0);
-    for (auto& wc : counts_) {
-      total.local += wc.local;
-      total.remote += wc.remote;
-      for (int k = 0; k < num_nodes_; ++k) {
-        total.per_node[static_cast<size_t>(k)] += wc.per_node[k];
+    for (int worker = 0; worker < num_workers_; ++worker) {
+      const uint64_t* row = counts_.data() + static_cast<size_t>(worker) * stride_;
+      total.local += row[kLocal];
+      total.remote += row[kRemote];
+      for (size_t k = 0; k < total.per_node.size(); ++k) {
+        total.per_node[k] += row[kPerNode + k];
       }
-      wc = WorkerCounts{};
     }
+    std::fill(counts_.begin(), counts_.end(), 0);
     return total;
   }
 
  private:
+  static constexpr size_t kCountersPerLine = 64 / sizeof(uint64_t);
+  static constexpr size_t kLocal = 0;
+  static constexpr size_t kRemote = 1;
+  static constexpr size_t kPerNode = 2;
+
   const NumaPartition* partition_;
   int num_nodes_;
   int num_workers_;
-  std::vector<WorkerCounts> counts_;
+  size_t stride_;
+  std::vector<uint64_t> counts_;
 };
 
 }  // namespace
@@ -94,7 +96,7 @@ NumaRunResult RunBfsNumaPartitioned(const NumaPartition& partition, VertexId sou
         const Csr& csr = partition.NodeOutCsr(node);
         accountant.Touch(worker, src);  // read src metadata
         for (const VertexId dst : csr.Neighbors(src)) {
-          accountant.Touch(worker, dst);  // write dst metadata (node-local)
+          accountant.Touch(worker, dst);  // write dst metadata (dst's owner node)
           if (AtomicLoad(&parent[dst]) == kInvalidVertex &&
               AtomicCas(&parent[dst], kInvalidVertex, src) && next.TestAndSet(dst)) {
             buffers[static_cast<size_t>(worker)].push_back(dst);

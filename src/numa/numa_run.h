@@ -6,8 +6,14 @@
 // has a single NUMA node (see DESIGN.md, Substitutions).
 //
 // Accounting counts one access per edge endpoint touched: reading the
-// source's metadata and writing the destination's. A thread's home node is
-// worker_id * num_nodes / num_threads (block-cyclic core-to-node mapping).
+// source's metadata and writing the destination's. Each access lands in
+// per_node[k] of the node k owning the vertex; that histogram is a pure
+// function of the graph, partition and source, and the cost model's
+// contention term reads it. local/remote instead score each access against
+// the executing worker's home node, worker_id * num_nodes / num_threads
+// (block-cyclic core-to-node mapping). Work items do not follow ownership,
+// so about 1/num_nodes of the accesses come out local whatever the
+// placement, and the split moves with the pool width and the schedule.
 #ifndef SRC_NUMA_NUMA_RUN_H_
 #define SRC_NUMA_NUMA_RUN_H_
 

@@ -20,10 +20,10 @@
 //
 // The round-dedup bitmap is shared across phases and shards via the atomic
 // Bitmap::TestAndSet — the one cross-shard write that remains, and it is
-// idempotent. Balance::kEdge orders shard tasks by descending edge mass
-// (the grid's column idiom: grain-1 dispatch turns the sorted order into a
-// static greedy assignment); shards cannot be split — ownership is the
-// point — so that is the whole balance story.
+// idempotent. Every kernel here dispatches shard tasks in descending edge
+// mass (the grid's column idiom: grain-1 dispatch turns the sorted order
+// into a static greedy assignment); shards cannot be split — ownership is
+// the point.
 //
 // TSan note: phase-2 plain Update stores may race benignly with nothing —
 // phases are barrier-separated and each dst has one owner — but functors
@@ -118,13 +118,6 @@ class BufferGrid {
   std::vector<AggregationBuffer> buffers_;
 };
 
-// Shard task order under the balance knob: descending edge mass for kEdge
-// (static greedy via grain-1 round-robin preload), natural order otherwise.
-inline int ShardAt(const std::vector<int>& order, Balance balance, int64_t idx) {
-  return balance == Balance::kEdge ? order[static_cast<size_t>(idx)]
-                                   : static_cast<int>(idx);
-}
-
 }  // namespace shard_internal
 
 // --- Sharded adjacency push (aggregated cross-shard flushes) ---------------
@@ -155,7 +148,7 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
     auto& buffer = round.buffers()[static_cast<size_t>(worker)];
     for (int64_t idx = lo; idx < hi; ++idx) {
-      const int s = shard_internal::ShardAt(shards.out_order(), options.balance, idx);
+      const int s = shards.out_order()[static_cast<size_t>(idx)];
       Frontier& slice = slices[static_cast<size_t>(s)];
       if (slice.Empty()) {
         continue;  // no producer touched row s: nothing to flush either
@@ -178,9 +171,7 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
         return false;
       };
       for (const VertexId src : slice.Vertices()) {
-        const uint64_t degree = out.Degree(src);
-        edge_map_internal::PushSlice(out, src, 0, degree, func, update, next, buffer, relaxed);
-        scanned += static_cast<int64_t>(degree);
+        scanned += edge_map_internal::PushNeighbors(out, src, func, update, next, buffer, relaxed);
       }
       grid.FlushRow(s);
       metrics.edges_scanned.Add(scanned);
@@ -196,7 +187,7 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
     auto& buffer = round.buffers()[static_cast<size_t>(worker)];
     for (int64_t idx = lo; idx < hi; ++idx) {
-      const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
+      const int t = shards.in_order()[static_cast<size_t>(idx)];
       const uint64_t span_start = obs::TimelineNow();
       int64_t relaxed = 0;
       int64_t applied = 0;
@@ -229,12 +220,11 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
 //
 // The shared gather of EdgeMapPull (word-batched frontier probe, Cond early
 // exit), chunked by shard ownership: task t gathers exactly the
-// destinations shard t owns, so the write pattern matches the sharded push
-// and the balance knob reuses the precomputed in-edge mass order instead of
-// a per-call offsets scan.
+// destinations shard t owns, so the write pattern matches the sharded push.
+// Like EdgeMapPull it takes no EdgeMapOptions.
 template <typename F>
 Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier& frontier,
-                            F& func, const EdgeMapOptions& options) {
+                            F& func) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();
   const int num_shards = shards.num_shards();
@@ -249,7 +239,7 @@ Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier&
   std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
     for (int64_t idx = lo; idx < hi; ++idx) {
-      const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
+      const int t = shards.in_order()[static_cast<size_t>(idx)];
       const uint64_t span_start = obs::TimelineNow();
       const edge_map_internal::GatherCounts c = edge_map_internal::GatherRange(
           in, static_cast<int64_t>(shards.ShardBegin(t)), static_cast<int64_t>(shards.ShardEnd(t)),
@@ -293,8 +283,7 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
       const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(s));
       for (int64_t v = v_lo; v < v_hi; ++v) {
         const VertexId src = static_cast<VertexId>(v);
-        const uint64_t degree = out.Degree(src);
-        out.ForEachNeighborSlice(src, 0, degree, [&](VertexId dst, float w) {
+        out.ForEachNeighbor(src, [&](VertexId dst, float w) {
           const int t = shards.ShardOf(dst);
           if (t == s) {
             ++local_updates;
@@ -304,7 +293,7 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
             grid.At(s, t).Enqueue(src, dst, w);
           }
         });
-        scanned += static_cast<int64_t>(degree);
+        scanned += static_cast<int64_t>(out.Degree(src));
       }
       grid.FlushRow(s);
       scanned_counter.Add(scanned);

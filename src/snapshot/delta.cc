@@ -132,7 +132,7 @@ Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
   });
 
   // Pass 2: exclusive scan of degrees -> offsets.
-  const EdgeIndex total = ParallelExclusiveScan(ThreadPool::Current(), offsets);
+  const EdgeIndex total = ParallelExclusiveScan(offsets);
   offsets[static_cast<size_t>(n)] = total;
 
   // Pass 3: fill. Untouched vertices are a straight copy of their base

@@ -5,9 +5,9 @@
 // over and over. Instead, an ordered update stream is compressed into one
 // net effect per (src, dst) pair and two-pointer-merged into the existing
 // sorted CSR — tombstoned base edges are filtered out, inserted copies are
-// spliced in — parallelized over vertex ranges with ParallelForEdgeBalanced
-// so a mega-hub's adjacency list splits across workers exactly like the
-// edge-balanced EdgeMap kernels.
+// spliced in — parallelized over vertex ranges of roughly equal merge cost
+// with ParallelForEdgeBalanced (ranges are vertex-aligned, so a hub's list
+// stays with one worker).
 //
 // Canonical form: every epoch CSR keeps its neighbor lists sorted (the
 // paper's section-5.1 "sorted adjacency" layout). Sorting makes the merge

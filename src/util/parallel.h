@@ -3,13 +3,12 @@
 // blocks of every layout builder (count sort needs a parallel exclusive scan)
 // and of the engine.
 //
-// Every primitive has two forms: an explicit-pool form taking the pool to
-// dispatch on as its first argument, and a convenience form that resolves
-// ThreadPool::Current() — the pool bound by the innermost execution context,
-// falling back to the process-wide default. Library code never calls
-// ThreadPool::Get() directly anymore; the default context is the only place
-// the process-wide pool enters the picture, which is what lets concurrent
-// query contexts run on disjoint worker sets.
+// Every primitive dispatches on ThreadPool::Current(), read on the calling
+// thread: the pool bound by the innermost execution context, falling back
+// to the process-wide default. Library code never calls ThreadPool::Get()
+// directly; the default context is the only place the process-wide pool
+// enters the picture, which is what lets concurrent query contexts run on
+// disjoint worker sets.
 #ifndef SRC_UTIL_PARALLEL_H_
 #define SRC_UTIL_PARALLEL_H_
 
@@ -21,58 +20,38 @@
 
 namespace egraph {
 
-// Calls body(i) for every i in [begin, end), in parallel on `pool`.
-template <typename Body>
-void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end, Body&& body) {
-  pool.ParallelForChunks(begin, end, /*grain=*/0,
-                         [&body](int64_t lo, int64_t hi, int /*worker*/) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             body(i);
-                           }
-                         });
-}
-
-template <typename Body>
-void ParallelFor(int64_t begin, int64_t end, Body&& body) {
-  ParallelFor(ThreadPool::Current(), begin, end, std::forward<Body>(body));
-}
-
 // Calls body(i) with an explicit chunk grain (work-distribution knob).
 template <typename Body>
-void ParallelForGrain(ThreadPool& pool, int64_t begin, int64_t end, int64_t grain,
-                      Body&& body) {
-  pool.ParallelForChunks(begin, end, grain,
-                         [&body](int64_t lo, int64_t hi, int /*worker*/) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             body(i);
-                           }
-                         });
+void ParallelForGrain(int64_t begin, int64_t end, int64_t grain, Body&& body) {
+  ThreadPool::Current().ParallelForChunks(begin, end, grain,
+                                          [&body](int64_t lo, int64_t hi, int /*worker*/) {
+                                            for (int64_t i = lo; i < hi; ++i) {
+                                              body(i);
+                                            }
+                                          });
 }
 
+// Calls body(i) for every i in [begin, end), in parallel, at the pool's
+// default grain.
 template <typename Body>
-void ParallelForGrain(int64_t begin, int64_t end, int64_t grain, Body&& body) {
-  ParallelForGrain(ThreadPool::Current(), begin, end, grain, std::forward<Body>(body));
+void ParallelFor(int64_t begin, int64_t end, Body&& body) {
+  ParallelForGrain(begin, end, /*grain=*/0, body);
 }
 
 // Calls body(chunk_begin, chunk_end, worker_id). Useful when the body keeps
 // per-chunk scratch state (e.g. per-thread histograms in radix sort).
 template <typename Body>
-void ParallelForChunks(ThreadPool& pool, int64_t begin, int64_t end, int64_t grain,
-                       Body&& body) {
-  pool.ParallelForChunks(begin, end, grain,
-                         [&body](int64_t lo, int64_t hi, int worker) {
-                           body(lo, hi, worker);
-                         });
-}
-
-template <typename Body>
 void ParallelForChunks(int64_t begin, int64_t end, int64_t grain, Body&& body) {
-  ParallelForChunks(ThreadPool::Current(), begin, end, grain, std::forward<Body>(body));
+  ThreadPool::Current().ParallelForChunks(begin, end, grain,
+                                          [&body](int64_t lo, int64_t hi, int worker) {
+                                            body(lo, hi, worker);
+                                          });
 }
 
 // Parallel sum-reduction of body(i) over [begin, end).
 template <typename T, typename Body>
-T ParallelReduceSum(ThreadPool& pool, int64_t begin, int64_t end, Body&& body) {
+T ParallelReduceSum(int64_t begin, int64_t end, Body&& body) {
+  ThreadPool& pool = ThreadPool::Current();
   std::vector<T> partial(static_cast<size_t>(pool.num_threads()), T{});
   pool.ParallelForChunks(begin, end, /*grain=*/0,
                          [&body, &partial](int64_t lo, int64_t hi, int worker) {
@@ -89,11 +68,6 @@ T ParallelReduceSum(ThreadPool& pool, int64_t begin, int64_t end, Body&& body) {
   return total;
 }
 
-template <typename T, typename Body>
-T ParallelReduceSum(int64_t begin, int64_t end, Body&& body) {
-  return ParallelReduceSum<T>(ThreadPool::Current(), begin, end, std::forward<Body>(body));
-}
-
 // Fixed block size of the deterministic reduction below. A power of two big
 // enough that the per-block partial vector stays small next to the data.
 inline constexpr int64_t kDeterministicReduceBlock = 4096;
@@ -108,8 +82,7 @@ inline constexpr int64_t kDeterministicReduceBlock = 4096;
 // different sizes (e.g. the serve layer re-running one query's reduction
 // under a differently-sized pool must reproduce it exactly).
 template <typename T, typename Body>
-T ParallelReduceSumDeterministic(ThreadPool& pool, int64_t begin, int64_t end,
-                                 Body&& body) {
+T ParallelReduceSumDeterministic(int64_t begin, int64_t end, Body&& body) {
   const int64_t n = end - begin;
   if (n <= 0) {
     return T{};
@@ -117,7 +90,7 @@ T ParallelReduceSumDeterministic(ThreadPool& pool, int64_t begin, int64_t end,
   const int64_t blocks =
       (n + kDeterministicReduceBlock - 1) / kDeterministicReduceBlock;
   std::vector<T> partial(static_cast<size_t>(blocks), T{});
-  ParallelFor(pool, 0, blocks, [&body, &partial, begin, end](int64_t b) {
+  ParallelFor(0, blocks, [&body, &partial, begin, end](int64_t b) {
     const int64_t lo = begin + b * kDeterministicReduceBlock;
     const int64_t hi = std::min(end, lo + kDeterministicReduceBlock);
     T local{};
@@ -133,16 +106,11 @@ T ParallelReduceSumDeterministic(ThreadPool& pool, int64_t begin, int64_t end,
   return total;
 }
 
-template <typename T, typename Body>
-T ParallelReduceSumDeterministic(int64_t begin, int64_t end, Body&& body) {
-  return ParallelReduceSumDeterministic<T>(ThreadPool::Current(), begin, end,
-                                           std::forward<Body>(body));
-}
-
 // Parallel max-reduction of body(i) over [begin, end); returns `init` when
 // the range is empty.
 template <typename T, typename Body>
-T ParallelReduceMax(ThreadPool& pool, int64_t begin, int64_t end, T init, Body&& body) {
+T ParallelReduceMax(int64_t begin, int64_t end, T init, Body&& body) {
+  ThreadPool& pool = ThreadPool::Current();
   std::vector<T> partial(static_cast<size_t>(pool.num_threads()), init);
   pool.ParallelForChunks(begin, end, /*grain=*/0,
                          [&body, &partial](int64_t lo, int64_t hi, int worker) {
@@ -164,18 +132,47 @@ T ParallelReduceMax(ThreadPool& pool, int64_t begin, int64_t end, T init, Body&&
   return best;
 }
 
-template <typename T, typename Body>
-T ParallelReduceMax(int64_t begin, int64_t end, T init, Body&& body) {
-  return ParallelReduceMax<T>(ThreadPool::Current(), begin, end, init,
-                              std::forward<Body>(body));
-}
-
-template <typename T>
-T ParallelExclusiveScan(ThreadPool& pool, std::vector<T>& values);
-
+// In-place parallel exclusive prefix sum over `values`; returns the grand
+// total. Two-pass blocked scan: per-block sums, serial scan of block sums,
+// then per-block local scans.
 template <typename T>
 T ParallelExclusiveScan(std::vector<T>& values) {
-  return ParallelExclusiveScan(ThreadPool::Current(), values);
+  const int64_t n = static_cast<int64_t>(values.size());
+  if (n == 0) {
+    return T{};
+  }
+  const int64_t blocks = ThreadPool::Current().num_threads() * 4;
+  const int64_t block_size = (n + blocks - 1) / blocks;
+
+  std::vector<T> block_sums(static_cast<size_t>(blocks), T{});
+  ParallelFor(0, blocks, [&](int64_t b) {
+    const int64_t lo = b * block_size;
+    const int64_t hi = lo + block_size < n ? lo + block_size : n;
+    T sum{};
+    for (int64_t i = lo; i < hi; ++i) {
+      sum += values[static_cast<size_t>(i)];
+    }
+    block_sums[static_cast<size_t>(b)] = sum;
+  });
+
+  T running{};
+  for (int64_t b = 0; b < blocks; ++b) {
+    const T sum = block_sums[static_cast<size_t>(b)];
+    block_sums[static_cast<size_t>(b)] = running;
+    running += sum;
+  }
+
+  ParallelFor(0, blocks, [&](int64_t b) {
+    const int64_t lo = b * block_size;
+    const int64_t hi = lo + block_size < n ? lo + block_size : n;
+    T prefix = block_sums[static_cast<size_t>(b)];
+    for (int64_t i = lo; i < hi; ++i) {
+      const T value = values[static_cast<size_t>(i)];
+      values[static_cast<size_t>(i)] = prefix;
+      prefix += value;
+    }
+  });
+  return running;
 }
 
 // --- Cost-balanced chunking -------------------------------------------------
@@ -186,7 +183,8 @@ T ParallelExclusiveScan(std::vector<T>& values) {
 // *cost* instead: a parallel prefix sum over per-item costs turns balancing
 // into binary searches for the chunk boundaries, and the chunks then ride
 // the work-stealing pool as single work items (grain=1) so a straggler can
-// still be stolen around.
+// still be stolen around. The snapshot merge's per-vertex passes use them
+// (src/snapshot/delta.cc); the EdgeMap kernels keep fixed grains.
 
 // Chunks per worker for a balanced dispatch: enough granularity for the
 // stealing to smooth residual imbalance without drowning in dispatch cost.
@@ -196,20 +194,15 @@ inline constexpr int64_t kBalancedChunksPerWorker = 8;
 // kBalancedChunksPerWorker chunks per pool worker but never lets a chunk
 // fall under `min_chunk_cost` (tiny frontiers should not shatter into
 // per-item dispatches). Always >= 1.
-inline int64_t BalancedChunkCount(const ThreadPool& pool, uint64_t total_cost,
-                                  int64_t min_chunk_cost) {
+inline int64_t BalancedChunkCount(uint64_t total_cost, int64_t min_chunk_cost) {
   const int64_t max_chunks =
-      static_cast<int64_t>(pool.num_threads()) * kBalancedChunksPerWorker;
+      static_cast<int64_t>(ThreadPool::Current().num_threads()) * kBalancedChunksPerWorker;
   if (min_chunk_cost < 1) {
     min_chunk_cost = 1;
   }
   const int64_t by_cost =
       static_cast<int64_t>(total_cost / static_cast<uint64_t>(min_chunk_cost));
   return std::max<int64_t>(1, std::min(max_chunks, by_cost));
-}
-
-inline int64_t BalancedChunkCount(uint64_t total_cost, int64_t min_chunk_cost) {
-  return BalancedChunkCount(ThreadPool::Current(), total_cost, min_chunk_cost);
 }
 
 // Item-aligned balanced chunk boundaries. `pos(i)` must be the monotonically
@@ -253,24 +246,18 @@ std::vector<int64_t> BalancedChunkBoundaries(int64_t n, int64_t num_chunks, Pos&
 // Dispatches pre-computed chunk boundaries on the pool, one chunk per work
 // item. body(chunk_begin, chunk_end, worker_id); empty chunks are skipped.
 template <typename Body>
-void ParallelForBalancedChunks(ThreadPool& pool, const std::vector<int64_t>& bounds,
-                               Body&& body) {
-  const int64_t num_chunks = static_cast<int64_t>(bounds.size()) - 1;
-  pool.ParallelForChunks(
-      0, num_chunks, /*grain=*/1, [&bounds, &body](int64_t lo, int64_t hi, int worker) {
-        for (int64_t c = lo; c < hi; ++c) {
-          const int64_t begin = bounds[static_cast<size_t>(c)];
-          const int64_t end = bounds[static_cast<size_t>(c) + 1];
-          if (begin < end) {
-            body(begin, end, worker);
-          }
-        }
-      });
-}
-
-template <typename Body>
 void ParallelForBalancedChunks(const std::vector<int64_t>& bounds, Body&& body) {
-  ParallelForBalancedChunks(ThreadPool::Current(), bounds, std::forward<Body>(body));
+  const int64_t num_chunks = static_cast<int64_t>(bounds.size()) - 1;
+  ParallelForChunks(0, num_chunks, /*grain=*/1,
+                    [&bounds, &body](int64_t lo, int64_t hi, int worker) {
+                      for (int64_t c = lo; c < hi; ++c) {
+                        const int64_t begin = bounds[static_cast<size_t>(c)];
+                        const int64_t end = bounds[static_cast<size_t>(c) + 1];
+                        if (begin < end) {
+                          body(begin, end, worker);
+                        }
+                      }
+                    });
 }
 
 // Cost-balanced parallel loop: calls body(chunk_begin, chunk_end, worker_id)
@@ -280,69 +267,19 @@ void ParallelForBalancedChunks(const std::vector<int64_t>& bounds, Body&& body) 
 // binary search, and dispatches chunks as stealable grain-1 work items.
 // `min_chunk_cost` bounds the dispatch overhead on small inputs.
 template <typename Cost, typename Body>
-void ParallelForEdgeBalanced(ThreadPool& pool, int64_t n, int64_t min_chunk_cost,
-                             Cost&& cost, Body&& body) {
+void ParallelForEdgeBalanced(int64_t n, int64_t min_chunk_cost, Cost&& cost, Body&& body) {
   if (n <= 0) {
     return;
   }
   std::vector<uint64_t> prefix(static_cast<size_t>(n));
-  ParallelFor(pool, 0, n, [&prefix, &cost](int64_t i) {
+  ParallelFor(0, n, [&prefix, &cost](int64_t i) {
     prefix[static_cast<size_t>(i)] = static_cast<uint64_t>(cost(i));
   });
-  const uint64_t total = ParallelExclusiveScan(pool, prefix);
+  const uint64_t total = ParallelExclusiveScan(prefix);
   const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-      n, BalancedChunkCount(pool, total, min_chunk_cost),
+      n, BalancedChunkCount(total, min_chunk_cost),
       [&prefix, n, total](int64_t i) { return i < n ? prefix[static_cast<size_t>(i)] : total; });
-  ParallelForBalancedChunks(pool, bounds, body);
-}
-
-template <typename Cost, typename Body>
-void ParallelForEdgeBalanced(int64_t n, int64_t min_chunk_cost, Cost&& cost, Body&& body) {
-  ParallelForEdgeBalanced(ThreadPool::Current(), n, min_chunk_cost,
-                          std::forward<Cost>(cost), std::forward<Body>(body));
-}
-
-// In-place parallel exclusive prefix sum over `values`; returns the grand
-// total. Two-pass blocked scan: per-block sums, serial scan of block sums,
-// then per-block local scans.
-template <typename T>
-T ParallelExclusiveScan(ThreadPool& pool, std::vector<T>& values) {
-  const int64_t n = static_cast<int64_t>(values.size());
-  if (n == 0) {
-    return T{};
-  }
-  const int64_t blocks = pool.num_threads() * 4;
-  const int64_t block_size = (n + blocks - 1) / blocks;
-
-  std::vector<T> block_sums(static_cast<size_t>(blocks), T{});
-  ParallelFor(pool, 0, blocks, [&](int64_t b) {
-    const int64_t lo = b * block_size;
-    const int64_t hi = lo + block_size < n ? lo + block_size : n;
-    T sum{};
-    for (int64_t i = lo; i < hi; ++i) {
-      sum += values[static_cast<size_t>(i)];
-    }
-    block_sums[static_cast<size_t>(b)] = sum;
-  });
-
-  T running{};
-  for (int64_t b = 0; b < blocks; ++b) {
-    const T sum = block_sums[static_cast<size_t>(b)];
-    block_sums[static_cast<size_t>(b)] = running;
-    running += sum;
-  }
-
-  ParallelFor(pool, 0, blocks, [&](int64_t b) {
-    const int64_t lo = b * block_size;
-    const int64_t hi = lo + block_size < n ? lo + block_size : n;
-    T prefix = block_sums[static_cast<size_t>(b)];
-    for (int64_t i = lo; i < hi; ++i) {
-      const T value = values[static_cast<size_t>(i)];
-      values[static_cast<size_t>(i)] = prefix;
-      prefix += value;
-    }
-  });
-  return running;
+  ParallelForBalancedChunks(bounds, body);
 }
 
 }  // namespace egraph

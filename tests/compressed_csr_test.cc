@@ -112,10 +112,9 @@ TEST(CompressedCsr, ChunkBoundaryRoundTrip) {
 }
 
 // A mega hub splits into many chunks; every chunk re-anchors at the owner,
-// so the whole list must still decode in sorted order, and sub-range decode
-// through ForEachNeighborSlice must agree with the full list at every
-// boundary-crossing window.
-TEST(CompressedCsr, MegaHubSplitsAndSlices) {
+// so the whole list must still decode in sorted order, and each chunk must
+// decode on its own to exactly its window of the full list.
+TEST(CompressedCsr, MegaHubSplitsIntoChunks) {
   constexpr uint32_t kChunkEdges = 8;
   const VertexId leaves = 1000;
   EdgeList graph(leaves + 1, {});
@@ -130,16 +129,17 @@ TEST(CompressedCsr, MegaHubSplitsAndSlices) {
   const std::vector<VertexId> full = compressed.Neighbors(0);
   ASSERT_EQ(full.size(), leaves);
   EXPECT_TRUE(std::is_sorted(full.begin(), full.end()));
-  // Windows that start mid-chunk, end mid-chunk, and span several chunks.
-  for (const auto& [lo, hi] : std::vector<std::pair<uint64_t, uint64_t>>{
-           {0, leaves}, {3, 5}, {6, 19}, {kChunkEdges, 2 * kChunkEdges},
-           {kChunkEdges - 1, kChunkEdges + 1}, {995, 1000}, {500, 500}}) {
-    std::vector<VertexId> slice;
-    compressed.ForEachNeighborSlice(
-        0, lo, hi, [&slice](VertexId n, float) { slice.push_back(n); });
-    EXPECT_EQ(slice, std::vector<VertexId>(full.begin() + static_cast<long>(lo),
-                                           full.begin() + static_cast<long>(hi)))
-        << "slice [" << lo << ", " << hi << ")";
+  for (uint32_t k = 0; k < compressed.NumChunksOf(0); ++k) {
+    std::vector<VertexId> chunk;
+    EXPECT_TRUE(compressed.DecodeChunkWhile(0, k, [&chunk](VertexId n, float) {
+      chunk.push_back(n);
+      return true;
+    }));
+    const size_t lo = static_cast<size_t>(k) * kChunkEdges;
+    ASSERT_EQ(chunk.size(), compressed.ChunkSizeOf(0, k)) << "chunk " << k;
+    EXPECT_EQ(chunk, std::vector<VertexId>(full.begin() + static_cast<long>(lo),
+                                           full.begin() + static_cast<long>(lo + chunk.size())))
+        << "chunk " << k;
   }
 }
 

@@ -2,14 +2,12 @@
 //   layout {adjacency, compressed, edge-array, grid, sharded}
 //     x direction {push, pull, push-pull}
 //     x sync {atomics, locks}
-//     x balance {vertex, edge}
-// = 60 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
+// = 30 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
 // families (power-law R-MAT, high-diameter road lattice, uniform
-// Erdős–Rényi, and a mega-hub star that forces the edge-balanced
-// partitioner to split one adjacency list across chunks) and checked
-// against the sequential references.
+// Erdős–Rényi, and a mega-hub star whose one adjacency list fills a whole
+// fixed-grain chunk) and checked against the sequential references.
 //
-// Every cell executes — none of the 24 combinations is rejected by the
+// Every cell executes — none of the 30 combinations is rejected by the
 // engine. Two parameters are no-ops by design and are exercised anyway:
 //   - direction is ignored by edge-array and grid EdgeMaps (always a full
 //     edge scan in the stored order),
@@ -145,7 +143,7 @@ void ExpectBfsAgreesWithReference(const TestGraph& g, const std::vector<VertexId
   }
 }
 
-using Cell = std::tuple<Layout, Direction, Sync, Balance>;
+using Cell = std::tuple<Layout, Direction, Sync>;
 
 class DifferentialTest : public ::testing::TestWithParam<Cell> {
  protected:
@@ -154,20 +152,20 @@ class DifferentialTest : public ::testing::TestWithParam<Cell> {
       graphs_ = BuildGraphs();
     }
   }
-  // Graphs (and their reference solutions) are shared across all 48 cells;
+  // Graphs (and their reference solutions) are shared across all 30 cells;
   // intentionally leaked so TearDown order doesn't matter.
   static std::vector<TestGraph>* graphs_;
 
   static RunConfig Config() {
     RunConfig config;
-    std::tie(config.layout, config.direction, config.sync, config.balance) = GetParam();
+    std::tie(config.layout, config.direction, config.sync) = GetParam();
     return config;
   }
 
   static std::string CellName() {
     const RunConfig c = Config();
     return std::string(LayoutName(c.layout)) + "/" + DirectionName(c.direction) + "/" +
-           SyncName(c.sync) + "/" + BalanceName(c.balance);
+           SyncName(c.sync);
   }
 };
 
@@ -294,13 +292,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          Layout::kSharded),
                        ::testing::Values(Direction::kPush, Direction::kPull,
                                          Direction::kPushPull),
-                       ::testing::Values(Sync::kAtomics, Sync::kLocks),
-                       ::testing::Values(Balance::kVertex, Balance::kEdge)),
+                       ::testing::Values(Sync::kAtomics, Sync::kLocks)),
     [](const ::testing::TestParamInfo<Cell>& info) {
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
                          DirectionName(std::get<1>(info.param)) + "_" +
-                         SyncName(std::get<2>(info.param)) + "_" +
-                         BalanceName(std::get<3>(info.param));
+                         SyncName(std::get<2>(info.param));
       for (char& c : name) {
         if (c == '-') {
           c = '_';

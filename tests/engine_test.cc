@@ -161,7 +161,7 @@ TEST_F(EdgeMapTest, CsrPushLocks) {
 
 TEST_F(EdgeMapTest, CsrPull) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapPull(handle_->in_csr(), f, fn, EdgeMapOptions{});
+    return EdgeMapPull(handle_->in_csr(), f, fn);
   });
   EXPECT_EQ(reached, *expected_);
 }
@@ -288,19 +288,18 @@ TEST(Scan, AllScansVisitEveryEdgeExactlyOnce) {
   const uint64_t m = graph.num_edges();
   EXPECT_EQ(count_with([&](auto body) { ScanEdgeArray(handle.edges(), body); }), m);
   EXPECT_EQ(count_with([&](auto body) {
-              ScanBySource(handle.out_csr(), Balance::kVertex, body);
+              ScanBySource(handle.out_csr(), body);
             }),
             m);
   EXPECT_EQ(count_with([&](auto body) {
-              ScanGridRowMajor(handle.grid(), Balance::kVertex, body);
+              ScanGridRowMajor(handle.grid(), body);
             }),
             m);
   EXPECT_EQ(count_with([&](auto body) { ScanGridColumnOwned(handle.grid(), body); }), m);
 
   // The destination fold sums one per in-edge into each destination.
   std::vector<float> in_degree(graph.num_vertices(), 0.0f);
-  ScanByDestination(handle.in_csr(), Balance::kVertex, [](VertexId, float) { return 1.0f; },
-                    in_degree.data());
+  ScanByDestination(handle.in_csr(), [](VertexId, float) { return 1.0f; }, in_degree.data());
   uint64_t folded = 0;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     EXPECT_EQ(in_degree[v], static_cast<float>(handle.in_csr().Degree(v))) << "vertex " << v;

@@ -343,8 +343,10 @@ TEST_F(IoAdversarialTest, ParallelLoaderReportsStatsOnThrottledMedium) {
   const uint64_t file_bytes = std::filesystem::file_size(path);
 
   ParallelLoader::Options options;
-  // Slow enough that the reader is still streaming while chunks build.
-  options.medium = StorageMedium{"slow", 64.0 * 1024 * 1024};
+  // Slow enough that the reader is still streaming while chunks build: at
+  // 1 MiB/s the 16 KiB chunks fall due 15.6 ms apart, so the reader blocks
+  // on delivery even when ThreadSanitizer starts it late.
+  options.medium = StorageMedium{"slow", 1.0 * 1024 * 1024};
   options.chunk_bytes = 1u << 14;
   ParallelLoader loader;
   EdgeList loaded;

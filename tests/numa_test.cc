@@ -2,6 +2,7 @@
 // properties, and correctness of the partitioned algorithm drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/algos/pagerank.h"
@@ -168,6 +169,45 @@ TEST(NumaRun, PartitionedBfsMatchesReference) {
     accesses += sample.counts.total();
   }
   EXPECT_GT(accesses, 0u);
+}
+
+// Above 8 nodes every node keeps its own per_node slot: each iteration's
+// histogram equals a brute-force count of the endpoints the BFS touches,
+// scored by owning node. Iteration i expands BFS level i: every frontier
+// vertex is read once per node's out-CSR, and every out-edge's destination
+// is written once.
+TEST(NumaRun, PerNodeCountsMatchBruteForceOnSixteenNodes) {
+  constexpr int kNodes = 16;
+  const EdgeList graph = TestGraph(12);
+  const NumaPartition partition = PartitionGraph(graph, kNodes);
+  ASSERT_EQ(partition.num_nodes(), kNodes);
+  const std::vector<uint32_t> degrees = OutDegrees(graph);
+  const VertexId source = static_cast<VertexId>(
+      std::max_element(degrees.begin(), degrees.end()) - degrees.begin());
+  const std::vector<uint32_t> levels = RefBfsLevels(graph, source);
+
+  std::vector<std::vector<uint64_t>> expected;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    if (levels[v] != UINT32_MAX && levels[v] >= expected.size()) {
+      expected.resize(levels[v] + 1, std::vector<uint64_t>(kNodes, 0));
+    }
+  }
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    if (levels[v] != UINT32_MAX) {
+      expected[levels[v]][static_cast<size_t>(partition.NodeOf(v))] += kNodes;
+    }
+  }
+  for (const Edge& e : graph.edges()) {
+    if (levels[e.src] != UINT32_MAX) {
+      ++expected[levels[e.src]][static_cast<size_t>(partition.NodeOf(e.dst))];
+    }
+  }
+
+  const NumaRunResult run = RunBfsNumaPartitioned(partition, source, nullptr);
+  ASSERT_EQ(run.iterations.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(run.iterations[i].counts.per_node, expected[i]) << "iteration " << i;
+  }
 }
 
 TEST(NumaRun, PartitionedPagerankMatchesReference) {

@@ -67,9 +67,9 @@ std::vector<ServeGraph>* BuildGraphs() {
   return graphs;
 }
 
-// Randomized mixed-kind stream: kinds, sources, balance modes and pagerank
-// iteration counts all drawn from one seeded generator, so every (graph,
-// seed) cell exercises a different interleaving while staying reproducible.
+// Randomized mixed-kind stream: kinds, sources and pagerank iteration counts
+// all drawn from one seeded generator, so every (graph, seed) cell exercises
+// a different interleaving while staying reproducible.
 std::vector<ServeQuery> MakeQueryStream(uint64_t seed, int count, VertexId n) {
   std::vector<ServeQuery> queries;
   uint64_t state = seed;
@@ -79,7 +79,6 @@ std::vector<ServeQuery> MakeQueryStream(uint64_t seed, int count, VertexId n) {
     query.config.layout = Layout::kAdjacency;
     query.config.direction = Direction::kPush;
     query.config.symmetric_input = true;
-    query.config.balance = SplitMix64(state) & 1 ? Balance::kEdge : Balance::kVertex;
     switch (SplitMix64(state) % 4) {
       case 0:
         query.kind = QueryKind::kBfs;

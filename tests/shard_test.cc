@@ -336,7 +336,7 @@ TEST(ShardedEdgeMapTest, EmptyFrontierDoesNothing) {
   Frontier empty_push = Frontier::None(handle.num_vertices());
   EXPECT_TRUE(EdgeMapShardedPush(handle.out_csr(), shards, empty_push, func, options).Empty());
   Frontier empty_pull = Frontier::None(handle.num_vertices());
-  EXPECT_TRUE(EdgeMapShardedPull(handle.in_csr(), shards, empty_pull, func, options).Empty());
+  EXPECT_TRUE(EdgeMapShardedPull(handle.in_csr(), shards, empty_pull, func).Empty());
   EXPECT_EQ(metrics.enqueued.Total(), enqueued_before);
   for (const uint8_t v : visited) {
     ASSERT_EQ(v, 0);

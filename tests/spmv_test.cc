@@ -71,30 +71,27 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Every layout x direction under both balance modes: the balance knob picks
-// chunk boundaries (and, for compressed and plain by-source scans, where a
-// hub's list splits), never the result.
-using SpmvBalanceParam = std::tuple<Layout, Direction, Balance>;
+// Every layout x direction under the default sync, compressed and sharded
+// included.
+using SpmvLayoutParam = std::tuple<Layout, Direction>;
 
-class SpmvBalanceTest : public ::testing::TestWithParam<SpmvBalanceParam> {};
+class SpmvLayoutTest : public ::testing::TestWithParam<SpmvLayoutParam> {};
 
-TEST_P(SpmvBalanceTest, MatchesReference) {
+TEST_P(SpmvLayoutTest, MatchesReference) {
   RunConfig config;
-  std::tie(config.layout, config.direction, config.balance) = GetParam();
+  std::tie(config.layout, config.direction) = GetParam();
   ExpectSpmvMatchesReference(config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Layouts, SpmvBalanceTest,
+    Layouts, SpmvLayoutTest,
     ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kCompressed,
                                          Layout::kEdgeArray, Layout::kGrid,
                                          Layout::kSharded),
-                       ::testing::Values(Direction::kPush, Direction::kPull),
-                       ::testing::Values(Balance::kVertex, Balance::kEdge)),
-    [](const ::testing::TestParamInfo<SpmvBalanceParam>& info) {
+                       ::testing::Values(Direction::kPush, Direction::kPull)),
+    [](const ::testing::TestParamInfo<SpmvLayoutParam>& info) {
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
-                         DirectionName(std::get<1>(info.param)) + "_" +
-                         BalanceName(std::get<2>(info.param));
+                         DirectionName(std::get<1>(info.param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

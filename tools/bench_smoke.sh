@@ -12,11 +12,10 @@
 #   scale         EG_SCALE for the run (default 10)
 #
 # ctest registers this for several benches: bench_json_smoke (pagerank sync
-# sweep), bench_balance_smoke (vertex- vs edge-balanced ablation, which also
-# proves the per-chunk timeline spans and imbalance summary survive the
-# pipeline), bench_serve_smoke (QuerySession throughput over a frozen
-# handle, which also cross-checks result checksums across concurrency
-# levels), bench_snapshot_smoke (incremental refreeze vs radix rebuild), and
+# sweep), bench_serve_smoke (QuerySession throughput over a frozen handle,
+# which also cross-checks result checksums across concurrency levels),
+# bench_snapshot_smoke (incremental refreeze vs radix rebuild),
+# bench_shard_smoke (striped-lock vs sharded aggregated push), and
 # bench_compression_smoke (compressed vs plain layouts, whose internal gates
 # cover footprint, checksum identity and selective loading).
 set -euo pipefail

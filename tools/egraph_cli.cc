@@ -8,14 +8,12 @@
 //             [--queue-capacity=M] [--symmetrize]
 //             [--updates=FILE] [--update-batch=N]
 //             [--stats-out=FILE] [--stats-interval-ms=N] [--slow-query-ms=N]
-//             [--layout=...] [--direction=...] [--sync=...] [--balance=...]
-//             [--shards=S]
+//             [--layout=...] [--direction=...] [--sync=...] [--shards=S]
 //             FILE
 //   run       --algo=bfs|wcc|sssp|pagerank|spmv|kcore|triangles
 //             [--layout=adjacency|compressed|edge-array|grid|sharded]
 //             [--direction=push|pull|push-pull] [--sync=atomics|locks|lock-free]
-//             [--balance=vertex|edge] [--shards=S]
-//             [--method=radix|count|dynamic] [--source=V] [--iterations=N]
+//             [--shards=S] [--method=radix|count|dynamic] [--source=V] [--iterations=N]
 //             [--loader=sequential|pipelined] [--medium=memory|ssd|hdd]
 //             [--chunk-mb=N]
 //             [--advisor] [--numa-nodes=K] [--memory-budget-mb=N] [--workers=W]
@@ -148,16 +146,6 @@ Sync ParseSync(const std::string& name) {
     return Sync::kLockFree;
   }
   throw std::runtime_error("unknown sync: " + name);
-}
-
-Balance ParseBalance(const std::string& name) {
-  if (name == "vertex") {
-    return Balance::kVertex;
-  }
-  if (name == "edge") {
-    return Balance::kEdge;
-  }
-  throw std::runtime_error("unknown balance: " + name);
 }
 
 BuildMethod ParseMethod(const std::string& name) {
@@ -307,7 +295,6 @@ int CmdRun(const Flags& flags) {
   config.layout = ParseLayout(flags.GetString("layout", "adjacency"));
   config.direction = ParseDirection(flags.GetString("direction", "push"));
   config.sync = ParseSync(flags.GetString("sync", "atomics"));
-  config.balance = ParseBalance(flags.GetString("balance", "edge"));
   config.method = ParseMethod(flags.GetString("method", "radix"));
   config.shards = static_cast<int>(flags.GetInt("shards", 0));
 
@@ -683,7 +670,6 @@ int CmdServe(const Flags& flags) {
   config.layout = ParseLayout(flags.GetString("layout", "adjacency"));
   config.direction = ParseDirection(flags.GetString("direction", "push"));
   config.sync = ParseSync(flags.GetString("sync", "atomics"));
-  config.balance = ParseBalance(flags.GetString("balance", "edge"));
   config.method = ParseMethod(flags.GetString("method", "radix"));
   config.shards = static_cast<int>(flags.GetInt("shards", 0));
 
