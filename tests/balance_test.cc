@@ -1,15 +1,19 @@
-// Per-round exactness of the fixed-grain EdgeMap kernels: every layout x
-// direction x sync cell, driven round by round through EdgeMap
-// (src/engine/dispatch.h) with a claim-once reach functor, must turn BFS
-// level r into exactly level r + 1 of the sequential reference — as a
-// sorted vertex list, so a duplicate or a missing vertex fails the round.
-// The mega-hub star puts one adjacency list into a single fixed-grain
-// chunk; R-MAT mixes hubs with long tails. Also covers the EdgeMapScratch
-// reuse contract (clean state across rounds and runs) and empty-frontier
-// calls.
+// Balance equivalence of the fixed-grain EdgeMap kernels: however a
+// round's work is balanced across grains, every layout x direction x sync
+// cell, driven round by round through EdgeMap (src/engine/dispatch.h) with
+// a claim-once reach functor, must turn BFS level r into exactly level
+// r + 1 of the sequential reference — as a sorted vertex list, so a
+// duplicate or a missing vertex fails the round. The mega-hub star puts one
+// adjacency list into a single fixed-grain chunk; R-MAT mixes hubs with
+// long tails. Two hubs sharing every leaf, whose lists the edge array, the
+// grid and the shards split across tasks, must emit each leaf once even
+// when both of its claims succeed. Also covers the EdgeMapScratch reuse
+// contract (clean state across rounds and runs) and empty-frontier calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -109,19 +113,77 @@ void ExpectRoundsMatchBfsLevels(const EdgeList& graph, VertexId source, const Ru
   }
 }
 
-TEST(EdgeMapRounds, MegaHubStarMatchesBfsLevels) {
+TEST(BalanceEquivalence, MegaHubStarAllCells) {
   const EdgeList star = MakeStar((1 << 12) + 5);
   for (const RunConfig& cell : AllCells()) {
     ExpectRoundsMatchBfsLevels(star, 0, cell, "star " + CellLabel(cell));
   }
 }
 
-TEST(EdgeMapRounds, RmatMatchesBfsLevels) {
+TEST(BalanceEquivalence, RmatAllCells) {
   RmatOptions options;
   options.scale = 10;
   const EdgeList graph = GenerateRmat(options);
   for (const RunConfig& cell : AllCells()) {
     ExpectRoundsMatchBfsLevels(graph, 0, cell, "rmat " + CellLabel(cell));
+  }
+}
+
+// Reports a change on each of a vertex's first two arrivals, so both claims
+// on a vertex reached twice in one round succeed, and only the round's own
+// dedup can keep it to one entry in the output.
+struct TwoArrivalsFunctor {
+  uint32_t* arrivals;
+  bool Update(VertexId /*s*/, VertexId d, float) {
+    const uint32_t seen = AtomicLoad(&arrivals[d]);
+    AtomicStore(&arrivals[d], seen + 1);
+    return seen < 2;
+  }
+  bool UpdateAtomic(VertexId /*s*/, VertexId d, float) {
+    uint32_t seen = AtomicLoad(&arrivals[d]);
+    while (!AtomicCas(&arrivals[d], seen, seen + 1)) {
+      seen = AtomicLoad(&arrivals[d]);
+    }
+    return seen < 2;
+  }
+  bool Cond(VertexId d) const { return AtomicLoad(&arrivals[d]) < 2; }
+};
+
+// Vertex 0 reaches hubs 1 and 2, and each hub reaches every leaf. All of
+// hub 1's edges are stored before hub 2's, so the edge array (4096-edge
+// chunks), the grid (one cell per task) and the shards split each hub's
+// list across tasks, and a leaf's two successful claims come from
+// different chunks. The leaf round must list every leaf exactly once, and
+// every leaf must have received both hubs' edges.
+TEST(BalanceEquivalence, HubSplittingDeduplicates) {
+  const VertexId leaves = (1 << 13) + 7;
+  EdgeList graph(leaves + 3, {});
+  graph.Reserve(2 * static_cast<EdgeIndex>(leaves) + 2);
+  graph.AddEdge(0, 1);
+  graph.AddEdge(0, 2);
+  for (const VertexId hub : {1u, 2u}) {
+    for (VertexId v = 3; v < leaves + 3; ++v) {
+      graph.AddEdge(hub, v);
+    }
+  }
+  std::vector<VertexId> leaf_ids(leaves);
+  std::iota(leaf_ids.begin(), leaf_ids.end(), VertexId{3});
+
+  EdgeMapScratch& scratch = ExecutionContext::Default().edge_map_scratch();
+  for (const RunConfig& cell : AllCells()) {
+    const std::string name = "two hubs " + CellLabel(cell);
+    GraphHandle handle(graph);
+    PrepareForRun(handle, cell);
+    std::vector<uint32_t> arrivals(handle.num_vertices(), 0);
+    TwoArrivalsFunctor func{arrivals.data()};
+    Frontier source = Frontier::Single(handle.num_vertices(), 0);
+    Frontier hubs = EdgeMap(handle, source, func, cell, &scratch);
+    ASSERT_EQ(SortedVertices(hubs), (std::vector<VertexId>{1, 2})) << name;
+    Frontier reached = EdgeMap(handle, hubs, func, cell, &scratch);
+    EXPECT_EQ(SortedVertices(reached), leaf_ids) << name;
+    for (VertexId v = 3; v < leaves + 3; ++v) {
+      ASSERT_EQ(arrivals[v], 2u) << name << ": leaf " << v;
+    }
   }
 }
 
@@ -146,7 +208,7 @@ TEST(EdgeMapScratchTest, ReuseAcrossRoundsAndRunsIsClean) {
   }
 }
 
-TEST(EdgeMapRounds, EmptyFrontierYieldsEmptyResult) {
+TEST(BalanceEquivalence, EmptyFrontierYieldsEmptyResult) {
   const EdgeList star = MakeStar(1 << 10);
   GraphHandle handle(star);
   PrepareConfig prepare;

@@ -113,8 +113,8 @@ TEST(CompressedCsr, ChunkBoundaryRoundTrip) {
 
 // A mega hub splits into many chunks; every chunk re-anchors at the owner,
 // so the whole list must still decode in sorted order, and each chunk must
-// decode on its own to exactly its window of the full list.
-TEST(CompressedCsr, MegaHubSplitsIntoChunks) {
+// decode on its own to exactly its slice of the full list.
+TEST(CompressedCsr, MegaHubSplitsAndSlices) {
   constexpr uint32_t kChunkEdges = 8;
   const VertexId leaves = 1000;
   EdgeList graph(leaves + 1, {});

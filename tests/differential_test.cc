@@ -2,12 +2,16 @@
 //   layout {adjacency, compressed, edge-array, grid, sharded}
 //     x direction {push, pull, push-pull}
 //     x sync {atomics, locks}
-// = 30 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
+//     x edge order {vertex, edge}
+// = 60 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
 // families (power-law R-MAT, high-diameter road lattice, uniform
 // Erdős–Rényi, and a mega-hub star whose one adjacency list fills a whole
-// fixed-grain chunk) and checked against the sequential references.
+// fixed-grain chunk) and checked against the sequential references. The
+// edge order is how each input stores its edges (tests/edge_order.h):
+// sorted by source vertex, or shuffled, which moves edges between the
+// kernels' fixed grains; the results must not change.
 //
-// Every cell executes — none of the 30 combinations is rejected by the
+// Every cell executes — none of the 60 combinations is rejected by the
 // engine. Two parameters are no-ops by design and are exercised anyway:
 //   - direction is ignored by edge-array and grid EdgeMaps (always a full
 //     edge scan in the stored order),
@@ -32,6 +36,7 @@
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
+#include "tests/edge_order.h"
 
 namespace egraph {
 namespace {
@@ -64,7 +69,9 @@ VertexId BestSource(const EdgeList& graph) {
   return best;
 }
 
-TestGraph MakeTestGraph(std::string name, EdgeList edges) {
+// The references are solved on the generated edges; the stored lists are
+// then put in `order`, weights travelling with their edges.
+TestGraph MakeTestGraph(std::string name, EdgeList edges, EdgeOrder order) {
   TestGraph g;
   g.name = std::move(name);
   g.edges = std::move(edges);
@@ -75,27 +82,29 @@ TestGraph MakeTestGraph(std::string name, EdgeList edges) {
   g.ref_wcc_labels = RefWccLabels(g.edges);
   g.ref_sssp_dist = RefDijkstra(g.weighted, g.source);
   g.ref_pagerank = RefPagerank(g.edges, kPagerankIterations, kPagerankDamping);
+  g.edges = Reordered(g.edges, order);
+  g.weighted = Reordered(g.weighted, order);
   return g;
 }
 
-std::vector<TestGraph>* BuildGraphs() {
+std::vector<TestGraph>* BuildGraphs(EdgeOrder order) {
   auto* graphs = new std::vector<TestGraph>();
 
   RmatOptions rmat;
   rmat.scale = 9;
-  graphs->push_back(MakeTestGraph("rmat", GenerateRmat(rmat)));
+  graphs->push_back(MakeTestGraph("rmat", GenerateRmat(rmat), order));
 
   RoadOptions road;
   road.width = 24;
   road.height = 24;
   road.seed = 7;
-  graphs->push_back(MakeTestGraph("road", GenerateRoad(road)));
+  graphs->push_back(MakeTestGraph("road", GenerateRoad(road), order));
 
   ErdosRenyiOptions er;
   er.num_vertices = 1 << 10;
   er.num_edges = 1 << 13;
   er.seed = 13;
-  graphs->push_back(MakeTestGraph("uniform", GenerateErdosRenyi(er)));
+  graphs->push_back(MakeTestGraph("uniform", GenerateErdosRenyi(er), order));
 
   // Star with a mega hub: one vertex holds ~all edges, so any fixed vertex
   // grain puts the whole graph into one chunk. A short chain off the first
@@ -110,7 +119,7 @@ std::vector<TestGraph>* BuildGraphs() {
     for (VertexId v = 1; v <= 64; ++v) {
       star.AddEdge(v, v + 1);
     }
-    graphs->push_back(MakeTestGraph("star", std::move(star)));
+    graphs->push_back(MakeTestGraph("star", std::move(star), order));
   }
   return graphs;
 }
@@ -143,33 +152,35 @@ void ExpectBfsAgreesWithReference(const TestGraph& g, const std::vector<VertexId
   }
 }
 
-using Cell = std::tuple<Layout, Direction, Sync>;
+using Cell = std::tuple<Layout, Direction, Sync, EdgeOrder>;
 
 class DifferentialTest : public ::testing::TestWithParam<Cell> {
  protected:
-  static void SetUpTestSuite() {
-    if (graphs_ == nullptr) {
-      graphs_ = BuildGraphs();
+  // Graphs (and their reference solutions) of the cell's edge order, built
+  // on first use and shared by every cell of that order; intentionally
+  // leaked so TearDown order doesn't matter.
+  static const std::vector<TestGraph>& Graphs() {
+    static std::vector<TestGraph>* by_order[2] = {nullptr, nullptr};
+    const EdgeOrder order = std::get<3>(GetParam());
+    std::vector<TestGraph>*& graphs = by_order[static_cast<int>(order)];
+    if (graphs == nullptr) {
+      graphs = BuildGraphs(order);
     }
+    return *graphs;
   }
-  // Graphs (and their reference solutions) are shared across all 30 cells;
-  // intentionally leaked so TearDown order doesn't matter.
-  static std::vector<TestGraph>* graphs_;
 
   static RunConfig Config() {
     RunConfig config;
-    std::tie(config.layout, config.direction, config.sync) = GetParam();
+    std::tie(config.layout, config.direction, config.sync, std::ignore) = GetParam();
     return config;
   }
 
   static std::string CellName() {
     const RunConfig c = Config();
     return std::string(LayoutName(c.layout)) + "/" + DirectionName(c.direction) + "/" +
-           SyncName(c.sync);
+           SyncName(c.sync) + "/" + EdgeOrderName(std::get<3>(GetParam()));
   }
 };
-
-std::vector<TestGraph>* DifferentialTest::graphs_ = nullptr;
 
 ExecutionContextOptions PoolOptions(int threads) {
   ExecutionContextOptions options;
@@ -179,7 +190,7 @@ ExecutionContextOptions PoolOptions(int threads) {
 }
 
 TEST_P(DifferentialTest, BfsMatchesReference) {
-  for (const TestGraph& g : *graphs_) {
+  for (const TestGraph& g : Graphs()) {
     GraphHandle handle(g.edges);
     const BfsResult result = RunBfs(handle, g.source, Config());
     ExpectBfsAgreesWithReference(g, result.parent, CellName() + " on " + g.name);
@@ -188,7 +199,7 @@ TEST_P(DifferentialTest, BfsMatchesReference) {
 
 TEST_P(DifferentialTest, WccMatchesReference) {
   RunConfig config = Config();
-  for (const TestGraph& g : *graphs_) {
+  for (const TestGraph& g : Graphs()) {
     // Adjacency-list WCC (plain or compressed) propagates labels along
     // stored edges only, so it runs on the symmetrized graph (paper section
     // 8); edge-array and grid relax both endpoints of each stored edge and
@@ -204,7 +215,7 @@ TEST_P(DifferentialTest, WccMatchesReference) {
 }
 
 TEST_P(DifferentialTest, SsspMatchesReference) {
-  for (const TestGraph& g : *graphs_) {
+  for (const TestGraph& g : Graphs()) {
     GraphHandle handle(g.weighted);
     const SsspResult result = RunSssp(handle, g.source, Config());
     ASSERT_EQ(result.dist.size(), g.ref_sssp_dist.size());
@@ -225,7 +236,7 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
   PagerankOptions options;
   options.iterations = kPagerankIterations;
   options.damping = kPagerankDamping;
-  for (const TestGraph& g : *graphs_) {
+  for (const TestGraph& g : Graphs()) {
     GraphHandle handle(g.edges);
     const PagerankResult result = RunPagerank(handle, options, Config());
     ASSERT_EQ(result.rank.size(), g.ref_pagerank.size());
@@ -252,7 +263,7 @@ TEST_P(DifferentialTest, ResultsIdenticalAcrossPoolWidths) {
   pagerank.iterations = kPagerankIterations;
   pagerank.damping = kPagerankDamping;
   const bool gathers = config.direction == Direction::kPull && IsVertexCentric(config.layout);
-  for (const TestGraph& g : *graphs_) {
+  for (const TestGraph& g : Graphs()) {
     const std::string cell = CellName() + " on " + g.name;
     {
       GraphHandle handle(g.edges);
@@ -292,11 +303,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          Layout::kSharded),
                        ::testing::Values(Direction::kPush, Direction::kPull,
                                          Direction::kPushPull),
-                       ::testing::Values(Sync::kAtomics, Sync::kLocks)),
+                       ::testing::Values(Sync::kAtomics, Sync::kLocks),
+                       ::testing::Values(EdgeOrder::kVertex, EdgeOrder::kEdge)),
     [](const ::testing::TestParamInfo<Cell>& info) {
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
                          DirectionName(std::get<1>(info.param)) + "_" +
-                         SyncName(std::get<2>(info.param));
+                         SyncName(std::get<2>(info.param)) + "_" +
+                         EdgeOrderName(std::get<3>(info.param));
       for (char& c : name) {
         if (c == '-') {
           c = '_';

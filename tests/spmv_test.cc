@@ -10,6 +10,7 @@
 #include "src/algos/spmv.h"
 #include "src/gen/rmat.h"
 #include "src/util/rng.h"
+#include "tests/edge_order.h"
 
 namespace egraph {
 namespace {
@@ -30,11 +31,15 @@ void ExpectNear(const std::vector<float>& got, const std::vector<float>& expecte
   }
 }
 
-void ExpectSpmvMatchesReference(const RunConfig& config) {
+EdgeList WeightedRmat() {
   RmatOptions options;
   options.scale = 10;
   EdgeList graph = GenerateRmat(options);
   graph.AssignRandomWeights(0.1f, 1.0f, 9);
+  return graph;
+}
+
+void ExpectSpmvMatchesReference(const RunConfig& config, const EdgeList& graph) {
   const std::vector<float> x = RandomVector(graph.num_vertices(), 4);
   const std::vector<float> expected = RefSpmv(graph, x);
 
@@ -51,7 +56,7 @@ class SpmvConfigTest : public ::testing::TestWithParam<SpmvParam> {};
 TEST_P(SpmvConfigTest, MatchesReference) {
   RunConfig config;
   std::tie(config.layout, config.direction, config.sync) = GetParam();
-  ExpectSpmvMatchesReference(config);
+  ExpectSpmvMatchesReference(config, WeightedRmat());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -72,26 +77,30 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Every layout x direction under the default sync, compressed and sharded
-// included.
-using SpmvLayoutParam = std::tuple<Layout, Direction>;
+// included, with the input's edges balanced over the kernels' fixed grains
+// two ways: sorted by source vertex, or shuffled (tests/edge_order.h).
+using SpmvBalanceParam = std::tuple<Layout, Direction, EdgeOrder>;
 
-class SpmvLayoutTest : public ::testing::TestWithParam<SpmvLayoutParam> {};
+class SpmvBalanceTest : public ::testing::TestWithParam<SpmvBalanceParam> {};
 
-TEST_P(SpmvLayoutTest, MatchesReference) {
+TEST_P(SpmvBalanceTest, MatchesReference) {
   RunConfig config;
-  std::tie(config.layout, config.direction) = GetParam();
-  ExpectSpmvMatchesReference(config);
+  EdgeOrder order;
+  std::tie(config.layout, config.direction, order) = GetParam();
+  ExpectSpmvMatchesReference(config, Reordered(WeightedRmat(), order));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Layouts, SpmvLayoutTest,
+    Layouts, SpmvBalanceTest,
     ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kCompressed,
                                          Layout::kEdgeArray, Layout::kGrid,
                                          Layout::kSharded),
-                       ::testing::Values(Direction::kPush, Direction::kPull)),
-    [](const ::testing::TestParamInfo<SpmvLayoutParam>& info) {
+                       ::testing::Values(Direction::kPush, Direction::kPull),
+                       ::testing::Values(EdgeOrder::kVertex, EdgeOrder::kEdge)),
+    [](const ::testing::TestParamInfo<SpmvBalanceParam>& info) {
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
-                         DirectionName(std::get<1>(info.param));
+                         DirectionName(std::get<1>(info.param)) + "_" +
+                         EdgeOrderName(std::get<2>(info.param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
