@@ -4,12 +4,14 @@
 // BFS loses everywhere — partitioning dwarfs its runtime and the
 // frontier-concentration contention makes even the algorithm phase slower.
 //
-// Machine substitution (DESIGN.md): partitioning cost and the partitioned
-// execution are measured on this machine; the memory-latency consequence of
-// placement is modeled from per-iteration access counts.
+// Machine substitution (DESIGN.md): the partitioning cost and the engine's
+// interleaved runs are measured on the host; the NUMA-aware algorithm time
+// is the measured engine time priced by the cost model from the partition's
+// per-iteration access counts.
 #include "bench/bench_common.h"
 #include "src/algos/bfs.h"
 #include "src/algos/pagerank.h"
+#include "src/algos/reference.h"
 #include "src/numa/numa_run.h"
 #include "src/numa/partition.h"
 #include "src/numa/topology.h"
@@ -35,6 +37,7 @@ int main() {
         PartitionGraph(graph, topo.num_nodes, PartitionCsrs::kOutOnly);
     const NumaPartition pr_partition =
         PartitionGraph(graph, topo.num_nodes, PartitionCsrs::kInOnly);
+    const AccessCounts pr_counts = PagerankAccessCounts(pr_partition);
 
     // --- BFS (best interleaved config: adjacency push) ---
     {
@@ -47,8 +50,9 @@ int main() {
                     Sec(0.0), Sec(inter.stats.algorithm_seconds),
                     Sec(handle.preprocess_seconds() + inter.stats.algorithm_seconds)});
 
-      const NumaRunResult numa = RunBfsNumaPartitioned(bfs_partition, source, nullptr);
-      const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, numa, topo);
+      const std::vector<AccessCounts> counts =
+          BfsAccessCounts(bfs_partition, RefBfsLevels(graph, source));
+      const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, counts, topo);
       RecordResult(std::string(topo.name) + " BFS numa", modeled, "rmat-unscrambled");
       // NUMA-aware run does not need the plain CSR: preproc is 0; the
       // partition step plays the preprocessing role.
@@ -71,8 +75,8 @@ int main() {
                     Sec(inter.stats.algorithm_seconds),
                     Sec(handle.preprocess_seconds() + inter.stats.algorithm_seconds)});
 
-      const NumaRunResult numa = RunPagerankNumaPartitioned(pr_partition, 10, 0.85f, nullptr);
-      const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, numa, topo);
+      const double modeled =
+          ModeledFromBaseline(inter.stats.algorithm_seconds, {&pr_counts, 1}, topo);
       table.AddRow({topo.name, "Pagerank", "NUMA-aware", Sec(0.0),
                     Sec(pr_partition.partition_seconds()), Sec(modeled),
                     Sec(pr_partition.partition_seconds() + modeled)});
@@ -97,8 +101,8 @@ int main() {
                     Sec(inter.stats.algorithm_seconds),
                     Sec(handle.preprocess_seconds() + inter.stats.algorithm_seconds)});
 
-      const NumaRunResult numa = RunPagerankNumaPartitioned(pr_partition, 50, 0.85f, nullptr);
-      const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, numa, topo);
+      const double modeled =
+          ModeledFromBaseline(inter.stats.algorithm_seconds, {&pr_counts, 1}, topo);
       table.AddRow({topo.name, "Pagerank50", "NUMA-aware", Sec(0.0),
                     Sec(pr_partition.partition_seconds()), Sec(modeled),
                     Sec(pr_partition.partition_seconds() + modeled)});

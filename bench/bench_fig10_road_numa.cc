@@ -4,6 +4,7 @@
 // hammer a single memory controller for thousands of iterations.
 #include "bench/bench_common.h"
 #include "src/algos/bfs.h"
+#include "src/algos/reference.h"
 #include "src/numa/numa_run.h"
 #include "src/numa/partition.h"
 #include "src/numa/topology.h"
@@ -31,15 +32,14 @@ int main() {
 
   const NumaPartition partition =
       PartitionGraph(graph, topo.num_nodes, PartitionCsrs::kOutOnly);
-  const NumaRunResult numa = RunBfsNumaPartitioned(partition, 0, nullptr);
-  const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, numa, topo);
+  const std::vector<AccessCounts> counts = BfsAccessCounts(partition, RefBfsLevels(graph, 0));
+  const double modeled = ModeledFromBaseline(inter.stats.algorithm_seconds, counts, topo);
   RecordResult("BFS numa", modeled, "us-road-proxy");
   double weighted_share = 0.0;
   uint64_t weight = 0;
-  for (const auto& sample : numa.iterations) {
-    weighted_share += sample.counts.MaxNodeShare() *
-                      static_cast<double>(sample.counts.total());
-    weight += sample.counts.total();
+  for (const AccessCounts& iteration : counts) {
+    weighted_share += iteration.MaxNodeShare() * static_cast<double>(iteration.total());
+    weight += iteration.total();
   }
   table.AddRow({"NUMA-aware", Sec(0.0), Sec(partition.partition_seconds()), Sec(modeled),
                 Sec(partition.partition_seconds() + modeled),

@@ -1,11 +1,11 @@
 #include "src/algos/analytics.h"
 
+#include <algorithm>
 #include <limits>
 
+#include "src/algos/rounds.h"
 #include "src/algos/triangles.h"
-#include "src/engine/edge_map.h"
-#include "src/engine/graph_handle.h"
-#include "src/engine/scan.h"
+#include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/parallel.h"
 
@@ -32,32 +32,31 @@ struct LevelFunctor {
   bool Cond(VertexId dst) const { return AtomicLoad(&level[dst]) == LevelFunctor::kUnreached; }
 };
 
-// BFS over `out`, returning the eccentricity of `source` and a farthest
-// vertex (the double-sweep pivot).
-std::pair<uint32_t, VertexId> EccentricityAndFarthest(const Csr& out, StripedLocks& locks,
-                                                      VertexId source) {
-  const VertexId n = out.num_vertices();
+// BFS from `source` through the engine's rounds, returning the
+// eccentricity of `source` and the smallest id in its last level (the
+// double-sweep pivot).
+std::pair<uint32_t, VertexId> EccentricityAndFarthest(GraphHandle& handle,
+                                                      const RunConfig& config,
+                                                      ExecutionContext& ctx, VertexId source) {
+  const VertexId n = handle.num_vertices();
   std::vector<uint32_t> level(n, LevelFunctor::kUnreached);
   level[source] = 0;
-  LevelFunctor func{level.data(), 0};
-  Frontier frontier = Frontier::Single(n, source);
-  EdgeMapOptions edge_map;
-  edge_map.locks = &locks;
-  uint32_t depth = 0;
+  LevelFunctor func{level.data(), 1};
   VertexId farthest = source;
-  while (!frontier.Empty()) {
-    func.round = depth + 1;
-    Frontier next = EdgeMapPush(out, frontier, func, edge_map);
-    if (next.Empty()) {
-      // Any member of the last non-empty frontier is farthest.
-      frontier.EnsureSparse();
-      farthest = frontier.Vertices().front();
-      break;
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-  return {depth, farthest};
+  AlgoStats stats;
+  obs::TraceSession trace(stats.trace, "diameter", config.layout, config.direction,
+                          config.sync);
+  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace, stats,
+            [&](Frontier reached) {
+              if (!reached.Empty()) {
+                reached.EnsureSparse();
+                farthest = *std::min_element(reached.Vertices().begin(),
+                                             reached.Vertices().end());
+                ++func.round;
+              }
+              return reached;
+            });
+  return {func.round - 1, farthest};
 }
 
 }  // namespace
@@ -89,10 +88,11 @@ uint32_t EstimateDiameter(const EdgeList& graph, int sweeps, VertexId seed) {
   if (graph.num_vertices() == 0) {
     return 0;
   }
+  ExecutionContext& ctx = ExecutionContext::Default();
   GraphHandle handle(graph.MakeUndirected());
-  PrepareConfig prepare;
-  handle.Prepare(prepare);
-  const Csr& out = handle.out_csr();
+  RunConfig config;
+  config.symmetric_input = true;
+  PrepareForRun(handle, config);
   if (seed >= handle.num_vertices()) {
     seed = 0;
   }
@@ -100,8 +100,7 @@ uint32_t EstimateDiameter(const EdgeList& graph, int sweeps, VertexId seed) {
   uint32_t best = 0;
   VertexId pivot = seed;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    const auto [eccentricity, farthest] =
-        EccentricityAndFarthest(out, handle.locks(), pivot);
+    const auto [eccentricity, farthest] = EccentricityAndFarthest(handle, config, ctx, pivot);
     if (eccentricity > best) {
       best = eccentricity;
     }

@@ -18,8 +18,9 @@ namespace egraph {
 double GlobalClusteringCoefficient(const EdgeList& graph);
 
 // Diameter lower bound via the double-sweep heuristic over the undirected
-// view: BFS from `seed`, then BFS from the farthest vertex found; repeat
-// `sweeps` times, chaining the farthest endpoints. Exact on trees; a tight
+// view: BFS from `seed`, then BFS from the farthest vertex found (the
+// smallest id in the last level); repeat `sweeps` times, chaining the
+// farthest endpoints. Exact on trees; a tight
 // lower bound in practice.
 uint32_t EstimateDiameter(const EdgeList& graph, int sweeps = 2, VertexId seed = 0);
 

@@ -4,21 +4,60 @@
 #include <queue>
 #include <stack>
 
-#include "src/engine/scan.h"
+#include "src/algos/rounds.h"
+#include "src/obs/phase.h"
+#include "src/obs/trace.h"
 #include "src/util/atomics.h"
-#include "src/util/bitmap.h"
 #include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace egraph {
+namespace {
+
+constexpr uint32_t kUnreached = std::numeric_limits<uint32_t>::max();
+
+// Forward-phase path counting over one BFS level: the first update to reach
+// an unreached vertex claims it for the next level (and reports it), and
+// every update from a level-d predecessor adds that predecessor's path
+// count. Cond keeps the unreached and the next level: a pull gather then
+// walks all of a vertex's predecessors instead of stopping at the first.
+struct PathCountFunctor {
+  uint32_t* level;
+  double* sigma;
+  uint32_t next_level = 1;
+
+  bool Update(VertexId src, VertexId dst, float /*weight*/) {
+    const bool claimed = level[dst] == kUnreached;
+    if (claimed) {
+      AtomicStore(&level[dst], next_level);
+    }
+    sigma[dst] += sigma[src];
+    return claimed;
+  }
+
+  bool UpdateAtomic(VertexId src, VertexId dst, float /*weight*/) {
+    const bool claimed = AtomicCas(&level[dst], kUnreached, next_level);
+    AtomicAdd(&sigma[dst], sigma[src]);
+    return claimed;
+  }
+
+  bool Cond(VertexId dst) const {
+    const uint32_t l = AtomicLoad(&level[dst]);
+    return l == kUnreached || l == next_level;
+  }
+};
+
+}  // namespace
 
 BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
                         const RunConfig& config, ExecutionContext& ctx) {
   ExecutionContext::Scope exec_scope(ctx);
   RunConfig bc_config = config;
   bc_config.layout = Layout::kAdjacency;
-  bc_config.direction = Direction::kPush;
   PrepareForRun(handle, bc_config);
+  RunConfig backward = bc_config;
+  backward.direction = Direction::kPush;
+  PrepareForRun(handle, backward);  // the backward phase walks out-lists
 
   BcResult result;
   const VertexId n = handle.num_vertices();
@@ -27,19 +66,19 @@ BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
     return result;
   }
   const Csr& out = handle.out_csr();
-  const int workers = ThreadPool::Current().num_threads();
 
   Timer total;
+  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
+  obs::TraceSession trace(result.stats.trace, "betweenness", bc_config.layout,
+                          bc_config.direction, bc_config.sync);
   std::vector<uint32_t> level(n);
   std::vector<double> sigma(n);  // shortest-path counts
   std::vector<double> delta(n);  // dependency accumulators
-  constexpr uint32_t kUnreached = std::numeric_limits<uint32_t>::max();
 
   for (const VertexId source : sources) {
     if (source >= n) {
       continue;
     }
-    Timer iteration;
     VertexMap(n, [&](VertexId v) {
       level[v] = kUnreached;
       sigma[v] = 0.0;
@@ -48,43 +87,19 @@ BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
     level[source] = 0;
     sigma[source] = 1.0;
 
-    // Forward phase: level-synchronous BFS; sigma[v] accumulates the path
-    // counts of all level-(d-1) predecessors (atomic adds: several
-    // predecessors may discover v in the same level).
-    std::vector<std::vector<VertexId>> levels;
-    levels.push_back({source});
-    while (true) {
-      const std::vector<VertexId>& frontier = levels.back();
-      const uint32_t depth = static_cast<uint32_t>(levels.size() - 1);
-      std::vector<std::vector<VertexId>> buffers(static_cast<size_t>(workers));
-      Bitmap discovered(n);
-      ParallelForChunks(0, static_cast<int64_t>(frontier.size()), /*grain=*/64,
-                        [&](int64_t lo, int64_t hi, int worker) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            const VertexId u = frontier[static_cast<size_t>(i)];
-                            const double su = sigma[u];
-                            for (const VertexId v : out.Neighbors(u)) {
-                              // Claim-or-join: v belongs to the next level if
-                              // undiscovered; path counts add either way.
-                              if (AtomicCas(&level[v], kUnreached, depth + 1) &&
-                                  discovered.TestAndSet(v)) {
-                                buffers[static_cast<size_t>(worker)].push_back(v);
-                              }
-                              if (AtomicLoad(&level[v]) == depth + 1) {
-                                AtomicAdd(&sigma[v], su);
-                              }
-                            }
-                          }
-                        });
-      std::vector<VertexId> next;
-      for (auto& b : buffers) {
-        next.insert(next.end(), b.begin(), b.end());
-      }
-      if (next.empty()) {
-        break;
-      }
-      levels.push_back(std::move(next));
-    }
+    // Forward phase: level-synchronous rounds; each round's discoveries are
+    // the next level, recorded for the backward phase.
+    PathCountFunctor func{level.data(), sigma.data()};
+    std::vector<std::vector<VertexId>> levels{{source}};
+    RunRounds(handle, Frontier::Single(n, source), func, bc_config, ctx, trace, result.stats,
+              [&](Frontier next) {
+                if (!next.Empty()) {
+                  next.EnsureSparse();
+                  levels.push_back(next.Vertices());
+                  ++func.next_level;
+                }
+                return next;
+              });
 
     // Backward phase: process levels deepest-first; each vertex gathers from
     // its successors (out-neighbors one level deeper) — writes are to the
@@ -108,8 +123,6 @@ BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
         result.centrality[v] += delta[v];
       }
     });
-    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-    ++result.stats.iterations;
   }
   result.stats.algorithm_seconds = total.Seconds();
   return result;

@@ -1,8 +1,9 @@
 // Betweenness centrality (Brandes) over unweighted directed graphs, the
 // standard frontier-parallel formulation (as in Ligra's BC): a forward BFS
-// accumulates shortest-path counts per level; a backward sweep over the
-// levels accumulates dependencies. Exact for the given sources; pass a
-// sample of sources for the usual approximation.
+// on the shared round loop accumulates shortest-path counts per level; a
+// backward sweep over the recorded levels accumulates dependencies. Exact
+// for the given sources; pass a sample of sources for the usual
+// approximation.
 #ifndef SRC_ALGOS_BETWEENNESS_H_
 #define SRC_ALGOS_BETWEENNESS_H_
 
@@ -21,7 +22,9 @@ struct BcResult {
 };
 
 // Runs Brandes from each source in turn (each source's BFS and back-sweep
-// are internally parallel). Uses the out-CSR.
+// are internally parallel). Runs on adjacency lists: the forward phase
+// honours config's direction and sync, and the backward phase walks the
+// out-CSR. stats counts the forward rounds of all sources.
 BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
                         const RunConfig& config,
                         ExecutionContext& ctx = ExecutionContext::Default());

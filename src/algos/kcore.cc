@@ -1,79 +1,82 @@
 #include "src/algos/kcore.h"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 
-#include "src/engine/scan.h"
+#include "src/algos/rounds.h"
+#include "src/engine/buckets.h"
+#include "src/obs/phase.h"
+#include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
 
 namespace egraph {
+namespace {
+
+// Core number of a vertex not yet peeled.
+constexpr uint32_t kLive = std::numeric_limits<uint32_t>::max();
+
+// Bucketed peeling (GBBS's k-core over lazy buckets). A live vertex waits in
+// bucket max(remaining degree, k), which never falls below k, the bucket
+// being taken; a peeled vertex reports its core, below every bucket still to
+// come, so its stale entries drop out. Peeling a bucket costs each live
+// neighbour one remaining degree, and a neighbour whose bucket fell (degree
+// above k) joins the round's output to be filed again. Members of one
+// bucket skip each other (Cond): they share core k.
+struct PeelFunctor {
+  uint32_t* degree;  // remaining degree: neighbours not yet peeled
+  uint32_t* core;
+  uint32_t k = 0;
+
+  uint64_t Bucket(VertexId v) const {
+    return core[v] != kLive ? core[v] : std::max(degree[v], k);
+  }
+
+  bool Update(VertexId /*src*/, VertexId dst, float /*weight*/) {
+    const uint32_t old = degree[dst];
+    AtomicStore(&degree[dst], old - 1);
+    return old > k;
+  }
+
+  bool UpdateAtomic(VertexId /*src*/, VertexId dst, float /*weight*/) {
+    return reinterpret_cast<std::atomic<uint32_t>*>(&degree[dst])
+               ->fetch_sub(1, std::memory_order_relaxed) > k;
+  }
+
+  bool Cond(VertexId dst) const { return core[dst] == kLive; }
+};
+
+}  // namespace
 
 KcoreResult RunKcore(GraphHandle& handle, const RunConfig& config, ExecutionContext& ctx) {
   ExecutionContext::Scope exec_scope(ctx);
-  RunConfig kcore_config = config;
-  kcore_config.layout = Layout::kAdjacency;
-  kcore_config.direction = Direction::kPush;  // needs the out-CSR
-  PrepareForRun(handle, kcore_config);
-
+  PrepareForRun(handle, config);
   KcoreResult result;
   const VertexId n = handle.num_vertices();
-  const Csr& csr = handle.out_csr();
 
   Timer total;
-  // Remaining degree of each vertex; decremented as neighbors peel away.
-  std::vector<uint32_t> degree(n);
-  VertexMap(n, [&](VertexId v) { degree[v] = csr.Degree(v); });
-  result.core.assign(n, 0);
-  std::vector<uint8_t> removed(n, 0);
-
-  int64_t alive = n;
-  uint32_t k = 0;
-  while (alive > 0) {
-    // Peel all vertices of remaining degree <= k, cascading within level k.
-    bool peeled_any = false;
-    do {
-      Timer iteration;
-      const int workers = ThreadPool::Current().num_threads();
-      std::vector<std::vector<VertexId>> buffers(static_cast<size_t>(workers));
-      ParallelForChunks(0, static_cast<int64_t>(n), /*grain=*/512,
-                        [&](int64_t lo, int64_t hi, int worker) {
-                          for (int64_t v = lo; v < hi; ++v) {
-                            if (AtomicLoad(&removed[static_cast<size_t>(v)]) == 0 &&
-                                AtomicLoad(&degree[static_cast<size_t>(v)]) <= k) {
-                              buffers[static_cast<size_t>(worker)].push_back(
-                                  static_cast<VertexId>(v));
-                            }
-                          }
-                        });
-      std::vector<VertexId> frontier;
-      for (auto& b : buffers) {
-        frontier.insert(frontier.end(), b.begin(), b.end());
+  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
+  obs::TraceSession trace(result.stats.trace, "kcore", config.layout, config.direction,
+                          config.sync);
+  std::vector<uint32_t> degree = OutDegrees(handle, config.layout);
+  result.core.assign(n, kLive);
+  PeelFunctor func{degree.data(), result.core.data()};
+  Buckets buckets(n, [&func](VertexId v) { return func.Bucket(v); });
+  // Takes the lowest bucket and peels its members at its id.
+  auto peel = [&](Frontier fallen) {
+    Frontier taken = buckets.Next(std::move(fallen));
+    if (!taken.Empty()) {
+      const std::vector<VertexId>& members = taken.Vertices();
+      func.k = static_cast<uint32_t>(func.Bucket(members.front()));
+      for (const VertexId v : members) {
+        func.core[v] = func.k;
       }
-      peeled_any = !frontier.empty();
-      if (peeled_any) {
-        ParallelForGrain(0, static_cast<int64_t>(frontier.size()), /*grain=*/64,
-                         [&](int64_t i) {
-                           const VertexId v = frontier[static_cast<size_t>(i)];
-                           AtomicStore(&removed[v], uint8_t{1});
-                           result.core[v] = k;
-                           for (const VertexId u : csr.Neighbors(v)) {
-                             if (AtomicLoad(&removed[u]) == 0) {
-                               // Saturating decrement; benign if it briefly
-                               // underestimates (vertex peels this level).
-                               reinterpret_cast<std::atomic<uint32_t>*>(&degree[u])
-                                   ->fetch_sub(1, std::memory_order_relaxed);
-                             }
-                           }
-                         });
-        alive -= static_cast<int64_t>(frontier.size());
-        result.stats.frontier_sizes.push_back(static_cast<int64_t>(frontier.size()));
-        result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-        ++result.stats.iterations;
-      }
-    } while (peeled_any && alive > 0);
-    ++k;
-  }
-  result.max_core = k == 0 ? 0 : k - 1;
+    }
+    return taken;
+  };
+  RunRounds(handle, peel(Frontier::All(n)), func, config, ctx, trace, result.stats, peel);
+  result.max_core = func.k;
   result.stats.algorithm_seconds = total.Seconds();
   return result;
 }

@@ -1,7 +1,7 @@
 // NUMA memory-system cost model (hardware substitution; see DESIGN.md).
 //
-// The engine/NUMA drivers count, per vertex-data access, whether the
-// accessing thread's node matches the data's node, and which node the access
+// Access counts (src/numa/numa_run.h) give, per iteration, how many
+// vertex-data accesses are local and remote, and which node each access
 // targets. The model converts a *measured* algorithm time plus those counts
 // into the time the same execution would take under a given topology:
 //

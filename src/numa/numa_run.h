@@ -1,22 +1,23 @@
-// NUMA-aware algorithm drivers (paper section 7): execute BFS / Pagerank
-// over a NumaPartition, with per-iteration access accounting feeding the
-// cost model. The partitioned execution is real (it runs over the per-node
-// CSRs built by PartitionGraph and its wall time is measured); only the
-// memory-latency consequence of placement is modeled, because this machine
-// has a single NUMA node (see DESIGN.md, Substitutions).
+// Access counts of BFS and Pagerank under a NUMA partition (paper section
+// 7), priced by the cost model against the engine's measured time. Only the
+// partitioning is executed (PartitionGraph, whose wall time is the paper's
+// partitioning cost); the algorithms run on the engine, and the
+// memory-latency consequence of placement is modeled, because the host has
+// a single NUMA node (see DESIGN.md, Substitutions).
 //
-// Accounting counts one access per edge endpoint touched: reading the
-// source's metadata and writing the destination's. Each access lands in
-// per_node[k] of the node k owning the vertex; that histogram is a pure
-// function of the graph, partition and source, and the cost model's
-// contention term reads it. local/remote instead score each access against
-// the executing worker's home node, worker_id * num_nodes / num_threads
-// (block-cyclic core-to-node mapping). Work items do not follow ownership,
-// so about 1/num_nodes of the accesses come out local whatever the
-// placement, and the split moves with the pool width and the schedule.
+// The counts are pure functions of graph, partition and source. BFS
+// iteration i expands level i over every node's out-CSR: each level-i
+// vertex's metadata is read once per node, on its own node, and each of its
+// out-edges writes its destination's metadata, on the destination's node.
+// That per_node histogram feeds the contention term. The local/remote split
+// is stated, not counted: work items do not follow ownership, so one access
+// in num_nodes is local whatever the placement. Pagerank's counts assume
+// node-local replicas of the contribution array (Polymer, Gemini).
 #ifndef SRC_NUMA_NUMA_RUN_H_
 #define SRC_NUMA_NUMA_RUN_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/numa/cost_model.h"
@@ -25,39 +26,23 @@
 
 namespace egraph {
 
-struct NumaIterationSample {
-  double seconds = 0.0;
-  AccessCounts counts;  // placement of this iteration's accesses
-};
+// One AccessCounts per BFS iteration: levels[v] is v's hop distance from the
+// source (UINT32_MAX when unreached), and entry i covers the expansion of
+// level i. Needs the partition's out-CSRs.
+std::vector<AccessCounts> BfsAccessCounts(const NumaPartition& partition,
+                                          std::span<const uint32_t> levels);
 
-struct NumaRunResult {
-  double algorithm_seconds = 0.0;
-  std::vector<NumaIterationSample> iterations;
-};
-
-// BFS over the partitioned graph; writes the parent tree to `parent` if
-// non-null. Frontier expansion walks each node's local out-CSR, so all
-// destination writes land on the owning node — the locality NUMA-awareness
-// buys, and (per the paper) the very thing that serializes BFS onto one
-// memory controller when the frontier is concentrated.
-NumaRunResult RunBfsNumaPartitioned(const NumaPartition& partition, VertexId source,
-                                    std::vector<VertexId>* parent);
-
-// Pagerank (pull, lock-free) over the partitioned graph.
-NumaRunResult RunPagerankNumaPartitioned(const NumaPartition& partition, int iterations,
-                                         float damping, std::vector<float>* rank);
-
-// Total modeled time of a partitioned run under `topo`: per-iteration
-// modeled costs summed (contention is a per-iteration phenomenon).
-double ModeledTotalSeconds(const NumaRunResult& result, const NumaTopology& topo,
-                           const CostModelOptions& options = {});
+// The access counts of one Pagerank iteration (pull, lock-free): one local
+// read per edge and one local write per vertex on the owning node, plus the
+// replica refresh, in which every node fetches the (n-1)/n remote share of
+// the contribution array.
+AccessCounts PagerankAccessCounts(const NumaPartition& partition);
 
 // Models the partitioned execution's time by scaling a *measured interleaved
-// baseline* with the access-weighted latency/contention factor implied by
-// the partitioned run's placement counts. This removes code-path differences
-// between the engine (baseline) and the NUMA driver (accounting source) from
-// the comparison: both placements are priced on the same implementation.
-double ModeledFromBaseline(double baseline_seconds, const NumaRunResult& run,
+// baseline* with the access-weighted latency/contention factor of the
+// per-iteration counts. Both placements are priced on the same
+// implementation, the engine's.
+double ModeledFromBaseline(double baseline_seconds, std::span<const AccessCounts> iterations,
                            const NumaTopology& topo, const CostModelOptions& options = {});
 
 }  // namespace egraph

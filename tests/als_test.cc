@@ -119,20 +119,31 @@ TEST_F(AlsTest, FactorsHaveRequestedShape) {
 }
 
 TEST_F(AlsTest, DeterministicForSeed) {
-  const BipartiteGraph data = MakeData();
+  // Enough ratings (395,780) that a pool-shaped reduction would group the
+  // RMSE sum differently at 1 and 4 threads.
+  BipartiteOptions data_options;
+  data_options.num_users = 20000;
+  data_options.num_items = 2000;
+  data_options.avg_ratings_per_user = 20;
+  const BipartiteGraph data = GenerateBipartite(data_options);
   AlsOptions options;
   options.rank = 4;
   options.iterations = 3;
+  ExecutionContextOptions one_thread;
+  one_thread.num_threads = 1;
+  ExecutionContextOptions four_threads;
+  four_threads.num_threads = 4;
+  ExecutionContext ctx1(one_thread);
+  ExecutionContext ctx4(four_threads);
   GraphHandle h1(data.edges);
-  GraphHandle h2(data.edges);
-  const AlsResult a = RunAls(h1, data.num_users, options, RunConfig{});
-  const AlsResult b = RunAls(h2, data.num_users, options, RunConfig{});
-  // Factor solves are per-vertex deterministic; RMSE uses a deterministic
-  // reduction tree only when thread counts match, so compare loosely.
-  ASSERT_EQ(a.rmse_per_iteration.size(), b.rmse_per_iteration.size());
-  for (size_t i = 0; i < a.rmse_per_iteration.size(); ++i) {
-    EXPECT_NEAR(a.rmse_per_iteration[i], b.rmse_per_iteration[i], 1e-6);
-  }
+  GraphHandle h4(data.edges);
+  const AlsResult a = RunAls(h1, data.num_users, options, RunConfig{}, ctx1);
+  const AlsResult b = RunAls(h4, data.num_users, options, RunConfig{}, ctx4);
+  // Factor solves are per vertex and the RMSE sums in fixed blocks, so the
+  // run is bit-identical at every pool width.
+  EXPECT_EQ(a.rmse_per_iteration, b.rmse_per_iteration);
+  EXPECT_EQ(a.user_factors, b.user_factors);
+  EXPECT_EQ(a.item_factors, b.item_factors);
 }
 
 TEST_F(AlsTest, PredictionsRecoverHeldBehaviour) {

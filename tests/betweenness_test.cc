@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "src/algos/betweenness.h"
 #include "src/gen/erdos_renyi.h"
@@ -67,6 +68,7 @@ TEST(Betweenness, MatchesReferenceOnRandomGraphs) {
   }
 }
 
+// Every direction x sync pair of the forward phase.
 TEST(Betweenness, MatchesReferenceOnPowerLaw) {
   RmatOptions options;
   options.scale = 8;
@@ -75,9 +77,18 @@ TEST(Betweenness, MatchesReferenceOnPowerLaw) {
   for (VertexId v = 0; v < graph.num_vertices(); v += 37) {
     sources.push_back(v);
   }
-  GraphHandle handle(graph);
-  const BcResult result = RunBetweenness(handle, sources, RunConfig{});
-  ExpectCentralityNear(result.centrality, RefBetweenness(graph, sources));
+  const std::vector<double> expected = RefBetweenness(graph, sources);
+  for (const Direction direction : {Direction::kPush, Direction::kPull, Direction::kPushPull}) {
+    for (const Sync sync : {Sync::kAtomics, Sync::kLocks, Sync::kLockFree}) {
+      SCOPED_TRACE(std::string(DirectionName(direction)) + "/" + SyncName(sync));
+      RunConfig config;
+      config.direction = direction;
+      config.sync = sync;
+      GraphHandle handle(graph);
+      const BcResult result = RunBetweenness(handle, sources, config);
+      ExpectCentralityNear(result.centrality, expected);
+    }
+  }
 }
 
 TEST(Betweenness, UnreachableAndInvalidSources) {

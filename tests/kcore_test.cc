@@ -2,6 +2,9 @@
 // reference, plus structural invariants of core numbers.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+
 #include "src/algos/kcore.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
@@ -52,17 +55,53 @@ TEST(Kcore, CliqueCoreIsSizeMinusOne) {
   }
 }
 
+// Every layout x direction x sync cell peels each vertex exactly once and
+// matches the reference.
 TEST(Kcore, MatchesReferenceOnRmat) {
   RmatOptions options;
   options.scale = 10;
   const EdgeList undirected = Undirected(GenerateRmat(options));
-  GraphHandle handle(undirected);
-  const KcoreResult result = RunKcore(handle, RunConfig{});
   const std::vector<uint32_t> expected = RefKcore(undirected);
-  ASSERT_EQ(result.core.size(), expected.size());
-  for (VertexId v = 0; v < undirected.num_vertices(); ++v) {
-    ASSERT_EQ(result.core[v], expected[v]) << "vertex " << v;
+  for (const Layout layout : {Layout::kAdjacency, Layout::kCompressed, Layout::kEdgeArray,
+                              Layout::kGrid, Layout::kSharded}) {
+    for (const Direction direction :
+         {Direction::kPush, Direction::kPull, Direction::kPushPull}) {
+      for (const Sync sync : {Sync::kAtomics, Sync::kLocks, Sync::kLockFree}) {
+        RunConfig config;
+        config.layout = layout;
+        config.direction = direction;
+        config.sync = sync;
+        const std::string cell = std::string(LayoutName(layout)) + "/" +
+                                 DirectionName(direction) + "/" + SyncName(sync);
+        GraphHandle handle(undirected);
+        const KcoreResult result = RunKcore(handle, config);
+        EXPECT_EQ(result.core, expected) << cell;
+        const std::vector<int64_t>& peeled = result.stats.frontier_sizes;
+        EXPECT_EQ(std::accumulate(peeled.begin(), peeled.end(), int64_t{0}),
+                  int64_t{undirected.num_vertices()})
+            << cell;
+      }
+    }
   }
+}
+
+// Core numbers do not depend on the pool width.
+TEST(Kcore, BitIdenticalAcrossPoolWidths) {
+  RmatOptions options;
+  options.scale = 12;
+  const EdgeList undirected = Undirected(GenerateRmat(options));
+  ExecutionContextOptions one_thread;
+  one_thread.num_threads = 1;
+  ExecutionContextOptions four_threads;
+  four_threads.num_threads = 4;
+  ExecutionContext ctx1(one_thread);
+  ExecutionContext ctx4(four_threads);
+  GraphHandle h1(undirected);
+  GraphHandle h4(undirected);
+  const KcoreResult a = RunKcore(h1, RunConfig{}, ctx1);
+  const KcoreResult b = RunKcore(h4, RunConfig{}, ctx4);
+  EXPECT_EQ(a.core, b.core);
+  EXPECT_EQ(a.max_core, b.max_core);
 }
 
 TEST(Kcore, MatchesReferenceOnUniform) {

@@ -1,11 +1,10 @@
 // NUMA substrate tests: partition balance and conservation, cost model
-// properties, and correctness of the partitioned algorithm drivers.
+// properties, and the access counts BFS and Pagerank are priced from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
-#include "src/algos/pagerank.h"
 #include "src/algos/reference.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
@@ -153,29 +152,11 @@ TEST(CostModel, MergeAccumulates) {
   EXPECT_EQ(a.per_node, (std::vector<uint64_t>{10, 8}));
 }
 
-TEST(NumaRun, PartitionedBfsMatchesReference) {
-  const EdgeList graph = TestGraph();
-  const NumaPartition partition = PartitionGraph(graph, 4);
-  std::vector<VertexId> parent;
-  const NumaRunResult run = RunBfsNumaPartitioned(partition, 0, &parent);
-  const std::vector<uint32_t> levels = RefBfsLevels(graph, 0);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(parent[v] != kInvalidVertex, levels[v] != UINT32_MAX) << "vertex " << v;
-  }
-  EXPECT_FALSE(run.iterations.empty());
-  // Accounting captured accesses.
-  uint64_t accesses = 0;
-  for (const auto& sample : run.iterations) {
-    accesses += sample.counts.total();
-  }
-  EXPECT_GT(accesses, 0u);
-}
-
 // Above 8 nodes every node keeps its own per_node slot: each iteration's
 // histogram equals a brute-force count of the endpoints the BFS touches,
 // scored by owning node. Iteration i expands BFS level i: every frontier
 // vertex is read once per node's out-CSR, and every out-edge's destination
-// is written once.
+// is written once. One access in kNodes is local.
 TEST(NumaRun, PerNodeCountsMatchBruteForceOnSixteenNodes) {
   constexpr int kNodes = 16;
   const EdgeList graph = TestGraph(12);
@@ -203,22 +184,11 @@ TEST(NumaRun, PerNodeCountsMatchBruteForceOnSixteenNodes) {
     }
   }
 
-  const NumaRunResult run = RunBfsNumaPartitioned(partition, source, nullptr);
-  ASSERT_EQ(run.iterations.size(), expected.size());
+  const std::vector<AccessCounts> counts = BfsAccessCounts(partition, levels);
+  ASSERT_EQ(counts.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(run.iterations[i].counts.per_node, expected[i]) << "iteration " << i;
-  }
-}
-
-TEST(NumaRun, PartitionedPagerankMatchesReference) {
-  const EdgeList graph = TestGraph();
-  const NumaPartition partition = PartitionGraph(graph, 4);
-  std::vector<float> rank;
-  RunPagerankNumaPartitioned(partition, 10, 0.85f, &rank);
-  const std::vector<float> expected = RefPagerank(graph, 10, 0.85f);
-  ASSERT_EQ(rank.size(), expected.size());
-  for (size_t v = 0; v < rank.size(); ++v) {
-    ASSERT_NEAR(rank[v], expected[v], 2e-4f) << "vertex " << v;
+    EXPECT_EQ(counts[i].per_node, expected[i]) << "iteration " << i;
+    EXPECT_EQ(counts[i].local, counts[i].total() / kNodes) << "iteration " << i;
   }
 }
 
@@ -227,9 +197,8 @@ TEST(NumaRun, PagerankLocalityBeatsInterleavedOnMachineB) {
   // time is faster than interleaved on the 4-node machine.
   const EdgeList graph = TestGraph(12);
   const NumaPartition partition = PartitionGraph(graph, kMachineB.num_nodes);
-  const NumaRunResult run = RunPagerankNumaPartitioned(partition, 5, 0.85f, nullptr);
-  const double modeled = ModeledTotalSeconds(run, kMachineB);
-  EXPECT_LT(modeled, run.algorithm_seconds);
+  const AccessCounts counts = PagerankAccessCounts(partition);
+  EXPECT_LT(ModeledFromBaseline(1.0, {&counts, 1}, kMachineB), 1.0);
 }
 
 TEST(NumaRun, BfsSkewCausesContentionPenalty) {
@@ -242,11 +211,10 @@ TEST(NumaRun, BfsSkewCausesContentionPenalty) {
   road.height = 96;
   const EdgeList graph = GenerateRoad(road);
   const NumaPartition partition = PartitionGraph(graph, kMachineB.num_nodes);
-  const NumaRunResult run = RunBfsNumaPartitioned(partition, 0, nullptr);
   double max_share = 0.0;
-  for (const auto& sample : run.iterations) {
-    if (sample.counts.total() > 500) {  // ignore trivial iterations
-      max_share = std::max(max_share, sample.counts.MaxNodeShare());
+  for (const AccessCounts& counts : BfsAccessCounts(partition, RefBfsLevels(graph, 0))) {
+    if (counts.total() > 500) {  // ignore trivial iterations
+      max_share = std::max(max_share, counts.MaxNodeShare());
     }
   }
   // Substantial iterations concentrate well beyond the uniform 1/4 share,
@@ -264,11 +232,10 @@ TEST(NumaRun, BfsSkewCausesContentionPenalty) {
       source = v;
     }
   }
-  const NumaRunResult rmat_run = RunBfsNumaPartitioned(rmat_partition, source, nullptr);
   double rmat_share = 0.0;
-  for (const auto& sample : rmat_run.iterations) {
-    if (sample.counts.total() > 1000) {
-      rmat_share = std::max(rmat_share, sample.counts.MaxNodeShare());
+  for (const AccessCounts& counts : BfsAccessCounts(rmat_partition, RefBfsLevels(rmat, source))) {
+    if (counts.total() > 1000) {
+      rmat_share = std::max(rmat_share, counts.MaxNodeShare());
     }
   }
   EXPECT_LT(rmat_share, max_share);

@@ -393,6 +393,7 @@ int CmdRun(const Flags& flags) {
     graph = graph.MakeUndirected();
     graph.RemoveSelfLoops();
     graph.RemoveDuplicateEdges();
+    config.symmetric_input = true;
   }
   GraphHandle handle(std::move(graph));
   if (has_prebuilt) {
