@@ -7,8 +7,7 @@ namespace egraph {
 
 std::vector<AccessCounts> BfsAccessCounts(const NumaPartition& partition,
                                           std::span<const uint32_t> levels) {
-  const int num_nodes = partition.num_nodes();
-  const size_t nodes = static_cast<size_t>(num_nodes);
+  const size_t nodes = static_cast<size_t>(partition.num_nodes());
   AccessCounts empty;
   empty.per_node.assign(nodes, 0);
   std::vector<AccessCounts> iterations;
