@@ -2,13 +2,11 @@
 // storage included. Paper: dynamic building fully overlaps loading and wins
 // on the slow disk; radix sort wins (or ties) on the SSD; count sort is
 // inferior throughout and omitted from the paper's table (one count-sort
-// row is kept here because the loader comparison below exercises it).
+// row is kept to show its count pass overlapping the transfer).
 //
-// The loader column compares the two pipelines: `sequential` alternates
-// read / build on one thread (overlap only via the medium's absolute
-// delivery schedule), `pipelined` runs a dedicated reader thread so chunk
-// build work truly hides transfer time — stall(s) is reader time blocked on
-// the medium, overlap(s) is build time that ran during the transfer.
+// stall(s) is time the loader spent blocked on the medium; transfer(s) is
+// file bytes / bandwidth, the floor a fully overlapped build (the paper's
+// dynamic method) should reach.
 #include <cstdio>
 #include <filesystem>
 
@@ -24,19 +22,17 @@ int main() {
   // below preserves.
   const EdgeList graph = DatasetRmat(Scale() - 1);
   PrintBanner("Table 3: loading + pre-processing from SSD / disk",
-              "dynamic overlaps loading (wins on slow disk); radix <= dynamic on SSD; "
-              "pipelined loader <= sequential on overlappable methods",
+              "dynamic overlaps loading (wins on slow disk); radix <= dynamic on SSD",
               DescribeDataset("rmat", graph));
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "egraph_bench_t3.bin").string();
   WriteBinaryEdges(path, graph);
-  const double file_mib =
-      static_cast<double>(std::filesystem::file_size(path)) / (1 << 20);
+  const double file_bytes = static_cast<double>(std::filesystem::file_size(path));
   std::printf("edge file: %.1f MiB; media: ssd=380MB/s hdd=100MB/s (simulated)\n",
-              file_mib);
+              file_bytes / (1 << 20));
 
-  Table table({"approach", "loader", "out(s)", "in+out(s)", "stall(s)", "overlap(s)"});
+  Table table({"approach", "out(s)", "in+out(s)", "stall(s)", "transfer(s)"});
   struct Row {
     const char* label;
     BuildMethod method;
@@ -58,25 +54,21 @@ int main() {
       {"radix-sort, 25MB/s NAS", BuildMethod::kRadixSort, kMediumNas},
   };
   for (const Row& row : rows) {
-    for (const LoaderKind loader : {LoaderKind::kSequential, LoaderKind::kPipelined}) {
-      LoadBuildOptions options;
-      options.method = row.method;
-      options.medium = row.medium;
-      options.loader = loader;
-      // Small chunks keep the un-overlappable tail (building the final chunk
-      // after its arrival) negligible.
-      options.chunk_bytes = 1u << 20;
-      // ready_seconds: when the adjacency structure is usable (the paper's
-      // dynamic layout needs no flattening step).
-      const LoadBuildResult out_only = LoadAndBuild(path, options);
-      options.build_in = true;
-      const LoadBuildResult both = LoadAndBuild(path, options);
-      RecordResult(std::string(row.label) + ", " + LoaderKindName(loader),
-                   out_only.ready_seconds, "rmat");
-      table.AddRow({row.label, LoaderKindName(loader), Sec(out_only.ready_seconds),
-                    Sec(both.ready_seconds), Sec(both.load_stall_seconds),
-                    Sec(both.overlap_seconds)});
-    }
+    LoadBuildOptions options;
+    options.method = row.method;
+    options.medium = row.medium;
+    // Small chunks keep the un-overlappable tail (building the final chunk
+    // after its arrival) negligible.
+    options.chunk_bytes = 1u << 20;
+    // ready_seconds: when the adjacency structure is usable (the paper's
+    // dynamic layout needs no flattening step).
+    const LoadBuildResult out_only = LoadAndBuild(path, options);
+    options.build_in = true;
+    const LoadBuildResult both = LoadAndBuild(path, options);
+    RecordResult(row.label, out_only.ready_seconds, "rmat");
+    table.AddRow({row.label, Sec(out_only.ready_seconds), Sec(both.ready_seconds),
+                  Sec(both.load_stall_seconds),
+                  Sec(file_bytes / row.medium.bandwidth_bytes_per_sec)});
   }
   table.Print("Table 3");
   std::filesystem::remove(path);

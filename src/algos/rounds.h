@@ -1,9 +1,12 @@
-// Frontier rounds shared by the traversal algorithms (BFS, SSSP, WCC): one
-// engine EdgeMap per round until the frontier empties, each round recorded
-// in the run's stats and trace. The algorithms differ only in their functor,
-// their starting frontier and their selector, which turns a round's
+// Frontier rounds shared by every frontier traversal (BFS, SSSP, WCC,
+// k-core, betweenness's forward phase and the analytics diameter sweep):
+// one engine EdgeMap per round until the frontier empties, each round
+// recorded in the run's stats and trace. The algorithms differ only in their
+// functor, their starting frontier and their selector, which turns a round's
 // discoveries into the next round's frontier: BFS and WCC keep them all,
-// SSSP keeps the lowest distance bucket with work left (src/engine/buckets.h).
+// SSSP keeps the lowest distance bucket with work left and k-core peels the
+// lowest degree bucket (src/engine/buckets.h), betweenness and the diameter
+// sweep keep them all and record each level on the way.
 #ifndef SRC_ALGOS_ROUNDS_H_
 #define SRC_ALGOS_ROUNDS_H_
 

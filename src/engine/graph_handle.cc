@@ -79,8 +79,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
           return;  // installed by InstallCsr; nothing to build
         }
         BuildStats stats;
-        out_csr_ = BuildCsr(graph_, EdgeDirection::kOut, config.method, &stats,
-                            config.radix_digit_bits);
+        out_csr_ = BuildCsr(graph_, EdgeDirection::kOut, config.method, &stats);
         double seconds = stats.seconds;
         if (config.sort_neighbors) {
           seconds += out_csr_->SortNeighborLists();
@@ -94,8 +93,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
           return;
         }
         BuildStats stats;
-        in_csr_ = BuildCsr(graph_, EdgeDirection::kIn, config.method, &stats,
-                           config.radix_digit_bits);
+        in_csr_ = BuildCsr(graph_, EdgeDirection::kIn, config.method, &stats);
         double seconds = stats.seconds;
         if (config.sort_neighbors) {
           seconds += in_csr_->SortNeighborLists();
@@ -139,8 +137,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       }
       auto encode = [&](EdgeDirection direction) -> CompressedCsr {
         BuildStats stats;
-        const Csr temporary =
-            BuildCsr(graph_, direction, config.method, &stats, config.radix_digit_bits);
+        const Csr temporary = BuildCsr(graph_, direction, config.method, &stats);
         double seconds = 0.0;
         CompressedCsr compressed = CompressedCsr::FromCsr(temporary, &seconds);
         AddPreprocessSeconds(stats.seconds + seconds);

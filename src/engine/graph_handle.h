@@ -44,7 +44,6 @@ struct PrepareConfig {
   // Grid dimension; 0 picks an automatic block count (~256 for large graphs,
   // fewer for small ones so blocks do not dwarf vertices).
   uint32_t grid_blocks = 0;
-  int radix_digit_bits = 8;
   // Declare the edge list symmetric (already undirected): the in-CSR then
   // aliases the out-CSR instead of being built — the paper's observation
   // that "when the graph is undirected ... push-pull induces no extra

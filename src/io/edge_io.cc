@@ -35,12 +35,6 @@ void WriteOrThrow(std::FILE* f, const void* data, size_t bytes, const std::strin
   }
 }
 
-void ReadOrThrow(std::FILE* f, void* data, size_t bytes, const std::string& path) {
-  if (bytes != 0 && std::fread(data, 1, bytes, f) != bytes) {
-    throw std::runtime_error("truncated read from " + path);
-  }
-}
-
 }  // namespace
 
 void WriteBinaryEdges(const std::string& path, const EdgeList& graph) {
@@ -54,68 +48,6 @@ void WriteBinaryEdges(const std::string& path, const EdgeList& graph) {
   if (graph.has_weights()) {
     WriteOrThrow(file.get(), graph.weights().data(), graph.weights().size() * sizeof(float),
                  path);
-  }
-}
-
-EdgeFileHeader ReadEdgeFileHeader(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  EdgeFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
-  return header;
-}
-
-EdgeList ReadBinaryEdges(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  EdgeFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
-  // Check the declared sections against the physical size before sizing
-  // buffers, so a corrupt edge count fails cleanly instead of OOMing.
-  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
-    throw std::runtime_error("seek failed on " + path);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(std::ftell(file.get()));
-  ValidateEdgeFileSize(header, file_bytes, path);
-  std::fseek(file.get(), sizeof(EdgeFileHeader), SEEK_SET);
-  EdgeList graph;
-  graph.set_num_vertices(header.num_vertices);
-  graph.mutable_edges().resize(header.num_edges);
-  ReadOrThrow(file.get(), graph.mutable_edges().data(), header.num_edges * sizeof(Edge), path);
-  if (header.has_weights()) {
-    graph.mutable_weights().resize(header.num_edges);
-    ReadOrThrow(file.get(), graph.mutable_weights().data(), header.num_edges * sizeof(float),
-                path);
-  }
-  ValidateEdgeChunk(graph.edges(), header.num_vertices, path);
-  return graph;
-}
-
-void ValidateEdgeChunk(std::span<const Edge> edges, VertexId num_vertices,
-                       const std::string& path) {
-  const VertexId max_endpoint = ParallelReduceMax<VertexId>(
-      0, static_cast<int64_t>(edges.size()), 0, [&edges](int64_t i) {
-        const Edge& e = edges[static_cast<size_t>(i)];
-        return e.src > e.dst ? e.src : e.dst;
-      });
-  if (!edges.empty() && max_endpoint >= num_vertices) {
-    throw std::runtime_error("edge endpoint out of range in " + path);
-  }
-}
-
-void ValidateEdgeFileSize(const EdgeFileHeader& header, uint64_t file_bytes,
-                          const std::string& path) {
-  // Per-edge cost: 8 bytes, plus 4 for the weight when present. Overflow
-  // guard first: a garbage num_edges must not wrap the product.
-  const uint64_t per_edge = sizeof(Edge) + (header.has_weights() ? sizeof(float) : 0);
-  const uint64_t payload_budget = UINT64_MAX - sizeof(EdgeFileHeader);
-  if (header.num_edges > payload_budget / per_edge ||
-      sizeof(EdgeFileHeader) + header.num_edges * per_edge > file_bytes) {
-    throw std::runtime_error("truncated edge file: " + path);
   }
 }
 

@@ -1,6 +1,8 @@
 // Edge-list persistence. The binary format mirrors the paper's assumption
 // that "the graph input takes the form of an edge array": a fixed header
-// followed by raw (src, dst) pairs, then optional float weights.
+// followed by raw (src, dst) pairs, then optional float weights. It is
+// written here and read by the one streaming loop in loader.h (LoadEdges,
+// LoadAndBuild).
 //
 // Binary layout (little endian):
 //   uint64 magic       "EGRAPH01"
@@ -13,7 +15,6 @@
 #define SRC_IO_EDGE_IO_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "src/graph/edge_list.h"
@@ -34,25 +35,6 @@ static_assert(sizeof(EdgeFileHeader) == 24);
 
 // Writes `graph` to `path`. Throws std::runtime_error on I/O failure.
 void WriteBinaryEdges(const std::string& path, const EdgeList& graph);
-
-// Reads a full graph. Throws std::runtime_error on missing/corrupt/truncated
-// input (bad magic, size mismatch).
-EdgeList ReadBinaryEdges(const std::string& path);
-
-// Reads just the header (for streaming loaders).
-EdgeFileHeader ReadEdgeFileHeader(const std::string& path);
-
-// Throws std::runtime_error if any endpoint in `edges` is >= num_vertices.
-// Parallel scan; the loaders call this per streamed chunk so a corrupt file
-// cannot drive an out-of-bounds scatter in the builders.
-void ValidateEdgeChunk(std::span<const Edge> edges, VertexId num_vertices,
-                       const std::string& path);
-
-// Throws std::runtime_error if a file of `file_bytes` bytes cannot contain
-// the sections `header` declares (overflow-safe). Loaders call this before
-// sizing buffers so a corrupt edge count fails cleanly instead of OOMing.
-void ValidateEdgeFileSize(const EdgeFileHeader& header, uint64_t file_bytes,
-                          const std::string& path);
 
 // Text interchange: one "src dst [weight]" line per edge; '#' comments
 // allowed. Vertex count is the max endpoint + 1 unless a "# vertices N"

@@ -6,28 +6,23 @@
 //   count sort  - the degree-count pass overlaps; the scatter pass runs after
 //   radix sort  - only the raw load overlaps; sorting runs after
 //
-// Two loader implementations are selectable:
-//
-//   sequential - one thread alternates read / build: overlap only happens
-//                inside the medium's absolute delivery schedule
-//   pipelined  - a dedicated reader thread (parallel_loader.h) streams the
-//                next chunk while the calling thread builds the previous
-//                one, so chunk build work truly hides transfer time
+// One loop reads every binary edge file: it reads the header, checks the
+// declared sections against the file size, then alternates read / build per
+// chunk. The overlap comes from the medium's absolute delivery schedule
+// (storage_sim.h): chunk k falls due at a fixed time, so the build work on
+// chunk k-1 runs while the medium "transfers" chunk k.
 #ifndef SRC_IO_LOADER_H_
 #define SRC_IO_LOADER_H_
 
 #include <string>
 
 #include "src/graph/edge_list.h"
+#include "src/io/edge_io.h"
 #include "src/io/storage_sim.h"
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
 
 namespace egraph {
-
-enum class LoaderKind { kSequential, kPipelined };
-
-const char* LoaderKindName(LoaderKind kind);
 
 struct LoadBuildResult {
   Csr out;
@@ -37,9 +32,6 @@ struct LoadBuildResult {
   double total_seconds = 0.0;      // wall time: first byte to finished CSR(s)
   double load_stall_seconds = 0.0; // time blocked on the medium
   double post_load_seconds = 0.0;  // build work after the last chunk arrived
-  // Pipelined loader only: chunk build time that ran while the reader thread
-  // was still streaming (the overlap the sequential loader cannot achieve).
-  double overlap_seconds = 0.0;
   // Wall time until the adjacency structure is queryable. For the dynamic
   // method this is the end of streaming: the paper's dynamic layout IS the
   // per-vertex arrays, ready the moment the last chunk is consumed (we then
@@ -53,8 +45,6 @@ struct LoadBuildOptions {
   bool build_in = false;  // also build the incoming adjacency list
   StorageMedium medium = kMediumMemory;
   size_t chunk_bytes = 8u << 20;  // streaming chunk size
-  LoaderKind loader = LoaderKind::kSequential;
-  int max_chunks_in_flight = 4;   // pipelined loader queue depth
 };
 
 // Loads the binary edge file at `path` and builds adjacency lists per
@@ -63,8 +53,13 @@ struct LoadBuildOptions {
 LoadBuildResult LoadAndBuild(const std::string& path, const LoadBuildOptions& options);
 
 // Plain streaming load with no pre-processing (the edge-array layout's full
-// "pre-processing": nothing). Returns the graph and the wall time.
+// "pre-processing": nothing). Returns the graph and the wall time. Throws
+// std::runtime_error on missing, corrupt or truncated input.
 EdgeList LoadEdges(const std::string& path, StorageMedium medium, double* seconds = nullptr);
+
+// Reads just the header, after the same magic and section-size checks the
+// streaming loop runs. Throws std::runtime_error on malformed input.
+EdgeFileHeader ReadEdgeFileHeader(const std::string& path);
 
 }  // namespace egraph
 

@@ -62,10 +62,4 @@ size_t ThrottledFileReader::Read(void* dst, size_t bytes) {
   return got;
 }
 
-void ThrottledFileReader::SkipUnthrottled(uint64_t bytes) {
-  if (std::fseek(impl_->file, static_cast<long>(bytes), SEEK_CUR) != 0) {
-    throw std::runtime_error("seek failed in throttled reader");
-  }
-}
-
 }  // namespace egraph

@@ -40,11 +40,6 @@ class ThrottledFileReader {
   // Returns bytes actually read (0 at EOF). Throws on I/O error.
   size_t Read(void* dst, size_t bytes);
 
-  // Skips `bytes` without throttling (e.g. a header already validated).
-  void SkipUnthrottled(uint64_t bytes);
-
-  uint64_t bytes_delivered() const { return bytes_delivered_; }
-
   // Size of the underlying file in bytes (from fstat at open).
   uint64_t file_bytes() const { return file_bytes_; }
 

@@ -45,9 +45,8 @@ AdjacencyPair BuildCsrPair(const EdgeList& graph, BuildMethod method, int digit_
 // Incremental dynamic builder: consumes edge chunks as they arrive from
 // storage so that construction fully overlaps loading (paper section 3.4:
 // "the dynamic approach ... can be fully overlapped with loading").
-// Chunk entry points are thread-safe: per-vertex striped locks serialize
-// list growth, so the pipelined loader (or several consumers) may call
-// AddChunk/AddChunkDeferred concurrently on disjoint chunks.
+// Each chunk is inserted in parallel: per-vertex striped locks serialize
+// list growth among the pool's workers.
 class DynamicAdjacencyBuilder {
  public:
   DynamicAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction, bool weighted);
@@ -84,9 +83,8 @@ class DynamicAdjacencyBuilder {
 
 // Incremental count-sort front half: counts degrees chunk by chunk (the only
 // phase of count sort that can overlap loading), then scatters in one pass
-// over the fully loaded edge array. CountChunk is thread-safe (the degree
-// array is updated with atomic adds), so pipelined consumers may overlap
-// chunks.
+// over the fully loaded edge array. CountChunk counts in parallel (the
+// degree array is updated with atomic adds).
 class CountingAdjacencyBuilder {
  public:
   CountingAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction);

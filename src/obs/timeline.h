@@ -156,7 +156,8 @@ class Timeline {
 #endif
   }
 
-  // Names the calling thread's track in the exported trace ("io.reader").
+  // Names the calling thread's track in the exported trace (ExecutionContext
+  // scopes pass the context's name, such as "serve.w0").
   static void SetThreadLabel(const std::string& label) {
 #if EGRAPH_METRICS
     if (!Enabled()) {
@@ -338,7 +339,7 @@ bool TimelineEnableFromEnv();
 
 struct TimelineWorkerSummary {
   int tid = 0;
-  int worker_id = -1;  // -1: not a pool worker (io.reader etc.)
+  int worker_id = -1;  // -1: not a pool worker (a labelled foreign thread)
   std::string label;
   uint64_t events = 0;
   uint64_t dropped = 0;

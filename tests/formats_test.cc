@@ -1,5 +1,4 @@
-// Tests for interchange formats (SNAP, MatrixMarket) and the memory-mapped
-// edge file.
+// Tests for the interchange formats (SNAP, MatrixMarket).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -7,10 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "src/gen/rmat.h"
-#include "src/io/edge_io.h"
 #include "src/io/formats.h"
-#include "src/io/mmap_file.h"
 
 namespace egraph {
 namespace {
@@ -95,55 +91,6 @@ TEST_F(FormatsTest, MatrixMarketRejectsOutOfRangeIndex) {
                                  "2 2 1\n"
                                  "3 1\n");
   EXPECT_THROW(ReadMatrixMarket(path), std::runtime_error);
-}
-
-TEST_F(FormatsTest, MmapRoundTrip) {
-  RmatOptions options;
-  options.scale = 9;
-  EdgeList graph = GenerateRmat(options);
-  graph.AssignRandomWeights(0.5f, 1.5f, 3);
-  const std::string path = (dir_ / "g.bin").string();
-  WriteBinaryEdges(path, graph);
-
-  const MappedEdgeFile mapped(path);
-  EXPECT_EQ(mapped.num_vertices(), graph.num_vertices());
-  ASSERT_EQ(mapped.num_edges(), graph.num_edges());
-  // Zero-copy views match.
-  for (size_t i = 0; i < graph.edges().size(); i += 97) {
-    EXPECT_EQ(mapped.edges()[i], graph.edges()[i]);
-    EXPECT_FLOAT_EQ(mapped.weights()[i], graph.weights()[i]);
-  }
-  // Owning copy matches too.
-  const EdgeList copy = mapped.ToEdgeList();
-  EXPECT_EQ(copy.edges(), graph.edges());
-  EXPECT_EQ(copy.weights(), graph.weights());
-}
-
-TEST_F(FormatsTest, MmapRejectsTruncatedFile) {
-  RmatOptions options;
-  options.scale = 8;
-  const EdgeList graph = GenerateRmat(options);
-  const std::string path = (dir_ / "g.bin").string();
-  WriteBinaryEdges(path, graph);
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
-  EXPECT_THROW(MappedEdgeFile{path}, std::runtime_error);
-}
-
-TEST_F(FormatsTest, MmapRejectsBadMagic) {
-  const std::string path = Write("junk.bin", std::string(64, 'x'));
-  EXPECT_THROW(MappedEdgeFile{path}, std::runtime_error);
-}
-
-TEST_F(FormatsTest, MmapMoveTransfersOwnership) {
-  RmatOptions options;
-  options.scale = 8;
-  const EdgeList graph = GenerateRmat(options);
-  const std::string path = (dir_ / "g.bin").string();
-  WriteBinaryEdges(path, graph);
-  MappedEdgeFile a(path);
-  MappedEdgeFile b(std::move(a));
-  EXPECT_EQ(b.num_edges(), graph.num_edges());
-  EXPECT_FALSE(b.edges().empty());
 }
 
 }  // namespace

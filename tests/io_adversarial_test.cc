@@ -1,8 +1,9 @@
 // Adversarial I/O suite: hostile binary inputs (truncated sections, bad
-// magic, absurd edge counts, out-of-range endpoints), hostile text inputs
-// (overlong lines, negative/overflowing ids, trailing junk), the weighted
-// kDynamic regression (weights must survive the overlapped pipeline), and a
-// sequential-vs-pipelined loader differential across all build methods.
+// magic, absurd edge counts, out-of-range endpoints) against the one
+// streaming loader under every build method, hostile text inputs (overlong
+// lines, negative/overflowing ids, trailing junk), the weighted kDynamic
+// regression (weights must survive the overlapped pipeline), and hostile
+// compressed files.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,8 +21,6 @@
 #include "src/io/compressed_io.h"
 #include "src/io/edge_io.h"
 #include "src/io/loader.h"
-#include "src/io/parallel_loader.h"
-#include "src/io/storage_sim.h"
 #include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
@@ -71,30 +70,37 @@ void CorruptAt(const std::string& path, uint64_t offset, const void* data,
   f.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
 }
 
-std::vector<LoadBuildOptions> AllLoaderVariants(BuildMethod method) {
+LoadBuildOptions ManyChunks(BuildMethod method) {
+  LoadBuildOptions options;
+  options.method = method;
+  options.chunk_bytes = 1u << 14;  // many chunks, so per-chunk checks fire
+  return options;
+}
+
+// One option set per build method: each overlaps different work with the
+// stream, so each must reject hostile input on its own.
+std::vector<LoadBuildOptions> AllMethods() {
   std::vector<LoadBuildOptions> variants;
-  for (const LoaderKind loader : {LoaderKind::kSequential, LoaderKind::kPipelined}) {
-    LoadBuildOptions options;
-    options.method = method;
-    options.loader = loader;
-    options.chunk_bytes = 1u << 14;  // many chunks, so per-chunk checks fire
-    variants.push_back(options);
+  for (const BuildMethod method :
+       {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
+    variants.push_back(ManyChunks(method));
   }
   return variants;
 }
 
 // ---------------------------------------------------------------------------
-// Hostile binary files
+// Hostile binary files. "Both loaders" are the two entry points onto the one
+// streaming reader: LoadAndBuild (under every build method) and LoadEdges.
 // ---------------------------------------------------------------------------
 
 TEST_F(IoAdversarialTest, TruncatedHeaderRejectedByBothLoaders) {
   const std::string path = Path("g.bin");
   WriteBinaryEdges(path, SampleGraph(false));
   TruncateFile(path, 10);  // mid-header
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
@@ -102,22 +108,20 @@ TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
   WriteBinaryEdges(path, SampleGraph(false));
   const uint64_t full = std::filesystem::file_size(path);
   TruncateFile(path, sizeof(EdgeFileHeader) + (full - sizeof(EdgeFileHeader)) / 2);
-  for (const BuildMethod method :
-       {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
-    for (auto& options : AllLoaderVariants(method)) {
-      EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
-    }
+  for (const auto& options : AllMethods()) {
+    EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoAdversarialTest, TruncatedWeightSectionRejectedByBothLoaders) {
   const std::string path = Path("g.bin");
   WriteBinaryEdges(path, SampleGraph(true));
   TruncateFile(path, std::filesystem::file_size(path) - 64);  // inside weights
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
@@ -125,9 +129,10 @@ TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
   WriteBinaryEdges(path, SampleGraph(false));
   const uint64_t bogus = 0xDEADBEEFDEADBEEFULL;
   CorruptAt(path, 0, &bogus, sizeof(bogus));
-  for (auto& options : AllLoaderVariants(BuildMethod::kRadixSort)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 // A corrupt edge count far larger than the file must fail the size check
@@ -137,23 +142,37 @@ TEST_F(IoAdversarialTest, AbsurdEdgeCountRejectedWithoutAllocation) {
   WriteBinaryEdges(path, SampleGraph(false));
   const uint64_t absurd = 1ULL << 60;
   CorruptAt(path, 16, &absurd, sizeof(absurd));  // num_edges field
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 
   // Overflow bait: num_edges * 12 wraps around uint64 if computed naively.
   const uint64_t wrap = UINT64_MAX / 6;
   CorruptAt(path, 16, &wrap, sizeof(wrap));
   uint32_t weighted_flags = 1;
   CorruptAt(path, 12, &weighted_flags, sizeof(weighted_flags));
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
+
+  // A bare header claiming 2^61 unweighted edges: 2^61 * 8 wraps to 0, which
+  // a naive check would accept against the 24-byte file.
+  const uint64_t wrap_to_zero = 1ULL << 61;
+  const uint32_t unweighted_flags = 0;
+  CorruptAt(path, 16, &wrap_to_zero, sizeof(wrap_to_zero));
+  CorruptAt(path, 12, &unweighted_flags, sizeof(unweighted_flags));
+  TruncateFile(path, sizeof(EdgeFileHeader));
+  for (const auto& options : AllMethods()) {
+    EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
+  }
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
-// An endpoint >= num_vertices must be caught by per-chunk validation in both
-// loaders — otherwise it drives an out-of-bounds scatter inside the builders.
+// An endpoint >= num_vertices must be caught by per-chunk validation under
+// every build method — otherwise it drives an out-of-bounds scatter inside
+// the builders.
 TEST_F(IoAdversarialTest, OutOfRangeEndpointRejectedPerChunk) {
   const EdgeList graph = SampleGraph(false);
   const std::string path = Path("g.bin");
@@ -163,20 +182,18 @@ TEST_F(IoAdversarialTest, OutOfRangeEndpointRejectedPerChunk) {
       sizeof(EdgeFileHeader) + (graph.num_edges() - 2) * sizeof(Edge);
   const uint32_t out_of_range = graph.num_vertices() + 1000;
   CorruptAt(path, last_edge_offset, &out_of_range, sizeof(out_of_range));
-  for (const BuildMethod method :
-       {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
-    for (auto& options : AllLoaderVariants(method)) {
-      EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
-    }
+  for (const auto& options : AllMethods()) {
+    EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoAdversarialTest, EmptyFileRejected) {
   const std::string path = WriteText("empty.bin", "");
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
+  for (const auto& options : AllMethods()) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,22 +281,19 @@ TEST_F(IoAdversarialTest, WeightedDynamicLoadPreservesWeights) {
   // streaming involved).
   const Csr reference = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
 
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
-    const LoadBuildResult result = LoadAndBuild(path, options);
-    ASSERT_TRUE(result.out.has_weights());
-    ASSERT_EQ(result.out.num_edges(), reference.num_edges());
-    bool any_nonunit = false;
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      ASSERT_EQ(VertexPairs(result.out, v), VertexPairs(reference, v))
-          << "vertex " << v << " loader " << LoaderKindName(options.loader);
-      for (const float w : result.out.Weights(v)) {
-        any_nonunit |= (w != 1.0f);
-      }
+  const LoadBuildResult result = LoadAndBuild(path, ManyChunks(BuildMethod::kDynamic));
+  ASSERT_TRUE(result.out.has_weights());
+  ASSERT_EQ(result.out.num_edges(), reference.num_edges());
+  bool any_nonunit = false;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    ASSERT_EQ(VertexPairs(result.out, v), VertexPairs(reference, v)) << "vertex " << v;
+    for (const float w : result.out.Weights(v)) {
+      any_nonunit |= (w != 1.0f);
     }
-    // The old bug produced all-1.0 weights; the file's weights are random in
-    // [0.1, 2.0), so a correct load must contain non-unit values.
-    EXPECT_TRUE(any_nonunit);
   }
+  // The old bug produced all-1.0 weights; the file's weights are random in
+  // [0.1, 2.0), so a correct load must contain non-unit values.
+  EXPECT_TRUE(any_nonunit);
 }
 
 TEST_F(IoAdversarialTest, WeightedDynamicInCsrPreservesWeights) {
@@ -287,86 +301,13 @@ TEST_F(IoAdversarialTest, WeightedDynamicInCsrPreservesWeights) {
   const std::string path = Path("w.bin");
   WriteBinaryEdges(path, graph);
   const Csr reference = BuildCsr(graph, EdgeDirection::kIn, BuildMethod::kRadixSort);
-  for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
-    options.build_in = true;
-    const LoadBuildResult result = LoadAndBuild(path, options);
-    ASSERT_TRUE(result.has_in);
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      ASSERT_EQ(VertexPairs(result.in, v), VertexPairs(reference, v)) << "vertex " << v;
-    }
+  LoadBuildOptions options = ManyChunks(BuildMethod::kDynamic);
+  options.build_in = true;
+  const LoadBuildResult result = LoadAndBuild(path, options);
+  ASSERT_TRUE(result.has_in);
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    ASSERT_EQ(VertexPairs(result.in, v), VertexPairs(reference, v)) << "vertex " << v;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential vs pipelined differential: same file, same method, identical
-// results. Offsets must match exactly; neighbor order within a vertex is
-// scatter-order (nondeterministic under parallel insertion), so per-vertex
-// (neighbor, weight) multisets are compared.
-// ---------------------------------------------------------------------------
-
-TEST_F(IoAdversarialTest, SequentialPipelinedDifferentialAllMethods) {
-  for (const bool weighted : {false, true}) {
-    const EdgeList graph = SampleGraph(weighted);
-    const std::string path = Path(weighted ? "dw.bin" : "d.bin");
-    WriteBinaryEdges(path, graph);
-    for (const BuildMethod method :
-         {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
-      auto variants = AllLoaderVariants(method);
-      for (auto& options : variants) {
-        options.build_in = true;
-      }
-      const LoadBuildResult seq = LoadAndBuild(path, variants[0]);
-      const LoadBuildResult pipe = LoadAndBuild(path, variants[1]);
-      // The raw edge arrays are loaded byte-for-byte: bit-identical.
-      ASSERT_EQ(seq.edges.edges(), pipe.edges.edges());
-      ASSERT_EQ(seq.edges.weights(), pipe.edges.weights());
-      ASSERT_EQ(seq.out.offsets(), pipe.out.offsets());
-      ASSERT_EQ(seq.in.offsets(), pipe.in.offsets());
-      for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-        ASSERT_EQ(VertexPairs(seq.out, v), VertexPairs(pipe.out, v))
-            << "out vertex " << v << " method " << static_cast<int>(method);
-        ASSERT_EQ(VertexPairs(seq.in, v), VertexPairs(pipe.in, v))
-            << "in vertex " << v << " method " << static_cast<int>(method);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined loader mechanics
-// ---------------------------------------------------------------------------
-
-TEST_F(IoAdversarialTest, ParallelLoaderReportsStatsOnThrottledMedium) {
-  const EdgeList graph = SampleGraph(false);
-  const std::string path = Path("g.bin");
-  WriteBinaryEdges(path, graph);
-  const uint64_t file_bytes = std::filesystem::file_size(path);
-
-  ParallelLoader::Options options;
-  // Slow enough that the reader is still streaming while chunks build: at
-  // 1 MiB/s the 16 KiB chunks fall due 15.6 ms apart, so the reader blocks
-  // on delivery even when ThreadSanitizer starts it late.
-  options.medium = StorageMedium{"slow", 1.0 * 1024 * 1024};
-  options.chunk_bytes = 1u << 14;
-  ParallelLoader loader;
-  EdgeList loaded;
-  uint64_t chunk_edges = 0;
-  const EdgeFileHeader header = loader.Load(
-      path, options, loaded,
-      [&](uint64_t /*first*/, uint64_t count) { chunk_edges += count; });
-  EXPECT_EQ(header.num_edges, graph.num_edges());
-  EXPECT_EQ(chunk_edges, graph.num_edges());
-  EXPECT_EQ(loaded.edges(), graph.edges());
-
-  const ParallelLoadStats& stats = loader.stats();
-  EXPECT_EQ(stats.bytes_read, file_bytes - sizeof(EdgeFileHeader));
-  EXPECT_GT(stats.chunks, 1u);
-  EXPECT_GT(stats.reader_seconds, 0.0);
-  // Queue depth bounds in-flight bytes.
-  EXPECT_LE(stats.peak_bytes_in_flight,
-            static_cast<uint64_t>(options.max_chunks_in_flight + 1) * options.chunk_bytes);
-  // On a throttled medium the reader thread spends time blocked on delivery.
-  EXPECT_GT(stats.stall_seconds, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,22 +469,6 @@ TEST_F(IoAdversarialTest, SelectiveLoaderPartitionsCoverWholeGraph) {
   EXPECT_EQ(bytes_seen, loader.stream_bytes());
   EXPECT_EQ(loader.stats().chunks_decoded,
             static_cast<uint64_t>(original.num_chunks()));
-}
-
-TEST_F(IoAdversarialTest, PipelinedQueueDepthOneStillCorrect) {
-  const EdgeList graph = SampleGraph(true);
-  const std::string path = Path("g.bin");
-  WriteBinaryEdges(path, graph);
-  LoadBuildOptions options;
-  options.method = BuildMethod::kDynamic;
-  options.loader = LoaderKind::kPipelined;
-  options.chunk_bytes = 1u << 13;
-  options.max_chunks_in_flight = 1;
-  const LoadBuildResult result = LoadAndBuild(path, options);
-  const Csr reference = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    ASSERT_EQ(VertexPairs(result.out, v), VertexPairs(reference, v)) << "vertex " << v;
-  }
 }
 
 }  // namespace

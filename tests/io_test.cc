@@ -1,6 +1,6 @@
 // I/O tests: binary/text round trips, failure injection (corrupt, truncated,
 // malformed), the throttled storage medium's bandwidth enforcement, and the
-// overlapped load+build pipelines.
+// overlapped load+build pipeline against in-memory builds.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/gen/rmat.h"
@@ -48,7 +50,7 @@ EdgeList SampleGraph(bool weighted) {
 TEST_F(IoTest, BinaryRoundTripUnweighted) {
   const EdgeList graph = SampleGraph(false);
   WriteBinaryEdges(Path("g.bin"), graph);
-  const EdgeList loaded = ReadBinaryEdges(Path("g.bin"));
+  const EdgeList loaded = LoadEdges(Path("g.bin"), kMediumMemory);
   EXPECT_EQ(loaded.num_vertices(), graph.num_vertices());
   EXPECT_EQ(loaded.edges(), graph.edges());
   EXPECT_FALSE(loaded.has_weights());
@@ -57,7 +59,7 @@ TEST_F(IoTest, BinaryRoundTripUnweighted) {
 TEST_F(IoTest, BinaryRoundTripWeighted) {
   const EdgeList graph = SampleGraph(true);
   WriteBinaryEdges(Path("g.bin"), graph);
-  const EdgeList loaded = ReadBinaryEdges(Path("g.bin"));
+  const EdgeList loaded = LoadEdges(Path("g.bin"), kMediumMemory);
   EXPECT_EQ(loaded.edges(), graph.edges());
   EXPECT_EQ(loaded.weights(), graph.weights());
 }
@@ -72,7 +74,7 @@ TEST_F(IoTest, HeaderOnlyRead) {
 }
 
 TEST_F(IoTest, MissingFileThrows) {
-  EXPECT_THROW(ReadBinaryEdges(Path("nonexistent.bin")), std::runtime_error);
+  EXPECT_THROW(LoadEdges(Path("nonexistent.bin"), kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoTest, BadMagicThrows) {
@@ -80,7 +82,7 @@ TEST_F(IoTest, BadMagicThrows) {
   const char junk[64] = "this is definitely not an edge file";
   out.write(junk, sizeof(junk));
   out.close();
-  EXPECT_THROW(ReadBinaryEdges(Path("bad.bin")), std::runtime_error);
+  EXPECT_THROW(LoadEdges(Path("bad.bin"), kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoTest, TruncatedFileThrows) {
@@ -89,7 +91,7 @@ TEST_F(IoTest, TruncatedFileThrows) {
   // Chop the file in half.
   const auto size = std::filesystem::file_size(Path("g.bin"));
   std::filesystem::resize_file(Path("g.bin"), size / 2);
-  EXPECT_THROW(ReadBinaryEdges(Path("g.bin")), std::runtime_error);
+  EXPECT_THROW(LoadEdges(Path("g.bin"), kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoTest, OutOfRangeEndpointThrows) {
@@ -103,7 +105,7 @@ TEST_F(IoTest, OutOfRangeEndpointThrows) {
   const VertexId bad = 777;
   file.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
   file.close();
-  EXPECT_THROW(ReadBinaryEdges(Path("g.bin")), std::runtime_error);
+  EXPECT_THROW(LoadEdges(Path("g.bin"), kMediumMemory), std::runtime_error);
 }
 
 TEST_F(IoTest, TextRoundTrip) {
@@ -176,31 +178,52 @@ TEST_F(IoTest, UnthrottledMemoryMediumDoesNotStall) {
   EXPECT_EQ(loaded.edges(), graph.edges());
 }
 
-TEST_F(IoTest, LoadAndBuildAllMethodsMatchInMemoryBuild) {
-  const EdgeList graph = SampleGraph(false);
-  WriteBinaryEdges(Path("g.bin"), graph);
-  const Csr expected = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
+// Sorted (neighbor, weight) pairs of one vertex: a multiset compare, since
+// neighbor order within a list is scatter order once more than one thread
+// builds, and duplicate edges may carry different weights.
+std::vector<std::pair<VertexId, float>> VertexPairs(const Csr& csr, VertexId v) {
+  std::vector<std::pair<VertexId, float>> pairs;
+  const auto neighbors = csr.Neighbors(v);
+  const auto weights = csr.Weights(v);
+  for (size_t i = 0; i < neighbors.size(); ++i) {
+    pairs.emplace_back(neighbors[i], weights.empty() ? 1.0f : weights[i]);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
 
-  for (const BuildMethod method :
-       {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
-    LoadBuildOptions options;
-    options.method = method;
-    options.medium = kMediumMemory;
-    options.chunk_bytes = 4096;  // many chunks: exercise the streaming path
-    const LoadBuildResult result = LoadAndBuild(Path("g.bin"), options);
-    ASSERT_EQ(result.out.num_edges(), expected.num_edges())
-        << BuildMethodName(method);
-    // Per-vertex neighbor multisets must match the in-memory build.
-    for (VertexId v = 0; v < expected.num_vertices(); ++v) {
-      auto a = result.out.Neighbors(v);
-      auto b = expected.Neighbors(v);
-      std::vector<VertexId> av(a.begin(), a.end());
-      std::vector<VertexId> bv(b.begin(), b.end());
-      std::sort(av.begin(), av.end());
-      std::sort(bv.begin(), bv.end());
-      ASSERT_EQ(av, bv) << BuildMethodName(method) << " vertex " << v;
+TEST_F(IoTest, LoadAndBuildAllMethodsMatchInMemoryBuild) {
+  for (const bool weighted : {false, true}) {
+    const EdgeList graph = SampleGraph(weighted);
+    WriteBinaryEdges(Path("g.bin"), graph);
+    const Csr expected_out = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
+    const Csr expected_in = BuildCsr(graph, EdgeDirection::kIn, BuildMethod::kRadixSort);
+
+    for (const BuildMethod method :
+         {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
+      LoadBuildOptions options;
+      options.method = method;
+      options.build_in = true;
+      options.medium = kMediumMemory;
+      options.chunk_bytes = 4096;  // many chunks: exercise the streaming path
+      const LoadBuildResult result = LoadAndBuild(Path("g.bin"), options);
+      const std::string label =
+          std::string(BuildMethodName(method)) + (weighted ? " weighted" : " unweighted");
+      EXPECT_EQ(result.edges.edges(), graph.edges()) << label;
+      EXPECT_EQ(result.edges.weights(), graph.weights()) << label;
+      ASSERT_TRUE(result.has_in) << label;
+      ASSERT_EQ(result.out.has_weights(), weighted) << label;
+      ASSERT_EQ(result.in.has_weights(), weighted) << label;
+      ASSERT_EQ(result.out.offsets(), expected_out.offsets()) << label;
+      ASSERT_EQ(result.in.offsets(), expected_in.offsets()) << label;
+      // Per-vertex (neighbor, weight) multisets must match the in-memory build.
+      for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+        ASSERT_EQ(VertexPairs(result.out, v), VertexPairs(expected_out, v))
+            << label << " out vertex " << v;
+        ASSERT_EQ(VertexPairs(result.in, v), VertexPairs(expected_in, v))
+            << label << " in vertex " << v;
+      }
     }
-    EXPECT_EQ(result.edges.edges(), graph.edges());
   }
 }
 

@@ -273,12 +273,12 @@ TEST_F(TimelineFixture, PagerankRunYieldsPoolSpansPerWorkerPerIteration) {
 }
 
 TEST_F(TimelineFixture, SummaryClassifiesForeignThreadsOutsideThePool) {
-  Timeline::SetThreadLabel("io.reader");  // pretend this track is the loader
+  Timeline::SetThreadLabel("background");  // a thread outside every pool
   { TimelineSpan span("io", "read.chunk", 4096); }
   const TimelineSummary summary = SummarizeTimeline();
   bool found = false;
   for (const TimelineWorkerSummary& worker : summary.workers) {
-    if (worker.label.find("io.reader") != std::string::npos) {
+    if (worker.label.find("background") != std::string::npos) {
       found = true;
       EXPECT_EQ(worker.chunks, 0) << "io spans must not count as pool chunks";
     }

@@ -14,8 +14,7 @@
 //             [--layout=adjacency|compressed|edge-array|grid|sharded]
 //             [--direction=push|pull|push-pull] [--sync=atomics|locks|lock-free]
 //             [--shards=S] [--method=radix|count|dynamic] [--source=V] [--iterations=N]
-//             [--loader=sequential|pipelined] [--medium=memory|ssd|hdd]
-//             [--chunk-mb=N]
+//             [--medium=memory|ssd|hdd] [--chunk-mb=N]
 //             [--advisor] [--numa-nodes=K] [--memory-budget-mb=N] [--workers=W]
 //             [--metrics] [--metrics-json=FILE]
 //             [--timeline=FILE]
@@ -161,16 +160,6 @@ BuildMethod ParseMethod(const std::string& name) {
   throw std::runtime_error("unknown build method: " + name);
 }
 
-LoaderKind ParseLoader(const std::string& name) {
-  if (name == "sequential") {
-    return LoaderKind::kSequential;
-  }
-  if (name == "pipelined") {
-    return LoaderKind::kPipelined;
-  }
-  throw std::runtime_error("unknown loader: " + name);
-}
-
 StorageMedium ParseMedium(const std::string& name) {
   if (name == "memory") {
     return kMediumMemory;
@@ -220,7 +209,7 @@ int CmdGenerate(const Flags& flags) {
 
 EdgeList LoadAs(const std::string& format, const std::string& path) {
   if (format == "binary") {
-    return ReadBinaryEdges(path);
+    return LoadEdges(path, kMediumMemory);
   }
   if (format == "text") {
     return ReadTextEdges(path);
@@ -298,19 +287,19 @@ int CmdRun(const Flags& flags) {
   config.method = ParseMethod(flags.GetString("method", "radix"));
   config.shards = static_cast<int>(flags.GetInt("shards", 0));
 
-  // --loader routes binary input through the overlapped load→build pipeline
+  // --medium routes binary input through the overlapped load→build pipeline
   // (src/io/loader.h): the CSRs are built while the file streams from the
-  // selected --medium, and installed into the handle below so Prepare()
+  // selected medium, and installed into the handle below so Prepare()
   // does not rebuild them. Algorithms that mutate the edge list before
   // building (undirected symmetrization, dedup) load the plain way.
-  const std::string loader_name = flags.GetString("loader", "");
+  const std::string medium_name = flags.GetString("medium", "");
   const std::string from = flags.GetString("from", "binary");
   const bool mutates_input = algo == "wcc" || algo == "kcore" || algo == "triangles";
-  const bool use_load_build = !loader_name.empty() && from == "binary" &&
+  const bool use_load_build = !medium_name.empty() && from == "binary" &&
                               config.layout == Layout::kAdjacency && !mutates_input;
-  if (!loader_name.empty() && !use_load_build) {
+  if (!medium_name.empty() && !use_load_build) {
     std::fprintf(stderr,
-                 "note: --loader applies to binary input on the adjacency layout "
+                 "note: --medium applies to binary input on the adjacency layout "
                  "with non-mutating algorithms; loading normally\n");
   }
 
@@ -321,10 +310,9 @@ int CmdRun(const Flags& flags) {
   double load_seconds = 0.0;
   if (use_load_build) {
     LoadBuildOptions options;
-    options.loader = ParseLoader(loader_name);
     options.method = config.method;
     options.build_in = config.direction != Direction::kPush;
-    options.medium = ParseMedium(flags.GetString("medium", "memory"));
+    options.medium = ParseMedium(medium_name);
     // Streaming granularity: smaller chunks expose more overlap on small
     // files (the final chunk's build can never hide behind a transfer).
     const int64_t chunk_mb = flags.GetInt("chunk-mb", 8);
@@ -336,10 +324,9 @@ int CmdRun(const Flags& flags) {
     graph = std::move(prebuilt.edges);
     has_prebuilt = true;
     load_seconds = prebuilt.total_seconds - prebuilt.post_load_seconds;
-    std::printf("loader: %s (%s): total %.3fs, stall %.3fs, overlap %.3fs\n",
-                LoaderKindName(options.loader), options.medium.name,
-                prebuilt.total_seconds, prebuilt.load_stall_seconds,
-                prebuilt.overlap_seconds);
+    std::printf("loader: %s, %s: total %.3fs, stall %.3fs\n", options.medium.name,
+                BuildMethodName(options.method), prebuilt.total_seconds,
+                prebuilt.load_stall_seconds);
   } else {
     obs::ScopedPhase load_phase(obs::Phase::kLoad);
     graph = LoadAs(from, flags.positional()[0]);
