@@ -25,7 +25,7 @@ int main() {
   GridOptions options;
   options.num_blocks = GraphHandle::AutoGridBlocks(graph.num_vertices());
   const Grid grid = BuildGrid(graph, options);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(out);
+  const CompressedCsr compressed = CompressedCsr::Build(graph, EdgeDirection::kOut);
 
   Table table({"layout", "bytes", "vs edge array"});
   auto add = [&](const char* name, size_t bytes) {

@@ -127,20 +127,17 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
     case Layout::kCompressed: {
       // Same direction/symmetry semantics as kAdjacency: push needs the out
       // stream, pull needs in, symmetric input makes the in stream alias the
-      // out stream. The encode builds a temporary plain CSR and discards it
-      // — it never reads out_csr_/in_csr_, which a concurrent
-      // Prepare(kAdjacency) may be mid-construction on (the per-layout
-      // call_once flags do not order cross-layout accesses). Both the build
-      // and encode cost land in preprocess_seconds().
+      // out stream. The build sorts the edge list itself — it never reads
+      // out_csr_/in_csr_, which a concurrent Prepare(kAdjacency) may be
+      // mid-construction on (the per-layout call_once flags do not order
+      // cross-layout accesses). Its cost lands in preprocess_seconds().
       if (config.symmetric_input && config.need_in) {
         in_aliases_out_.store(true, std::memory_order_release);
       }
       auto encode = [&](EdgeDirection direction) -> CompressedCsr {
-        BuildStats stats;
-        const Csr temporary = BuildCsr(graph_, direction, config.method, &stats);
         double seconds = 0.0;
-        CompressedCsr compressed = CompressedCsr::FromCsr(temporary, &seconds);
-        AddPreprocessSeconds(stats.seconds + seconds);
+        CompressedCsr compressed = CompressedCsr::Build(graph_, direction, &seconds);
+        AddPreprocessSeconds(seconds);
         return compressed;
       };
       const bool build_out =

@@ -38,6 +38,8 @@ struct PrepareConfig {
   // needs in, push-pull needs both (the extra cost of section 6.1.3).
   bool need_out = true;
   bool need_in = false;
+  // Builder of the plain CSRs (kAdjacency, kSharded) and the grid. Compressed
+  // lists ignore it: CompressedCsr::Build always radix-sorts the edge list.
   BuildMethod method = BuildMethod::kRadixSort;
   // Sort each per-vertex neighbor list (section 5.1's "sorted adjacency").
   bool sort_neighbors = false;

@@ -2,114 +2,149 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/layout/radix_sort.h"
+#include "src/obs/timeline.h"
 #include "src/util/parallel.h"
 #include "src/util/timer.h"
 
 namespace egraph {
 namespace {
 
-void EncodeVarint(uint64_t value, std::vector<uint8_t>& out) {
+size_t VarintSize(uint64_t value) { return (std::bit_width(value | 1) + 6) / 7; }
+
+uint8_t* PutVarint(uint64_t value, uint8_t* out) {
   while (value >= 0x80) {
-    out.push_back(static_cast<uint8_t>(value) | 0x80);
+    *out++ = static_cast<uint8_t>(value) | 0x80;
     value >>= 7;
   }
-  out.push_back(static_cast<uint8_t>(value));
+  *out++ = static_cast<uint8_t>(value);
+  return out;
 }
 
 uint64_t ZigZag(int64_t value) {
   return (static_cast<uint64_t>(value) << 1) ^ static_cast<uint64_t>(value >> 63);
 }
 
+const Edge& EdgeOf(const Edge& e) { return e; }
+const Edge& EdgeOf(const WeightedEdge& r) { return r.edge; }
+
+// Sizes (kWrite false) or writes at `out` (kWrite true) one chunk of vertex
+// v: `count` sorted records starting at `records`. Returns its byte length.
+template <bool kWrite, typename Record>
+uint64_t EncodeChunk(VertexId v, const Record* records, uint32_t count, bool out_lists,
+                     uint8_t* out) {
+  uint64_t size = 0;
+  auto put = [&size, &out](uint64_t value) {
+    if constexpr (kWrite) {
+      out = PutVarint(value, out);
+    } else {
+      size += VarintSize(value);
+    }
+  };
+  VertexId prev = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const Edge& e = EdgeOf(records[i]);
+    const VertexId neighbor = out_lists ? e.dst : e.src;
+    // The first entry re-anchors against the owning vertex, so the chunk
+    // decodes with no dependency on preceding chunks.
+    put(i == 0 ? ZigZag(static_cast<int64_t>(neighbor) - static_cast<int64_t>(v))
+               : neighbor - prev);
+    if constexpr (std::is_same_v<Record, WeightedEdge>) {
+      put(std::bit_cast<uint32_t>(records[i].weight));
+    }
+    prev = neighbor;
+  }
+  return size;
+}
+
 }  // namespace
 
-CompressedCsr CompressedCsr::FromCsr(const Csr& csr, double* seconds,
-                                     uint32_t chunk_edges) {
-  Timer timer;
-  CompressedCsr out;
-  const VertexId n = csr.num_vertices();
-  const uint32_t ce = chunk_edges == 0 ? kDefaultChunkEdges : chunk_edges;
-  out.num_vertices_ = n;
-  out.num_edges_ = csr.num_edges();
-  out.has_weights_ = csr.has_weights();
-  out.chunk_edges_ = ce;
-  out.degrees_.resize(n);
-  out.chunk_begin_.resize(static_cast<size_t>(n) + 1);
-
-  // Chunk index layout: ceil(degree / chunk_edges) chunks per vertex. The
-  // chunk index space is u32 to keep the per-vertex table narrow.
+template <typename Record>
+void CompressedCsr::EncodeSorted(const std::vector<Record>& sorted, bool out_lists) {
+  const VertexId n = num_vertices_;
+  const uint32_t ce = chunk_edges_;
+  // Step 2: degrees and the chunk index layout, ceil(degree / chunk_edges)
+  // chunks per vertex. The chunk index space is u32 to keep the per-vertex
+  // table narrow.
+  const std::vector<EdgeIndex> offsets =
+      OffsetsFromSorted(sorted, n, [out_lists](const Record& r) {
+        return out_lists ? EdgeOf(r).src : EdgeOf(r).dst;
+      });
+  degrees_.resize(n);
+  chunk_begin_.resize(static_cast<size_t>(n) + 1);
   uint64_t chunk_total = 0;
-  out.chunk_begin_[0] = 0;
+  chunk_begin_[0] = 0;
   for (VertexId v = 0; v < n; ++v) {
-    const uint32_t degree = static_cast<uint32_t>(csr.Degree(v));
-    out.degrees_[v] = degree;
+    const uint32_t degree = static_cast<uint32_t>(offsets[v + 1] - offsets[v]);
+    degrees_[v] = degree;
     chunk_total += (static_cast<uint64_t>(degree) + ce - 1) / ce;
     if (chunk_total > UINT32_MAX) {
       throw std::runtime_error("compressed CSR chunk count overflows u32");
     }
-    out.chunk_begin_[static_cast<size_t>(v) + 1] = static_cast<uint32_t>(chunk_total);
+    chunk_begin_[static_cast<size_t>(v) + 1] = static_cast<uint32_t>(chunk_total);
   }
-  const size_t num_chunks = static_cast<size_t>(chunk_total);
-  out.chunk_bytes_.resize(num_chunks + 1);
+  const int64_t num_chunks = static_cast<int64_t>(chunk_total);
 
-  // Pass 1: parallel per-vertex encode into one scratch buffer per chunk so
-  // offsets assemble without re-walking the stream. Neighbor lists are
-  // sorted first (weights permuted alongside when present) — sorted order
-  // is what makes the deltas small and the decode order deterministic.
-  std::vector<std::vector<uint8_t>> chunk_scratch(num_chunks);
-  ParallelFor(0, static_cast<int64_t>(n), [&](int64_t vi) {
-    const VertexId v = static_cast<VertexId>(vi);
-    auto span = csr.Neighbors(v);
-    if (span.empty()) {
-      return;
-    }
-    const size_t degree = span.size();
-    std::vector<size_t> order(degree);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&span](size_t a, size_t b) { return span[a] < span[b]; });
-    auto weights = csr.Weights(v);
-    const bool weighted = out.has_weights_ && !weights.empty();
-    const size_t first_chunk = out.chunk_begin_[v];
-    VertexId prev = 0;
-    for (size_t i = 0; i < degree; ++i) {
-      const VertexId neighbor = span[order[i]];
-      auto& bytes = chunk_scratch[first_chunk + i / ce];
-      if (i % ce == 0) {
-        // Chunk start: re-anchor against the owning vertex so the chunk
-        // decodes with no dependency on preceding chunks.
-        EncodeVarint(ZigZag(static_cast<int64_t>(neighbor) - static_cast<int64_t>(v)),
-                     bytes);
-      } else {
-        EncodeVarint(neighbor - prev, bytes);
+  // Steps 3 and 5 walk the chunks in parallel; a worker range finds its
+  // first owner by binary search, then walks forward.
+  auto for_each_chunk = [&](auto&& body) {
+    ParallelForChunks(0, num_chunks, /*grain=*/0, [&](int64_t lo, int64_t hi, int) {
+      VertexId v = OwnerOf(lo);
+      for (int64_t c = lo; c < hi; ++c) {
+        while (chunk_begin_[static_cast<size_t>(v) + 1] <= c) {
+          ++v;
+        }
+        const uint32_t k = static_cast<uint32_t>(c - chunk_begin_[v]);
+        body(c, v, sorted.data() + offsets[v] + static_cast<uint64_t>(k) * ce,
+             ChunkSizeOf(v, k));
       }
-      if (out.has_weights_) {
-        const float w = weighted ? weights[order[i]] : 1.0f;
-        EncodeVarint(std::bit_cast<uint32_t>(w), bytes);
-      }
-      prev = neighbor;
-    }
+    });
+  };
+
+  // Step 3: every chunk's byte length; step 4: their prefix sum.
+  chunk_bytes_.assign(static_cast<size_t>(num_chunks) + 1, 0);
+  for_each_chunk([&](int64_t c, VertexId v, const Record* records, uint32_t count) {
+    chunk_bytes_[static_cast<size_t>(c)] =
+        EncodeChunk<false>(v, records, count, out_lists, nullptr);
   });
+  bytes_.resize(ParallelExclusiveScan(chunk_bytes_));
 
-  // Pass 2: serial byte-offset assembly over chunks, then parallel splice.
-  uint64_t total_bytes = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    out.chunk_bytes_[c] = total_bytes;
-    total_bytes += chunk_scratch[c].size();
+  // Step 5: each chunk encodes in place at its final offset.
+  for_each_chunk([&](int64_t c, VertexId v, const Record* records, uint32_t count) {
+    EncodeChunk<true>(v, records, count, out_lists,
+                      bytes_.data() + chunk_bytes_[static_cast<size_t>(c)]);
+  });
+}
+
+CompressedCsr CompressedCsr::Build(const EdgeList& graph, EdgeDirection direction,
+                                   double* seconds, uint32_t chunk_edges) {
+  Timer timer;
+  obs::TimelineSpan timeline_span("layout", "build.compressed",
+                                  static_cast<int64_t>(graph.edges().size()));
+  CompressedCsr out;
+  const VertexId n = graph.num_vertices();
+  const bool out_lists = direction == EdgeDirection::kOut;
+  out.num_vertices_ = n;
+  out.num_edges_ = graph.edges().size();
+  out.has_weights_ = graph.has_weights();
+  out.chunk_edges_ = chunk_edges == 0 ? kDefaultChunkEdges : chunk_edges;
+
+  // Step 1: one stable sort on (vertex << b) | neighbor, b bits per id.
+  const int b = RadixKeyBits(n);
+  auto key = [b, out_lists](const Edge& e) {
+    const uint64_t vertex = out_lists ? e.src : e.dst;
+    return (vertex << b) | (out_lists ? e.dst : e.src);
+  };
+  if (!out.has_weights_) {
+    out.EncodeSorted(ParallelRadixSort<Edge>(graph.edges(), 2 * b, key), out_lists);
+  } else {
+    out.EncodeSorted(RadixSortWeightedEdges(graph, 2 * b, key), out_lists);
   }
-  out.chunk_bytes_[num_chunks] = total_bytes;
-  out.bytes_.resize(total_bytes);
-  ParallelFor(0, static_cast<int64_t>(num_chunks), [&](int64_t c) {
-    const auto& bytes = chunk_scratch[static_cast<size_t>(c)];
-    std::copy(bytes.begin(), bytes.end(),
-              out.bytes_.begin() +
-                  static_cast<int64_t>(out.chunk_bytes_[static_cast<size_t>(c)]));
-  });
-
   if (seconds != nullptr) {
     *seconds = timer.Seconds();
   }

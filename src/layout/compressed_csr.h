@@ -12,7 +12,7 @@
 //
 // Encoding per chunk of vertex v covering sorted neighbors n_a..n_b:
 //   zigzag-varint(n_a - v), then varint(n_i - n_{i-1}) for i in (a, b].
-// When the source CSR is weighted, each neighbor varint is followed by the
+// When the edge list is weighted, each neighbor varint is followed by the
 // varint of its float weight's bit pattern (interleaved weight stream), so
 // weighted traversals see real weights instead of silently degrading to 1.0.
 //
@@ -31,8 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/graph/edge_list.h"
 #include "src/graph/types.h"
-#include "src/layout/csr.h"
+#include "src/layout/csr_builder.h"
 
 namespace egraph {
 
@@ -46,13 +47,17 @@ class CompressedCsr {
 
   CompressedCsr() = default;
 
-  // Builds from a CSR. Neighbor lists are sorted during encoding (weights,
-  // when present, are permuted with their neighbors; the original CSR is
-  // not modified). `seconds` receives the encode time. Throws if the chunk
+  // Builds the `direction` lists of `graph` straight from the edge list:
+  // one stable radix sort of the edges on (vertex, neighbor), a size pass
+  // that measures every chunk, a prefix sum, and an encode pass that writes
+  // each chunk in place in the final stream. Weights, when present, ride
+  // along with their edges, so duplicate (vertex, neighbor) pairs keep their
+  // input order. `seconds` receives the build time. Throws if the chunk
   // count would overflow the u32 chunk index space (needs > ~500G edges at
   // the default chunk size).
-  static CompressedCsr FromCsr(const Csr& csr, double* seconds = nullptr,
-                               uint32_t chunk_edges = kDefaultChunkEdges);
+  static CompressedCsr Build(const EdgeList& graph, EdgeDirection direction,
+                             double* seconds = nullptr,
+                             uint32_t chunk_edges = kDefaultChunkEdges);
 
   VertexId num_vertices() const { return num_vertices_; }
   EdgeIndex num_edges() const { return num_edges_; }
@@ -259,6 +264,10 @@ class CompressedCsr {
   }
 
  private:
+  // Steps 2-5 of Build, over the edges stably sorted by (vertex, neighbor).
+  template <typename Record>
+  void EncodeSorted(const std::vector<Record>& sorted, bool out_lists);
+
   VertexId num_vertices_ = 0;
   EdgeIndex num_edges_ = 0;
   bool has_weights_ = false;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <mutex>
 
 #include "src/layout/radix_sort.h"
 #include "src/obs/metrics.h"
@@ -15,42 +14,12 @@
 namespace egraph {
 namespace {
 
-// Record carried through the radix sort when the graph is weighted.
-struct WeightedRecord {
-  Edge edge;
-  float weight;
-};
-
 VertexId KeyOf(const Edge& e, EdgeDirection direction) {
   return direction == EdgeDirection::kOut ? e.src : e.dst;
 }
 
 VertexId ValueOf(const Edge& e, EdgeDirection direction) {
   return direction == EdgeDirection::kOut ? e.dst : e.src;
-}
-
-// Derives the offsets array from a key-sorted record span by locating digit
-// boundaries (cache-friendly: one streaming pass, total work O(V + E)).
-template <typename Record, typename KeyFn>
-std::vector<EdgeIndex> OffsetsFromSorted(const std::vector<Record>& records,
-                                         VertexId num_vertices, const KeyFn& key) {
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1);
-  const int64_t n = static_cast<int64_t>(records.size());
-  if (n == 0) {
-    return offsets;  // all zero
-  }
-  ParallelFor(0, n, [&](int64_t i) {
-    const int64_t k = key(records[static_cast<size_t>(i)]);
-    const int64_t k_prev = i == 0 ? -1 : key(records[static_cast<size_t>(i) - 1]);
-    for (int64_t v = k_prev + 1; v <= k; ++v) {
-      offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(i);
-    }
-  });
-  const int64_t k_last = key(records[static_cast<size_t>(n) - 1]);
-  for (int64_t v = k_last + 1; v <= static_cast<int64_t>(num_vertices); ++v) {
-    offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(n);
-  }
-  return offsets;
 }
 
 Csr BuildRadix(const EdgeList& graph, EdgeDirection direction, int digit_bits,
@@ -62,39 +31,29 @@ Csr BuildRadix(const EdgeList& graph, EdgeDirection direction, int digit_bits,
   const VertexId n = graph.num_vertices();
   const size_t m = graph.edges().size();
 
+  const int key_bits = RadixKeyBits(n);
+  auto key = [direction](const Edge& e) { return KeyOf(e, direction); };
   if (!graph.has_weights()) {
-    // The timed region includes copying the input (the paper sorts the loaded
-    // edge array in place; we preserve the caller's edge list for reuse, and
-    // the streaming copy is part of this method's honest cost).
-    std::vector<Edge> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = graph.edges()[static_cast<size_t>(i)];
-    });
-    auto key = [direction](const Edge& e) { return KeyOf(e, direction); };
-    ParallelRadixSort(records, n, key, digit_bits);
-    std::vector<EdgeIndex> offsets = OffsetsFromSorted(records, n, key);
+    const std::vector<Edge> sorted =
+        ParallelRadixSort<Edge>(graph.edges(), key_bits, key, digit_bits);
     std::vector<VertexId> neighbors(m);
     ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      neighbors[static_cast<size_t>(i)] = ValueOf(records[static_cast<size_t>(i)], direction);
+      neighbors[static_cast<size_t>(i)] = ValueOf(sorted[static_cast<size_t>(i)], direction);
     });
-    csr.Init(n, std::move(offsets), std::move(neighbors), {});
+    csr.Init(n, OffsetsFromSorted(sorted, n, key), std::move(neighbors), {});
   } else {
-    std::vector<WeightedRecord> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = {graph.edges()[static_cast<size_t>(i)],
-                                         graph.weights()[static_cast<size_t>(i)]};
-    });
-    auto key = [direction](const WeightedRecord& r) { return KeyOf(r.edge, direction); };
-    ParallelRadixSort(records, n, key, digit_bits);
-    std::vector<EdgeIndex> offsets = OffsetsFromSorted(records, n, key);
+    const std::vector<WeightedEdge> sorted =
+        RadixSortWeightedEdges(graph, key_bits, key, digit_bits);
     std::vector<VertexId> neighbors(m);
     std::vector<float> weights(m);
     ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
       neighbors[static_cast<size_t>(i)] =
-          ValueOf(records[static_cast<size_t>(i)].edge, direction);
-      weights[static_cast<size_t>(i)] = records[static_cast<size_t>(i)].weight;
+          ValueOf(sorted[static_cast<size_t>(i)].edge, direction);
+      weights[static_cast<size_t>(i)] = sorted[static_cast<size_t>(i)].weight;
     });
-    csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
+    csr.Init(n,
+             OffsetsFromSorted(sorted, n, [&key](const WeightedEdge& r) { return key(r.edge); }),
+             std::move(neighbors), std::move(weights));
   }
   if (seconds != nullptr) {
     *seconds = timer.Seconds();
@@ -186,7 +145,6 @@ struct DynamicAdjacencyBuilder::Impl {
   // attached in FinalizeDeferred. Do not mix AddChunk and AddChunkDeferred
   // on a weighted builder: the two modes track weights differently.
   std::vector<std::vector<EdgeIndex>> weight_index_lists;
-  std::once_flag deferred_init;
   StripedLocks locks{1 << 14};
 };
 
@@ -216,7 +174,7 @@ void DynamicAdjacencyBuilder::AddChunk(std::span<const Edge> edges,
                                                      : weights[static_cast<size_t>(i)]);
     }
   });
-  AtomicAdd(&build_seconds_, timer.Seconds());
+  build_seconds_ += timer.Seconds();
 }
 
 void DynamicAdjacencyBuilder::AddChunkDeferred(std::span<const Edge> edges,
@@ -229,9 +187,9 @@ void DynamicAdjacencyBuilder::AddChunkDeferred(std::span<const Edge> edges,
   Timer timer;
   obs::TimelineSpan timeline_span("layout", "build.dynamic.add",
                                   static_cast<int64_t>(edges.size()));
-  std::call_once(impl.deferred_init, [&impl] {
+  if (impl.weight_index_lists.empty()) {
     impl.weight_index_lists.resize(impl.num_vertices);
-  });
+  }
   ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
     const Edge& e = edges[static_cast<size_t>(i)];
     const VertexId v = KeyOf(e, impl.direction);
@@ -239,12 +197,10 @@ void DynamicAdjacencyBuilder::AddChunkDeferred(std::span<const Edge> edges,
     impl.adjacency[v].push_back(ValueOf(e, impl.direction));
     impl.weight_index_lists[v].push_back(first_edge_index + static_cast<EdgeIndex>(i));
   });
-  AtomicAdd(&build_seconds_, timer.Seconds());
+  build_seconds_ += timer.Seconds();
 }
 
-double DynamicAdjacencyBuilder::build_seconds() const {
-  return AtomicLoad(&build_seconds_);
-}
+double DynamicAdjacencyBuilder::build_seconds() const { return build_seconds_; }
 
 Csr DynamicAdjacencyBuilder::Finalize(double* flatten_seconds) {
   Timer timer;
@@ -300,7 +256,7 @@ Csr DynamicAdjacencyBuilder::FinalizeDeferred(std::span<const float> file_weight
     });
     impl.weight_index_lists.clear();
     impl.weight_index_lists.shrink_to_fit();
-    AtomicAdd(&build_seconds_, timer.Seconds());
+    build_seconds_ += timer.Seconds();
   }
   return Finalize(flatten_seconds);
 }
@@ -319,12 +275,10 @@ void CountingAdjacencyBuilder::CountChunk(std::span<const Edge> edges) {
   ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
     AtomicAdd(&degrees_[KeyOf(edges[static_cast<size_t>(i)], direction_)], 1u);
   });
-  AtomicAdd(&count_seconds_, timer.Seconds());
+  count_seconds_ += timer.Seconds();
 }
 
-double CountingAdjacencyBuilder::count_seconds() const {
-  return AtomicLoad(&count_seconds_);
-}
+double CountingAdjacencyBuilder::count_seconds() const { return count_seconds_; }
 
 Csr CountingAdjacencyBuilder::Scatter(const EdgeList& graph, double* scatter_seconds) {
   Timer timer;

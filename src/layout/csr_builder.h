@@ -45,8 +45,9 @@ AdjacencyPair BuildCsrPair(const EdgeList& graph, BuildMethod method, int digit_
 // Incremental dynamic builder: consumes edge chunks as they arrive from
 // storage so that construction fully overlaps loading (paper section 3.4:
 // "the dynamic approach ... can be fully overlapped with loading").
-// Each chunk is inserted in parallel: per-vertex striped locks serialize
-// list growth among the pool's workers.
+// Chunk calls come from one thread (the loader's StreamEdges loop calls
+// them in file order); the inserts inside a chunk run in parallel, and
+// per-vertex striped locks serialize list growth among the pool's workers.
 class DynamicAdjacencyBuilder {
  public:
   DynamicAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction, bool weighted);
@@ -78,12 +79,13 @@ class DynamicAdjacencyBuilder {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  double build_seconds_ = 0.0;  // guarded by AtomicAdd (concurrent chunks)
+  double build_seconds_ = 0.0;
 };
 
 // Incremental count-sort front half: counts degrees chunk by chunk (the only
 // phase of count sort that can overlap loading), then scatters in one pass
-// over the fully loaded edge array. CountChunk counts in parallel (the
+// over the fully loaded edge array. Like the dynamic builder, it takes its
+// chunk calls from one thread; CountChunk counts each chunk in parallel (the
 // degree array is updated with atomic adds).
 class CountingAdjacencyBuilder {
  public:

@@ -25,11 +25,6 @@ void Grid::Init(VertexId num_vertices, uint32_t num_blocks, std::vector<EdgeInde
 
 namespace {
 
-struct WeightedRecord {
-  Edge edge;
-  float weight;
-};
-
 // Shared cell-id computation for both builders.
 struct CellKey {
   uint32_t block_size;
@@ -37,7 +32,7 @@ struct CellKey {
   uint64_t operator()(const Edge& e) const {
     return static_cast<uint64_t>(e.src / block_size) * num_blocks + e.dst / block_size;
   }
-  uint64_t operator()(const WeightedRecord& r) const { return (*this)(r.edge); }
+  uint64_t operator()(const WeightedEdge& r) const { return (*this)(r.edge); }
 };
 
 Grid BuildGridRadix(const EdgeList& graph, uint32_t num_blocks, double* seconds) {
@@ -48,53 +43,23 @@ Grid BuildGridRadix(const EdgeList& graph, uint32_t num_blocks, double* seconds)
       num_blocks == 0 ? 1 : std::max<uint32_t>(1, (n + num_blocks - 1) / num_blocks);
   const CellKey key{block_size, num_blocks};
   const uint64_t num_cells = static_cast<uint64_t>(num_blocks) * num_blocks;
-
-  auto offsets_from_sorted = [&](const auto& records, auto cell_of) {
-    std::vector<EdgeIndex> offsets(num_cells + 1);
-    const int64_t count = static_cast<int64_t>(records.size());
-    if (count == 0) {
-      return offsets;
-    }
-    ParallelFor(0, count, [&](int64_t i) {
-      const int64_t k = static_cast<int64_t>(cell_of(records[static_cast<size_t>(i)]));
-      const int64_t k_prev =
-          i == 0 ? -1 : static_cast<int64_t>(cell_of(records[static_cast<size_t>(i) - 1]));
-      for (int64_t c = k_prev + 1; c <= k; ++c) {
-        offsets[static_cast<size_t>(c)] = static_cast<EdgeIndex>(i);
-      }
-    });
-    const int64_t k_last =
-        static_cast<int64_t>(cell_of(records[static_cast<size_t>(count) - 1]));
-    for (int64_t c = k_last + 1; c <= static_cast<int64_t>(num_cells); ++c) {
-      offsets[static_cast<size_t>(c)] = static_cast<EdgeIndex>(count);
-    }
-    return offsets;
-  };
+  const int key_bits = RadixKeyBits(num_cells);
 
   Grid grid;
   if (!graph.has_weights()) {
-    std::vector<Edge> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = graph.edges()[static_cast<size_t>(i)];
-    });
-    ParallelRadixSort(records, num_cells, key);
-    std::vector<EdgeIndex> offsets = offsets_from_sorted(records, key);
-    grid.Init(n, num_blocks, std::move(offsets), std::move(records), {});
+    std::vector<Edge> sorted = ParallelRadixSort<Edge>(graph.edges(), key_bits, key);
+    std::vector<EdgeIndex> offsets = OffsetsFromSorted(sorted, num_cells, key);
+    grid.Init(n, num_blocks, std::move(offsets), std::move(sorted), {});
   } else {
-    std::vector<WeightedRecord> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = {graph.edges()[static_cast<size_t>(i)],
-                                         graph.weights()[static_cast<size_t>(i)]};
-    });
-    ParallelRadixSort(records, num_cells, key);
-    std::vector<EdgeIndex> offsets = offsets_from_sorted(records, key);
+    const std::vector<WeightedEdge> sorted = RadixSortWeightedEdges(graph, key_bits, key);
     std::vector<Edge> edges(m);
     std::vector<float> weights(m);
     ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      edges[static_cast<size_t>(i)] = records[static_cast<size_t>(i)].edge;
-      weights[static_cast<size_t>(i)] = records[static_cast<size_t>(i)].weight;
+      edges[static_cast<size_t>(i)] = sorted[static_cast<size_t>(i)].edge;
+      weights[static_cast<size_t>(i)] = sorted[static_cast<size_t>(i)].weight;
     });
-    grid.Init(n, num_blocks, std::move(offsets), std::move(edges), std::move(weights));
+    grid.Init(n, num_blocks, OffsetsFromSorted(sorted, num_cells, key), std::move(edges),
+              std::move(weights));
   }
   if (seconds != nullptr) {
     *seconds = timer.Seconds();

@@ -1,6 +1,7 @@
 #include "src/layout/range_partition.h"
 
 #include <atomic>
+#include <span>
 
 #include "src/graph/stats.h"
 #include "src/layout/csr_builder.h"
@@ -14,39 +15,19 @@
 namespace egraph {
 namespace {
 
-// Derives standard CSR offsets over [0, num_vertices) from a key-sorted edge
-// segment (streaming boundary pass, total work O(V + E)).
-std::vector<EdgeIndex> OffsetsFromSortedSegment(const Edge* edges, uint64_t count,
-                                                VertexId num_vertices, bool key_is_src) {
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1);
-  auto key_of = [key_is_src](const Edge& e) { return key_is_src ? e.src : e.dst; };
-  if (count == 0) {
-    return offsets;
-  }
-  ParallelFor(0, static_cast<int64_t>(count), [&](int64_t i) {
-    const int64_t k = key_of(edges[i]);
-    const int64_t k_prev = i == 0 ? -1 : static_cast<int64_t>(key_of(edges[i - 1]));
-    for (int64_t v = k_prev + 1; v <= k; ++v) {
-      offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(i);
-    }
-  });
-  for (int64_t v = key_of(edges[count - 1]) + 1;
-       v <= static_cast<int64_t>(num_vertices); ++v) {
-    offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(count);
-  }
-  return offsets;
-}
-
-Csr CsrFromSortedSegment(const Edge* edges, uint64_t count, VertexId num_vertices,
+// A CSR over [0, num_vertices) from a key-sorted edge segment.
+Csr CsrFromSortedSegment(std::span<const Edge> edges, VertexId num_vertices,
                          bool key_is_src) {
-  std::vector<EdgeIndex> offsets =
-      OffsetsFromSortedSegment(edges, count, num_vertices, key_is_src);
-  std::vector<VertexId> neighbors(count);
-  ParallelFor(0, static_cast<int64_t>(count), [&](int64_t i) {
-    neighbors[static_cast<size_t>(i)] = key_is_src ? edges[i].dst : edges[i].src;
+  std::vector<VertexId> neighbors(edges.size());
+  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
+    const Edge& e = edges[static_cast<size_t>(i)];
+    neighbors[static_cast<size_t>(i)] = key_is_src ? e.dst : e.src;
   });
   Csr csr;
-  csr.Init(num_vertices, std::move(offsets), std::move(neighbors), {});
+  csr.Init(num_vertices,
+           OffsetsFromSorted(edges, num_vertices,
+                             [key_is_src](const Edge& e) { return key_is_src ? e.src : e.dst; }),
+           std::move(neighbors), {});
   return csr;
 }
 
@@ -136,26 +117,28 @@ RangePartition BuildRangePartition(const EdgeList& graph, int num_ranges,
         partition.range_edge_counts_[static_cast<size_t>(k)];
   }
 
+  auto segment = [&](const std::vector<Edge>& sorted, int k) {
+    return std::span<const Edge>(sorted).subspan(
+        segment_start[static_cast<size_t>(k)],
+        partition.range_edge_counts_[static_cast<size_t>(k)]);
+  };
   if (csrs != RangeCsrs::kInOnly) {
-    std::vector<Edge> sorted(graph.edges());
-    ParallelRadixSort(sorted,
-                      static_cast<uint64_t>(num_ranges) * n,
-                      [&](const Edge& e) { return range_of(e.dst) * n + e.src; });
+    const std::vector<Edge> sorted = ParallelRadixSort<Edge>(
+        graph.edges(), RadixKeyBits(static_cast<uint64_t>(num_ranges) * n),
+        [&](const Edge& e) { return range_of(e.dst) * n + e.src; });
     partition.out_csrs_.resize(static_cast<size_t>(num_ranges));
     for (int k = 0; k < num_ranges; ++k) {
-      partition.out_csrs_[static_cast<size_t>(k)] = CsrFromSortedSegment(
-          sorted.data() + segment_start[static_cast<size_t>(k)],
-          partition.range_edge_counts_[static_cast<size_t>(k)], n, /*key_is_src=*/true);
+      partition.out_csrs_[static_cast<size_t>(k)] =
+          CsrFromSortedSegment(segment(sorted, k), n, /*key_is_src=*/true);
     }
   }
   if (csrs != RangeCsrs::kOutOnly) {
-    std::vector<Edge> sorted(graph.edges());
-    ParallelRadixSort(sorted, n, [](const Edge& e) { return e.dst; });
+    const std::vector<Edge> sorted = ParallelRadixSort<Edge>(
+        graph.edges(), RadixKeyBits(n), [](const Edge& e) { return e.dst; });
     partition.in_csrs_.resize(static_cast<size_t>(num_ranges));
     for (int k = 0; k < num_ranges; ++k) {
-      partition.in_csrs_[static_cast<size_t>(k)] = CsrFromSortedSegment(
-          sorted.data() + segment_start[static_cast<size_t>(k)],
-          partition.range_edge_counts_[static_cast<size_t>(k)], n, /*key_is_src=*/false);
+      partition.in_csrs_[static_cast<size_t>(k)] =
+          CsrFromSortedSegment(segment(sorted, k), n, /*key_is_src=*/false);
     }
   }
   partition.build_seconds_ = timer.Seconds();

@@ -107,7 +107,7 @@ TEST(EdgeMapCompressed, BfsReachabilityMatchesPlainCsr) {
   options.scale = 10;
   const EdgeList graph = GenerateRmat(options);
   const Csr out = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(out);
+  const CompressedCsr compressed = CompressedCsr::Build(graph, EdgeDirection::kOut);
   StripedLocks locks;
 
   const auto reach = [&](auto&& step) {

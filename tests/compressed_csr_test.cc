@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/engine/execution_context.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
@@ -63,7 +64,8 @@ TEST_P(CompressedCsrFamilyTest, DecodeMatchesSortedCsr) {
   }
   const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
   double seconds = 0.0;
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr, &seconds);
+  const CompressedCsr compressed =
+      CompressedCsr::Build(graph, EdgeDirection::kOut, &seconds);
   EXPECT_GE(seconds, 0.0);
   ExpectDecodesTo(compressed, csr);
 }
@@ -83,8 +85,7 @@ TEST(CompressedCsr, SelfLoopAndDuplicateNeighbors) {
   graph.AddEdge(2, 1);  // negative first delta when sorted ([1, 2, 2, 3])
   graph.AddEdge(2, 2);  // duplicate: zero delta mid-stream
   graph.AddEdge(2, 3);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kCountSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr);
+  const CompressedCsr compressed = CompressedCsr::Build(graph, EdgeDirection::kOut);
   EXPECT_EQ(compressed.Neighbors(2), (std::vector<VertexId>{1, 2, 2, 3}));
 }
 
@@ -102,7 +103,7 @@ TEST(CompressedCsr, ChunkBoundaryRoundTrip) {
   }
   const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kCountSort);
   const CompressedCsr compressed =
-      CompressedCsr::FromCsr(csr, nullptr, kChunkEdges);
+      CompressedCsr::Build(graph, EdgeDirection::kOut, nullptr, kChunkEdges);
   ASSERT_TRUE(compressed.Validate());
   ExpectDecodesTo(compressed, csr);
   for (VertexId v = 0; v < degrees.size(); ++v) {
@@ -121,9 +122,8 @@ TEST(CompressedCsr, MegaHubSplitsAndSlices) {
   for (VertexId v = 1; v <= leaves; ++v) {
     graph.AddEdge(0, ((v * 37) % leaves) + 1);  // scattered insertion order
   }
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
   const CompressedCsr compressed =
-      CompressedCsr::FromCsr(csr, nullptr, kChunkEdges);
+      CompressedCsr::Build(graph, EdgeDirection::kOut, nullptr, kChunkEdges);
   ASSERT_TRUE(compressed.Validate());
   EXPECT_EQ(compressed.NumChunksOf(0), (leaves + kChunkEdges - 1) / kChunkEdges);
   const std::vector<VertexId> full = compressed.Neighbors(0);
@@ -151,7 +151,7 @@ TEST(CompressedCsr, WeightedRoundTripIsBitExact) {
   EdgeList graph = GenerateRmat(options);
   graph.AssignRandomWeights(0.1f, 3.0f, 99);
   const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr);
+  const CompressedCsr compressed = CompressedCsr::Build(graph, EdgeDirection::kOut);
   ASSERT_TRUE(compressed.has_weights());
   ASSERT_TRUE(compressed.Validate());
   for (VertexId v = 0; v < csr.num_vertices(); ++v) {
@@ -187,8 +187,7 @@ TEST(CompressedCsr, ValidateAcceptsGoodRejectsCorrupt) {
   RmatOptions options;
   options.scale = 8;
   const EdgeList graph = GenerateRmat(options);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr good = CompressedCsr::FromCsr(csr);
+  const CompressedCsr good = CompressedCsr::Build(graph, EdgeDirection::kOut);
   std::string error;
   ASSERT_TRUE(good.Validate(&error)) << error;
 
@@ -259,14 +258,120 @@ TEST(CompressedCsr, DecodeVarintBoundsCorruptContinuationRun) {
   EXPECT_EQ(value, UINT64_MAX);
 }
 
+// Pool width only changes which worker sorts, sizes and encodes what: all
+// four tables must come out bit-identical.
+TEST(CompressedCsr, BuildBitIdenticalAtPoolWidths1And4) {
+  RmatOptions options;
+  options.scale = 11;
+  EdgeList weighted = GenerateRmat(options);
+  weighted.AssignRandomWeights(0.1f, 3.0f, 5);
+  for (const EdgeList& graph : {GenerateRmat(options), weighted}) {
+    for (const EdgeDirection direction : {EdgeDirection::kOut, EdgeDirection::kIn}) {
+      std::vector<CompressedCsr> built;
+      for (const int threads : {1, 4}) {
+        ExecutionContextOptions context_options;
+        context_options.num_threads = threads;
+        ExecutionContext context(context_options);
+        ExecutionContext::Scope scope(context);
+        built.push_back(CompressedCsr::Build(graph, direction, nullptr, 16));
+      }
+      ASSERT_TRUE(built[0].Validate());
+      EXPECT_EQ(built[0].degrees(), built[1].degrees());
+      EXPECT_EQ(built[0].chunk_begin(), built[1].chunk_begin());
+      EXPECT_EQ(built[0].chunk_bytes(), built[1].chunk_bytes());
+      EXPECT_EQ(built[0].stream_bytes(), built[1].stream_bytes());
+    }
+  }
+}
+
+// The sort is stable and the weight rides in the record, so duplicate
+// (vertex, neighbor) pairs decode their weights in input order — also
+// across a chunk boundary.
+TEST(CompressedCsr, WeightedDuplicatePairsKeepInputOrder) {
+  EdgeList graph;
+  graph.set_num_vertices(4);
+  graph.AddWeightedEdge(1, 3, 9.0f);
+  graph.AddWeightedEdge(1, 2, 4.0f);
+  graph.AddWeightedEdge(0, 2, 7.0f);
+  graph.AddWeightedEdge(1, 2, 1.0f);
+  graph.AddWeightedEdge(1, 0, 5.0f);
+  graph.AddWeightedEdge(1, 2, 3.0f);
+  graph.AddWeightedEdge(1, 2, 2.0f);
+  for (const uint32_t chunk_edges : {2u, 128u}) {
+    const CompressedCsr out =
+        CompressedCsr::Build(graph, EdgeDirection::kOut, nullptr, chunk_edges);
+    ASSERT_TRUE(out.Validate());
+    EXPECT_EQ(out.Neighbors(1), (std::vector<VertexId>{0, 2, 2, 2, 2, 3}));
+    EXPECT_EQ(out.NeighborWeights(1), (std::vector<float>{5, 4, 1, 3, 2, 9}));
+    const CompressedCsr in =
+        CompressedCsr::Build(graph, EdgeDirection::kIn, nullptr, chunk_edges);
+    ASSERT_TRUE(in.Validate());
+    EXPECT_EQ(in.Neighbors(2), (std::vector<VertexId>{0, 1, 1, 1, 1}));
+    EXPECT_EQ(in.NeighborWeights(2), (std::vector<float>{7, 4, 1, 3, 2}));
+  }
+}
+
+TEST(CompressedCsr, BuildsEmptyAndSingleVertexGraphs) {
+  const EdgeList none;  // no vertices at all
+  const CompressedCsr empty = CompressedCsr::Build(none, EdgeDirection::kOut);
+  EXPECT_TRUE(empty.Validate());
+  EXPECT_EQ(empty.num_vertices(), 0u);
+  EXPECT_EQ(empty.num_chunks(), 0);
+  EXPECT_TRUE(empty.stream_bytes().empty());
+
+  EdgeList lone;
+  lone.set_num_vertices(1);
+  EXPECT_TRUE(CompressedCsr::Build(lone, EdgeDirection::kOut).Validate());
+  // Self loops on the one vertex: every sort key is zero.
+  lone.AddWeightedEdge(0, 0, 2.0f);
+  lone.AddWeightedEdge(0, 0, 1.0f);
+  for (const EdgeDirection direction : {EdgeDirection::kOut, EdgeDirection::kIn}) {
+    const CompressedCsr single = CompressedCsr::Build(lone, direction);
+    ASSERT_TRUE(single.Validate());
+    EXPECT_EQ(single.Neighbors(0), (std::vector<VertexId>{0, 0}));
+    EXPECT_EQ(single.NeighborWeights(0), (std::vector<float>{2, 1}));
+  }
+}
+
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t size) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ bytes[i]) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+template <typename T>
+uint64_t Fnv1a(uint64_t hash, const std::vector<T>& table) {
+  return Fnv1a(hash, table.data(), table.size() * sizeof(T));
+}
+
+// Pins the stream format (and so EGCMPR01 file compatibility): the tables
+// of a seeded unweighted R-MAT graph hash to the values the earlier
+// CSR-based encoder produced for it.
+TEST(CompressedCsr, StreamFormatPinnedByHash) {
+  RmatOptions options;
+  options.scale = 12;
+  const EdgeList graph = GenerateRmat(options);
+  const auto hash = [&graph](EdgeDirection direction) {
+    const CompressedCsr compressed = CompressedCsr::Build(graph, direction);
+    uint64_t h = 14695981039346656037ULL;
+    h = Fnv1a(h, compressed.degrees());
+    h = Fnv1a(h, compressed.chunk_begin());
+    h = Fnv1a(h, compressed.chunk_bytes());
+    return Fnv1a(h, compressed.stream_bytes());
+  };
+  EXPECT_EQ(hash(EdgeDirection::kOut), 0x7a7da104baadd4dcULL);
+  EXPECT_EQ(hash(EdgeDirection::kIn), 0xe77d45d71bc80608ULL);
+}
+
 TEST(CompressedCsr, LocalNeighborhoodsCompressWell) {
   // Road lattice: neighbors are id-adjacent, so deltas are tiny.
   RoadOptions options;
   options.width = 64;
   options.height = 64;
   const EdgeList graph = GenerateRoad(options);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr);
+  const CompressedCsr compressed = CompressedCsr::Build(graph, EdgeDirection::kOut);
   EXPECT_LT(compressed.RatioVsPlain(), 0.9);
 }
 
@@ -276,13 +381,11 @@ TEST(CompressedCsr, ReorderingImprovesCompression) {
   RmatOptions options;
   options.scale = 12;
   const EdgeList graph = GenerateRmat(options);
-  const Csr plain = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr before = CompressedCsr::FromCsr(plain);
+  const CompressedCsr before = CompressedCsr::Build(graph, EdgeDirection::kOut);
 
   const Reordering reordering = ComputeReordering(graph, ReorderMethod::kBfsOrder);
   const EdgeList relabeled = ApplyReordering(graph, reordering);
-  const Csr reordered = BuildCsr(relabeled, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr after = CompressedCsr::FromCsr(reordered);
+  const CompressedCsr after = CompressedCsr::Build(relabeled, EdgeDirection::kOut);
 
   EXPECT_LT(after.MemoryBytes(), before.MemoryBytes());
 }

@@ -317,8 +317,7 @@ TEST_F(IoAdversarialTest, WeightedDynamicInCsrPreservesWeights) {
 
 CompressedCsr SampleCompressed(bool weighted) {
   const EdgeList graph = SampleGraph(weighted);
-  return CompressedCsr::FromCsr(
-      BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort));
+  return CompressedCsr::Build(graph, EdgeDirection::kOut);
 }
 
 TEST_F(IoAdversarialTest, CompressedFileRoundTrip) {

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 
+#include "src/engine/execution_context.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
@@ -243,8 +245,7 @@ TEST(RadixSort, SortsRandomKeys) {
   }
   std::vector<uint32_t> expected = values;
   std::sort(expected.begin(), expected.end());
-  ParallelRadixSort(values, 1u << 20, [](uint32_t v) { return v; });
-  EXPECT_EQ(values, expected);
+  EXPECT_EQ(ParallelRadixSort<uint32_t>(values, 20, [](uint32_t v) { return v; }), expected);
 }
 
 TEST(RadixSort, DigitWidthSweepAllSort) {
@@ -256,28 +257,29 @@ TEST(RadixSort, DigitWidthSweepAllSort) {
     }
     std::vector<uint32_t> expected = values;
     std::sort(expected.begin(), expected.end());
-    ParallelRadixSort(values, 123457, [](uint32_t v) { return v; }, digit_bits);
-    EXPECT_EQ(values, expected) << "digit_bits=" << digit_bits;
+    EXPECT_EQ(ParallelRadixSort<uint32_t>(values, RadixKeyBits(123457),
+                                          [](uint32_t v) { return v; }, digit_bits),
+              expected)
+        << "digit_bits=" << digit_bits;
   }
 }
 
 TEST(RadixSort, HandlesEdgeCases) {
-  std::vector<uint32_t> empty;
-  ParallelRadixSort(empty, 10, [](uint32_t v) { return v; });
-  EXPECT_TRUE(empty.empty());
+  auto identity = [](uint32_t v) { return v; };
+  const std::vector<uint32_t> empty;
+  EXPECT_TRUE(ParallelRadixSort<uint32_t>(empty, 4, identity).empty());
 
-  std::vector<uint32_t> one{5};
-  ParallelRadixSort(one, 10, [](uint32_t v) { return v; });
-  EXPECT_EQ(one, std::vector<uint32_t>{5});
+  const std::vector<uint32_t> one{5};
+  EXPECT_EQ(ParallelRadixSort<uint32_t>(one, 4, identity), one);
 
-  std::vector<uint32_t> equal(1000, 7);
-  ParallelRadixSort(equal, 8, [](uint32_t v) { return v; });
-  EXPECT_EQ(equal, std::vector<uint32_t>(1000, 7));
+  const std::vector<uint32_t> equal(1000, 7);
+  EXPECT_EQ(ParallelRadixSort<uint32_t>(equal, 3, identity), equal);
 
-  // Single-digit key space (num_keys < radix).
-  std::vector<uint32_t> small{3, 1, 2, 0, 3, 1};
-  ParallelRadixSort(small, 4, [](uint32_t v) { return v; });
-  EXPECT_TRUE(std::is_sorted(small.begin(), small.end()));
+  // Single-digit key space (the key is narrower than one digit).
+  const std::vector<uint32_t> small{3, 1, 2, 0, 3, 1};
+  const std::vector<uint32_t> sorted = ParallelRadixSort<uint32_t>(small, 2, identity);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  EXPECT_EQ(small, (std::vector<uint32_t>{3, 1, 2, 0, 3, 1}));  // input untouched
 }
 
 TEST(RadixSort, PreservesRecordPayload) {
@@ -291,13 +293,94 @@ TEST(RadixSort, PreservesRecordPayload) {
     r.key = static_cast<uint32_t>(rng.NextBounded(10000));
     r.payload = (static_cast<uint64_t>(r.key) << 32) | rng.NextBounded(1u << 30);
   }
-  ParallelRadixSort(records, 10000, [](const Record& r) { return r.key; });
-  ASSERT_TRUE(std::is_sorted(records.begin(), records.end(),
+  const std::vector<Record> sorted = ParallelRadixSort<Record>(
+      records, RadixKeyBits(10000), [](const Record& r) { return r.key; });
+  ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
                              [](const Record& a, const Record& b) { return a.key < b.key; }));
   // Payloads still belong to their keys.
-  for (const Record& r : records) {
+  for (const Record& r : sorted) {
     EXPECT_EQ(r.payload >> 32, r.key);
   }
+}
+
+// A record whose input position rides along, so a comparison against
+// std::stable_sort checks stability as well as order.
+struct KeyedRecord {
+  uint64_t key;
+  uint32_t index;
+  friend bool operator==(const KeyedRecord&, const KeyedRecord&) = default;
+};
+
+std::vector<KeyedRecord> StableSorted(std::vector<KeyedRecord> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const KeyedRecord& a, const KeyedRecord& b) { return a.key < b.key; });
+  return records;
+}
+
+// Runs `body` once on a 1-thread and once on a 4-thread execution context.
+template <typename Body>
+void AtPoolWidths1And4(Body&& body) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("pool width " + std::to_string(threads));
+    ExecutionContextOptions options;
+    options.num_threads = threads;
+    ExecutionContext context(options);
+    ExecutionContext::Scope scope(context);
+    body();
+  }
+}
+
+TEST(RadixSort, KeyWidthsUpTo64Bits) {
+  AtPoolWidths1And4([] {
+    for (const int key_bits : {1, 9, 20, 40, 64}) {
+      const uint64_t mask = key_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << key_bits) - 1;
+      std::vector<KeyedRecord> records(30000);
+      Xoshiro256 rng(static_cast<uint64_t>(key_bits));
+      for (uint32_t i = 0; i < records.size(); ++i) {
+        records[i] = {rng.Next() & mask, i};
+      }
+      EXPECT_EQ(ParallelRadixSort<KeyedRecord>(records, key_bits,
+                                               [](const KeyedRecord& r) { return r.key; }),
+                StableSorted(records))
+          << "key_bits=" << key_bits;
+    }
+  });
+}
+
+// Every record shares the top digit, so one bucket holds the whole input
+// and its scratch slice is the whole input too.
+TEST(RadixSort, OneTopBucketScratchIsWholeInput) {
+  AtPoolWidths1And4([] {
+    std::vector<KeyedRecord> records(40000);
+    Xoshiro256 rng(11);
+    for (uint32_t i = 0; i < records.size(); ++i) {
+      records[i] = {(uint64_t{0xA5} << 24) | rng.NextBounded(1u << 24), i};
+    }
+    EXPECT_EQ(ParallelRadixSort<KeyedRecord>(records, 32,
+                                             [](const KeyedRecord& r) { return r.key; }),
+              StableSorted(records));
+  });
+}
+
+// Few distinct keys, read through record_at from two parallel arrays (the
+// way the builders zip edges with weights): equal keys keep input order.
+TEST(RadixSort, StableLikeStdStableSort) {
+  AtPoolWidths1And4([] {
+    std::vector<uint64_t> keys(50000);
+    Xoshiro256 rng(12);
+    for (auto& key : keys) {
+      key = rng.NextBounded(300) << 12;  // 300 keys spread over 21 bits
+    }
+    std::vector<KeyedRecord> records(keys.size());
+    for (uint32_t i = 0; i < keys.size(); ++i) {
+      records[i] = {keys[i], i};
+    }
+    const std::vector<KeyedRecord> sorted = ParallelRadixSort<KeyedRecord>(
+        keys.size(),
+        [&keys](size_t i) { return KeyedRecord{keys[i], static_cast<uint32_t>(i)}; },
+        RadixKeyBits(300ull << 12), [](const KeyedRecord& r) { return r.key; });
+    EXPECT_EQ(sorted, StableSorted(records));
+  });
 }
 
 // --- Sorted adjacency (section 5.1) -----------------------------------------
