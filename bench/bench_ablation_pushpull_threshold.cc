@@ -27,15 +27,15 @@ int main() {
     config.pushpull.threshold_den = den;
     const BfsResult result = RunBfs(handle, GoodSource(graph), config);
     int64_t pulls = 0;
-    for (const bool pulled : result.stats.used_pull) {
-      pulls += pulled ? 1 : 0;
+    for (const obs::IterationRecord& round : result.stats.trace.iterations) {
+      pulls += round.direction == Direction::kPull ? 1 : 0;
     }
     char den_str[32];
     std::snprintf(den_str, sizeof(den_str), "%.0f", den);
     RecordResult(std::string("threshold ") + den_str,
                  result.stats.algorithm_seconds, "rmat");
     table.AddRow({den_str, Sec(result.stats.algorithm_seconds), Table::FormatCount(pulls),
-                  Table::FormatCount(result.stats.iterations)});
+                  Table::FormatCount(result.stats.rounds())});
   }
   table.Print("Push-pull threshold ablation");
   return 0;

@@ -18,6 +18,7 @@
 #include "src/graph/stats.h"
 #include "src/obs/export.h"
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/util/env.h"
 #include "src/util/thread_pool.h"

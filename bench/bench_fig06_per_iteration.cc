@@ -38,18 +38,13 @@ int main() {
   RecordResult("bfs pull", pull_result.stats.algorithm_seconds, "rmat");
 
   Table table({"iteration", "frontier", "push(s)", "pull(s)", "winner"});
-  const size_t rounds = std::max(push_result.stats.per_iteration_seconds.size(),
-                                 pull_result.stats.per_iteration_seconds.size());
+  const std::vector<obs::IterationRecord>& push_rounds = push_result.stats.trace.iterations;
+  const std::vector<obs::IterationRecord>& pull_rounds = pull_result.stats.trace.iterations;
+  const size_t rounds = std::max(push_rounds.size(), pull_rounds.size());
   for (size_t i = 0; i < rounds; ++i) {
-    const double push_s = i < push_result.stats.per_iteration_seconds.size()
-                              ? push_result.stats.per_iteration_seconds[i]
-                              : 0.0;
-    const double pull_s = i < pull_result.stats.per_iteration_seconds.size()
-                              ? pull_result.stats.per_iteration_seconds[i]
-                              : 0.0;
-    const int64_t frontier = i < push_result.stats.frontier_sizes.size()
-                                 ? push_result.stats.frontier_sizes[i]
-                                 : 0;
+    const double push_s = i < push_rounds.size() ? push_rounds[i].seconds : 0.0;
+    const double pull_s = i < pull_rounds.size() ? pull_rounds[i].seconds : 0.0;
+    const int64_t frontier = i < push_rounds.size() ? push_rounds[i].frontier_size : 0;
     table.AddRow({Table::FormatCount(static_cast<int64_t>(i + 1)),
                   Table::FormatCount(frontier), Sec(push_s), Sec(pull_s),
                   push_s <= pull_s ? "push" : "pull"});

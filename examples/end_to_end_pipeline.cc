@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nWCC: %lld weakly connected components in %.3f s (%d rounds)\n",
               static_cast<long long>(components), wcc.stats.algorithm_seconds,
-              wcc.stats.iterations);
+              wcc.stats.rounds());
   std::filesystem::remove(path);
   return 0;
 }

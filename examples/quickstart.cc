@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("BFS: reached %lld vertices in %d iterations\n",
-              static_cast<long long>(reached), bfs.stats.iterations);
+              static_cast<long long>(reached), bfs.stats.rounds());
   std::printf("  pre-processing: %.3f s\n  algorithm:      %.3f s\n",
               handle.preprocess_seconds(), bfs.stats.algorithm_seconds);
 

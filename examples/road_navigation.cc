@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                   Table::FormatSeconds(result.stats.algorithm_seconds),
                   Table::FormatSeconds(handle.preprocess_seconds() +
                                        result.stats.algorithm_seconds),
-                  Table::FormatCount(result.stats.iterations)});
+                  Table::FormatCount(result.stats.rounds())});
     dist = result.dist;
   }
   table.Print("SSSP from the depot, adjacency list vs edge array");

@@ -4,6 +4,7 @@
 
 #include "src/algos/linalg.h"
 #include "src/engine/scan.h"
+#include "src/obs/trace.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -65,6 +66,11 @@ AlsResult RunAls(GraphHandle& handle, uint32_t num_users, const AlsOptions& opti
   const int k = options.rank;
 
   Timer total;
+  // Both half-steps gather into the vertex they solve: pull rounds. They
+  // walk the lists directly, not through an engine kernel, so the rounds
+  // carry no edge counts.
+  obs::TraceSession trace(result.stats.trace, "als", Layout::kAdjacency, Direction::kPull,
+                          config.sync);
   result.user_factors.assign(static_cast<size_t>(num_users) * k, 0.0f);
   result.item_factors.assign(static_cast<size_t>(num_items) * k, 0.0f);
   {
@@ -89,7 +95,7 @@ AlsResult RunAls(GraphHandle& handle, uint32_t num_users, const AlsOptions& opti
   const Csr& by_item = handle.in_csr();   // item -> rating users
 
   for (int iter = 0; iter < options.iterations; ++iter) {
-    Timer iteration;
+    trace.BeginIteration(n, /*frontier_sparse=*/false);
     // Half-step 1: users from items (active side: users).
     ParallelForGrain(0, static_cast<int64_t>(num_users), /*grain=*/64, [&](int64_t u) {
       const VertexId v = static_cast<VertexId>(u);
@@ -123,8 +129,7 @@ AlsResult RunAls(GraphHandle& handle, uint32_t num_users, const AlsOptions& opti
         });
     result.rmse_per_iteration.push_back(
         std::sqrt(sse / static_cast<double>(edges.empty() ? 1 : edges.size())));
-    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-    ++result.stats.iterations;
+    trace.EndIteration(Direction::kPull, /*edges_scanned=*/0, /*edges_relaxed=*/0);
   }
   result.stats.algorithm_seconds = total.Seconds();
   return result;

@@ -43,10 +43,9 @@ std::pair<uint32_t, VertexId> EccentricityAndFarthest(GraphHandle& handle,
   level[source] = 0;
   LevelFunctor func{level.data(), 1};
   VertexId farthest = source;
-  AlgoStats stats;
-  obs::TraceSession trace(stats.trace, "diameter", config.layout, config.direction,
-                          config.sync);
-  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace, stats,
+  obs::EngineTrace record;
+  obs::TraceSession trace(record, "diameter", config.layout, config.direction, config.sync);
+  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace,
             [&](Frontier reached) {
               if (!reached.Empty()) {
                 reached.EnsureSparse();

@@ -91,7 +91,7 @@ BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
     // the next level, recorded for the backward phase.
     PathCountFunctor func{level.data(), sigma.data()};
     std::vector<std::vector<VertexId>> levels{{source}};
-    RunRounds(handle, Frontier::Single(n, source), func, bc_config, ctx, trace, result.stats,
+    RunRounds(handle, Frontier::Single(n, source), func, bc_config, ctx, trace,
               [&](Frontier next) {
                 if (!next.Empty()) {
                   next.EnsureSparse();

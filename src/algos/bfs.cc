@@ -49,7 +49,7 @@ BfsResult RunBfs(GraphHandle& handle, VertexId source, const RunConfig& config,
                           config.sync);
   result.parent[source] = source;
   BfsFunctor func{result.parent.data()};
-  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace, result.stats);
+  RunRounds(handle, Frontier::Single(n, source), func, config, ctx, trace);
   result.stats.algorithm_seconds = total.Seconds();
   return result;
 }

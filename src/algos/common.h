@@ -1,13 +1,10 @@
 // Shared algorithm-run plumbing: the per-run statistics every algorithm
-// reports (iteration counts, per-iteration times, frontier sizes,
-// push/pull decisions). RunConfig, the configuration selecting which of the
-// paper's techniques to enable, lives beside PrepareConfig in
-// src/engine/graph_handle.h so the engine's dispatch can take it whole.
+// reports (its wall time and its per-round engine trace). RunConfig, the
+// configuration selecting which of the paper's techniques to enable, lives
+// beside PrepareConfig in src/engine/graph_handle.h so the engine's
+// dispatch can take it whole.
 #ifndef SRC_ALGOS_COMMON_H_
 #define SRC_ALGOS_COMMON_H_
-
-#include <cstdint>
-#include <vector>
 
 #include "src/engine/execution_context.h"
 #include "src/engine/graph_handle.h"
@@ -17,14 +14,13 @@
 namespace egraph {
 
 struct AlgoStats {
-  int iterations = 0;
   double algorithm_seconds = 0.0;
-  std::vector<double> per_iteration_seconds;
-  std::vector<int64_t> frontier_sizes;  // active vertices entering each round
-  std::vector<bool> used_pull;          // push-pull decisions, when applicable
-  // Per-iteration engine trace (frontier shape, edges scanned/relaxed,
-  // direction actually used); also deposited in obs::TraceSink for export.
+  // The run's one per-round record: frontier size and representation,
+  // edges scanned and relaxed, the direction that ran, and seconds, per
+  // round. Also deposited in obs::TraceSink for export.
   obs::EngineTrace trace;
+
+  int rounds() const { return static_cast<int>(trace.iterations.size()); }
 };
 
 // Builds the layouts `config` needs on `handle` (cost lands in
@@ -37,8 +33,7 @@ struct AlgoStats {
 // Every Run* entry point additionally takes an ExecutionContext& (defaulted
 // to ExecutionContext::Default(), so existing call sites are unchanged) and
 // opens a context Scope for its duration: the run's parallel loops execute
-// on the context's pool, its trace lands in the context's sink, and its
-// EdgeMap rounds reuse the context's scratch.
+// on the context's pool and its EdgeMap rounds reuse the context's scratch.
 void PrepareForRun(GraphHandle& handle, const RunConfig& config);
 
 }  // namespace egraph

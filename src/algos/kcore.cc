@@ -75,7 +75,7 @@ KcoreResult RunKcore(GraphHandle& handle, const RunConfig& config, ExecutionCont
     }
     return taken;
   };
-  RunRounds(handle, peel(Frontier::All(n)), func, config, ctx, trace, result.stats, peel);
+  RunRounds(handle, peel(Frontier::All(n)), func, config, ctx, trace, peel);
   result.max_core = func.k;
   result.stats.algorithm_seconds = total.Seconds();
   return result;

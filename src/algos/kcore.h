@@ -26,7 +26,7 @@ struct KcoreResult {
 // the handle must hold a symmetrized edge list (EdgeList::MakeUndirected),
 // like WCC on adjacency lists; set config.symmetric_input so pull and
 // push-pull reuse the out-lists. Runs under any layout, direction and sync.
-// stats.frontier_sizes holds each round's peeled bucket, so it sums to n.
+// Each round's trace frontier_size is the bucket it peeled, so they sum to n.
 KcoreResult RunKcore(GraphHandle& handle, const RunConfig& config,
                      ExecutionContext& ctx = ExecutionContext::Default());
 

@@ -33,7 +33,6 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   const float base_teleport = (1.0f - options.damping) / static_cast<float>(n);
 
   for (int iter = 0; iter < options.iterations; ++iter) {
-    Timer iteration;
     trace.BeginIteration(n, /*frontier_sparse=*/false);
     // Per-vertex contribution; dangling vertices spread their mass uniformly.
     // The deterministic reduction keeps the dangling mass — and therefore the
@@ -58,17 +57,16 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
     // next[dst] += contributions of dst's in-neighbors. Pull folds each
     // destination's in-edges in list order (sorted plain and compressed
     // lists agree, so their ranks match bit for bit).
-    Scan(handle, config, [c = contrib.data()](VertexId src, float /*w*/) { return c[src]; },
-         next.data());
+    const int64_t scanned = Scan(
+        handle, config, [c = contrib.data()](VertexId src, float /*w*/) { return c[src]; },
+        next.data());
 
     const float teleport = base_teleport + options.damping *
                                                static_cast<float>(dangling) /
                                                static_cast<float>(n);
     VertexMap(n, [&](VertexId v) { next[v] = teleport + options.damping * next[v]; });
     rank.swap(next);
-    trace.EndIteration(config.direction);
-    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-    ++result.stats.iterations;
+    trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
   }
 
   result.rank = std::move(rank);

@@ -1,6 +1,7 @@
 #include "src/algos/spmv.h"
 
 #include "src/engine/dispatch.h"
+#include "src/obs/trace.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -13,12 +14,15 @@ SpmvResult RunSpmv(GraphHandle& handle, const std::vector<float>& x, const RunCo
   result.y.assign(handle.num_vertices(), 0.0f);
 
   Timer total;
+  obs::TraceSession trace(result.stats.trace, "spmv", config.layout, config.direction,
+                          config.sync);
+  trace.BeginIteration(handle.num_vertices(), /*frontier_sparse=*/false);
   // y[dst] accumulates weight * x[src] over dst's in-edges.
-  Scan(handle, config, [xv = x.data()](VertexId src, float w) { return w * xv[src]; },
-       result.y.data());
-  result.stats.iterations = 1;
+  const int64_t scanned = Scan(
+      handle, config, [xv = x.data()](VertexId src, float w) { return w * xv[src]; },
+      result.y.data());
+  trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
   result.stats.algorithm_seconds = total.Seconds();
-  result.stats.per_iteration_seconds.push_back(result.stats.algorithm_seconds);
   return result;
 }
 

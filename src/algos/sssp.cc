@@ -113,10 +113,10 @@ SsspResult RunSsspAtWidth(GraphHandle& handle, VertexId source, const RunConfig&
   SsspFunctor func{dist};
   Frontier start = Frontier::Single(n, source);
   if (std::isinf(width)) {
-    RunRounds(handle, std::move(start), func, config, ctx, trace, result.stats);
+    RunRounds(handle, std::move(start), func, config, ctx, trace);
   } else {
     Buckets buckets(n, [dist, width](VertexId v) { return DistanceBucket(dist[v], width); });
-    RunRounds(handle, std::move(start), func, config, ctx, trace, result.stats,
+    RunRounds(handle, std::move(start), func, config, ctx, trace,
               [&buckets](Frontier improved) { return buckets.Next(std::move(improved)); });
   }
   result.stats.algorithm_seconds = total.Seconds();

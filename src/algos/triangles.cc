@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/engine/scan.h"
+#include "src/obs/trace.h"
 #include "src/util/parallel.h"
 #include "src/util/timer.h"
 
@@ -23,6 +24,11 @@ TriangleResult RunTriangleCount(GraphHandle& handle, const RunConfig& config,
   const Csr& csr = handle.out_csr();
 
   Timer total;
+  // One round over every vertex. Its loops walk the lists directly, not
+  // through an engine kernel, so the round carries no edge counts.
+  obs::TraceSession trace(result.stats.trace, "triangles", tc_config.layout,
+                          tc_config.direction, tc_config.sync);
+  trace.BeginIteration(n, /*frontier_sparse=*/false);
   // Rank vertices by (degree, id); orient edges toward higher rank. Each
   // vertex's oriented neighbor list is sorted by id for fast intersection.
   std::vector<uint32_t> degree(n);
@@ -67,10 +73,9 @@ TriangleResult RunTriangleCount(GraphHandle& handle, const RunConfig& config,
         return local;
       });
 
+  trace.EndIteration(tc_config.direction, /*edges_scanned=*/0, /*edges_relaxed=*/0);
   result.triangles = count;
-  result.stats.iterations = 1;
   result.stats.algorithm_seconds = total.Seconds();
-  result.stats.per_iteration_seconds.push_back(result.stats.algorithm_seconds);
   return result;
 }
 

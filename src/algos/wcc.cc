@@ -50,7 +50,7 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
     // Frontier-driven label propagation over the (symmetrized) adjacency
     // lists: only re-labeled vertices propagate next round.
     WccFunctor func{result.label.data()};
-    RunRounds(handle, Frontier::All(n), func, config, ctx, trace, result.stats);
+    RunRounds(handle, Frontier::All(n), func, config, ctx, trace);
   } else {
     // Edge array / grid: full scans updating *both* endpoints per stored
     // edge (no symmetrization needed), iterated to fixpoint. Both endpoints
@@ -71,12 +71,9 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
       }
     };
     while (changed.exchange(false, std::memory_order_relaxed)) {
-      Timer iteration;
       trace.BeginIteration(n, /*frontier_sparse=*/false);
-      ScanStoredEdges(handle, config, relax);
-      trace.EndIteration(config.direction);
-      result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-      ++result.stats.iterations;
+      const int64_t scanned = ScanStoredEdges(handle, config, relax);
+      trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
     }
   }
   result.stats.algorithm_seconds = total.Seconds();

@@ -14,6 +14,7 @@
 #include "src/engine/graph_handle.h"
 #include "src/engine/scan.h"
 #include "src/graph/stats.h"
+#include "src/obs/metrics.h"
 #include "src/shard/edge_map_sharded.h"
 #include "src/util/atomics.h"
 
@@ -23,10 +24,14 @@ namespace egraph {
 // Locks come from the handle; `scratch` (optional) carries round state
 // across calls. `used` (optional) receives the direction that ran: push or
 // pull on the vertex-centric layouts (push-pull resolved for this round),
-// config.direction on the edge array and grid, which ignore it.
+// config.direction on the edge array and grid, which ignore it. `counts`
+// (optional) receives the call's edges scanned and relaxed: the call's own
+// work, whatever else runs concurrently.
 template <typename F>
 Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConfig& config,
-                 EdgeMapScratch* scratch = nullptr, Direction* used = nullptr) {
+                 EdgeMapScratch* scratch = nullptr, Direction* used = nullptr,
+                 EdgeCounts* counts = nullptr) {
+  obs::EngineCounters::Get().edgemap_calls.Add(1);
   const EdgeMapOptions options{config.sync, &handle.locks(), scratch};
   Direction direction = config.direction;
   if (direction == Direction::kPushPull && IsVertexCentric(config.layout)) {
@@ -41,19 +46,19 @@ Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConf
   const bool pull = direction == Direction::kPull;
   switch (config.layout) {
     case Layout::kEdgeArray:
-      return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
+      return EdgeMapEdgeArray(handle.edges(), frontier, func, options, counts);
     case Layout::kGrid:
-      return EdgeMapGrid(handle.grid(), frontier, func, options);
+      return EdgeMapGrid(handle.grid(), frontier, func, options, counts);
     case Layout::kAdjacency:
-      return pull ? EdgeMapPull(handle.in_csr(), frontier, func)
-                  : EdgeMapPush(handle.out_csr(), frontier, func, options);
+      return pull ? EdgeMapPull(handle.in_csr(), frontier, func, counts)
+                  : EdgeMapPush(handle.out_csr(), frontier, func, options, counts);
     case Layout::kCompressed:
-      return pull ? EdgeMapPull(handle.compressed_in(), frontier, func)
-                  : EdgeMapPush(handle.compressed_out(), frontier, func, options);
+      return pull ? EdgeMapPull(handle.compressed_in(), frontier, func, counts)
+                  : EdgeMapPush(handle.compressed_out(), frontier, func, options, counts);
     case Layout::kSharded:
-      return pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func)
+      return pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func, counts)
                   : EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
-                                       options);
+                                       options, counts);
   }
   return Frontier::None(handle.num_vertices());
 }
@@ -74,9 +79,10 @@ inline bool RoundCostFollowsFrontier(const RunConfig& config) {
 // match across plain, compressed and sharded lists. The grid's owned
 // columns (Sync::kLockFree) and both phases of the sharded push add
 // plainly; everywhere else Sync::kLocks adds under dst's striped lock and
-// the other modes add atomically. Push-pull scans by source.
+// the other modes add atomically. Push-pull scans by source. Returns the
+// edges scanned.
 template <typename Value>
-void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums) {
+int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums) {
   struct Add {
     Value value;
     float* sums;
@@ -87,54 +93,36 @@ void Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums
   } add{value, sums};
   auto owned = [add](VertexId src, VertexId dst, float w) { add.Update(src, dst, w); };
   const bool pull = config.direction == Direction::kPull;
-  edge_map_internal::WithSharedUpdate(add, config.sync, &handle.locks(), [&](auto& shared) {
-    switch (config.layout) {
-      case Layout::kEdgeArray:
-        ScanEdgeArray(handle.edges(), shared);
-        break;
-      case Layout::kGrid:
-        if (config.sync == Sync::kLockFree) {
-          ScanGridColumnOwned(handle.grid(), owned);
-        } else {
-          ScanGridRowMajor(handle.grid(), shared);
+  return edge_map_internal::WithSharedUpdate(
+      add, config.sync, &handle.locks(), [&](auto& shared) -> int64_t {
+        switch (config.layout) {
+          case Layout::kEdgeArray:
+            return ScanEdgeArray(handle.edges(), shared);
+          case Layout::kGrid:
+            return config.sync == Sync::kLockFree ? ScanGridColumnOwned(handle.grid(), owned)
+                                                  : ScanGridRowMajor(handle.grid(), shared);
+          case Layout::kAdjacency:
+            return pull ? ScanByDestination(handle.in_csr(), value, sums)
+                        : ScanBySource(handle.out_csr(), shared);
+          case Layout::kCompressed:
+            return pull ? ScanByDestination(handle.compressed_in(), value, sums)
+                        : ScanBySource(handle.compressed_out(), shared);
+          case Layout::kSharded:
+            return pull ? ShardScanByDestination(handle.in_csr(), handle.sharded(), value, sums)
+                        : ShardScanBySource(handle.out_csr(), handle.sharded(), owned);
         }
-        break;
-      case Layout::kAdjacency:
-        if (pull) {
-          ScanByDestination(handle.in_csr(), value, sums);
-        } else {
-          ScanBySource(handle.out_csr(), shared);
-        }
-        break;
-      case Layout::kCompressed:
-        if (pull) {
-          ScanByDestination(handle.compressed_in(), value, sums);
-        } else {
-          ScanBySource(handle.compressed_out(), shared);
-        }
-        break;
-      case Layout::kSharded:
-        if (pull) {
-          ShardScanByDestination(handle.in_csr(), handle.sharded(), value, sums);
-        } else {
-          ShardScanBySource(handle.out_csr(), handle.sharded(), owned);
-        }
-        break;
-    }
-  });
+        return 0;
+      });
 }
 
 // Edge-centric pass for the edge array and grid (row-major cells):
 // body(src, dst, weight) for every stored edge, concurrently. For updates
 // that are not a per-destination sum, such as WCC relaxing both endpoints;
-// body synchronizes its own writes.
+// body synchronizes its own writes. Returns the edges scanned.
 template <typename Body>
-void ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
-  if (config.layout == Layout::kGrid) {
-    ScanGridRowMajor(handle.grid(), body);
-  } else {
-    ScanEdgeArray(handle.edges(), body);
-  }
+int64_t ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
+  return config.layout == Layout::kGrid ? ScanGridRowMajor(handle.grid(), body)
+                                        : ScanEdgeArray(handle.edges(), body);
 }
 
 // Out-degree of every vertex, read from the layout's out-lists when they

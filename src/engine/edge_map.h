@@ -33,10 +33,17 @@
 // be split, so it dispatches whole columns in descending edge count. An
 // adjacency list is never split: a hub's list is walked by one worker while
 // the others steal the remaining chunks (DESIGN.md section 5).
+//
+// Counting: every kernel, here and in scan.h and the sharded backends, runs
+// its chunks through CountedChunks. A chunk returns the edges it scanned and
+// relaxed and the vertices it discovered; the call's totals go to the
+// registry once and back to the caller, which is how each run's trace
+// counts exactly its own rounds under any concurrency.
 #ifndef SRC_ENGINE_EDGE_MAP_H_
 #define SRC_ENGINE_EDGE_MAP_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -58,6 +65,48 @@ struct EdgeMapOptions {
   StripedLocks* locks = nullptr;      // required when sync == Sync::kLocks
   EdgeMapScratch* scratch = nullptr;  // optional cross-round scratch reuse
 };
+
+// Work of one chunk of a kernel, or of a whole call.
+struct EdgeCounts {
+  int64_t scanned = 0;     // edge entries examined
+  int64_t relaxed = 0;     // updates that changed their destination
+  int64_t discovered = 0;  // vertices a dense kernel set in its next bitmap
+
+  EdgeCounts& operator+=(const EdgeCounts& other) {
+    scanned += other.scanned;
+    relaxed += other.relaxed;
+    discovered += other.discovered;
+    return *this;
+  }
+};
+
+// The counted chunk loop every kernel runs: body(lo, hi, worker) over
+// [begin, end) in chunks of `grain`, each returning its chunk's
+// EdgeCounts. Chunks add into per-worker, cache-line-padded tallies and are
+// each one `edgemap.chunk` timeline span. After the region the call's
+// totals are published once to engine.edges_scanned / edges_relaxed, and
+// returned.
+template <typename Body>
+EdgeCounts CountedChunks(int64_t begin, int64_t end, int64_t grain, Body&& body) {
+  struct alignas(64) Tally {
+    EdgeCounts counts;
+  };
+  std::vector<Tally> tallies(static_cast<size_t>(ThreadPool::Current().num_threads()));
+  ParallelForChunks(begin, end, grain, [&](int64_t lo, int64_t hi, int worker) {
+    const uint64_t span_start = obs::TimelineNow();
+    const EdgeCounts chunk = body(lo, hi, worker);
+    tallies[static_cast<size_t>(worker)].counts += chunk;
+    obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, chunk.scanned);
+  });
+  EdgeCounts total;
+  for (const Tally& tally : tallies) {
+    total += tally.counts;
+  }
+  obs::EngineCounters& metrics = obs::EngineCounters::Get();
+  metrics.edges_scanned.Add(total.scanned);
+  metrics.edges_relaxed.Add(total.relaxed);
+  return total;
+}
 
 namespace edge_map_internal {
 
@@ -120,24 +169,23 @@ class SparseRound {
   std::vector<std::vector<VertexId>>* buffers_;
 };
 
-// Calls run(update), where update(src, dst, weight) applies func to an edge
-// whose destination other workers may write concurrently: Sync::kLocks wraps
-// Update in dst's striped lock, every other mode uses UpdateAtomic. Picking
-// once per call keeps the sync branch out of the per-edge loop.
+// Returns run(update), where update(src, dst, weight) applies func to an
+// edge whose destination other workers may write concurrently: Sync::kLocks
+// wraps Update in dst's striped lock, every other mode uses UpdateAtomic.
+// Picking once per call keeps the sync branch out of the per-edge loop.
 template <typename F, typename Run>
-void WithSharedUpdate(F& func, Sync sync, StripedLocks* locks, Run&& run) {
+auto WithSharedUpdate(F& func, Sync sync, StripedLocks* locks, Run&& run) {
   if (sync == Sync::kLocks) {
     auto update = [&func, locks](VertexId src, VertexId dst, float w) {
       SpinlockGuard guard(locks->For(dst));
       return func.Update(src, dst, w);
     };
-    run(update);
-  } else {
-    auto update = [&func](VertexId src, VertexId dst, float w) {
-      return func.UpdateAtomic(src, dst, w);
-    };
-    run(update);
+    return run(update);
   }
+  auto update = [&func](VertexId src, VertexId dst, float w) {
+    return func.UpdateAtomic(src, dst, w);
+  };
+  return run(update);
 }
 
 // The push inner loop, shared by every push backend: relaxes the out-edges
@@ -161,13 +209,6 @@ inline int64_t PushNeighbors(const Source& out, VertexId src, F& func, Update& u
   return static_cast<int64_t>(out.Degree(src));
 }
 
-// Tallies of one gather pass.
-struct GatherCounts {
-  int64_t discovered = 0;
-  int64_t scanned = 0;
-  int64_t relaxed = 0;
-};
-
 // The pull gather, shared by every pull backend: each destination in
 // [lo, hi) that satisfies Cond gathers from its in-neighbors present in the
 // frontier, and stops early once Cond(dst) turns false (paper section
@@ -177,9 +218,9 @@ struct GatherCounts {
 // test is word-batched: one bitmap word load covers up to 64 consecutive
 // sources (sorted adjacency makes consecutive hits the common case).
 template <typename Source, typename F>
-GatherCounts GatherRange(const Source& in, int64_t lo, int64_t hi, const Bitmap& active,
-                         F& func, Bitmap& next) {
-  GatherCounts counts;
+EdgeCounts GatherRange(const Source& in, int64_t lo, int64_t hi, const Bitmap& active, F& func,
+                       Bitmap& next) {
+  EdgeCounts counts;
   int64_t cached_word_index = -1;
   uint64_t cached_word = 0;
   for (int64_t v = lo; v < hi; ++v) {
@@ -219,33 +260,32 @@ GatherCounts GatherRange(const Source& in, int64_t lo, int64_t hi, const Bitmap&
 // Over any adjacency source (plain or compressed out-lists). Sync::kAtomics
 // uses Functor::UpdateAtomic; Sync::kLocks wraps plain Update in a striped
 // spinlock keyed by dst (`options.locks` must outlive the call). Returns a
-// sparse next frontier (deduplicated via a round bitmap).
+// sparse next frontier (deduplicated via a round bitmap). Every kernel
+// stores the call's EdgeCounts in `counts` when one is given.
 template <typename Source, typename F>
 Frontier EdgeMapPush(const Source& out, Frontier& frontier, F& func,
-                     const EdgeMapOptions& options) {
+                     const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
   frontier.EnsureSparse();
   const auto& active = frontier.Vertices();
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.push", static_cast<int64_t>(active.size()));
   edge_map_internal::SparseRound round(out.num_vertices(), options.scratch);
-  edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-    ParallelForChunks(0, static_cast<int64_t>(active.size()), /*grain=*/64,
-                      [&](int64_t lo, int64_t hi, int worker) {
-                        auto& buffer = round.buffers()[static_cast<size_t>(worker)];
-                        const uint64_t span_start = obs::TimelineNow();
-                        int64_t scanned = 0;
-                        int64_t relaxed = 0;
-                        for (int64_t i = lo; i < hi; ++i) {
-                          scanned += edge_map_internal::PushNeighbors(
-                              out, active[static_cast<size_t>(i)], func, update, round.next(),
-                              buffer, relaxed);
-                        }
-                        metrics.edges_scanned.Add(scanned);
-                        metrics.edges_relaxed.Add(relaxed);
-                        obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
-                      });
-  });
+  const EdgeCounts total =
+      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
+        return CountedChunks(0, static_cast<int64_t>(active.size()), /*grain=*/64,
+                             [&](int64_t lo, int64_t hi, int worker) {
+                               auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+                               EdgeCounts chunk;
+                               for (int64_t i = lo; i < hi; ++i) {
+                                 chunk.scanned += edge_map_internal::PushNeighbors(
+                                     out, active[static_cast<size_t>(i)], func, update,
+                                     round.next(), buffer, chunk.relaxed);
+                               }
+                               return chunk;
+                             });
+      });
+  if (counts != nullptr) {
+    *counts = total;
+  }
   return round.Finish();
 }
 
@@ -256,28 +296,21 @@ Frontier EdgeMapPush(const Source& out, Frontier& frontier, F& func,
 // EdgeMapOptions: no write is shared, and the next frontier's bitmap moves
 // into the result, so neither sync nor scratch applies.
 template <typename Source, typename F>
-Frontier EdgeMapPull(const Source& in, Frontier& frontier, F& func) {
+Frontier EdgeMapPull(const Source& in, Frontier& frontier, F& func,
+                     EdgeCounts* counts = nullptr) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.pull", frontier.Count());
 
   Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
-  std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
-  ParallelForChunks(0, static_cast<int64_t>(n), /*grain=*/256,
-                    [&](int64_t lo, int64_t hi, int worker) {
-                      const uint64_t span_start = obs::TimelineNow();
-                      const edge_map_internal::GatherCounts c = edge_map_internal::GatherRange(
-                          in, lo, hi, frontier.bitmap(), func, next);
-                      counts[static_cast<size_t>(worker)] += c.discovered;
-                      metrics.edges_scanned.Add(c.scanned);
-                      metrics.edges_relaxed.Add(c.relaxed);
-                      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, c.scanned);
-                    });
-  return Frontier::FromBitmap(n, std::move(next),
-                              std::accumulate(counts.begin(), counts.end(), int64_t{0}));
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(n), /*grain=*/256, [&](int64_t lo, int64_t hi, int /*worker*/) {
+        return edge_map_internal::GatherRange(in, lo, hi, frontier.bitmap(), func, next);
+      });
+  if (counts != nullptr) {
+    *counts = total;
+  }
+  return Frontier::FromBitmap(n, std::move(next), total.discovered);
 }
 
 // --- Dynamic push-pull decision (Beamer/Ligra) -----------------------------
@@ -296,46 +329,41 @@ bool PullPays(const Source& out, Frontier& frontier, const PushPullConfig& confi
 // Per-edge cost is uniform, so fixed 4096-edge chunks are equal-cost chunks.
 template <typename F>
 Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
-                          const EdgeMapOptions& options) {
+                          const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
   const VertexId n = graph.num_vertices();
   frontier.EnsureDense();
   const auto& edges = graph.edges();
   const int64_t num_edges = static_cast<int64_t>(edges.size());
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.edgearray", num_edges);
 
   Bitmap next(n);
-  std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
-
   const bool weighted = graph.has_weights();
   const auto& weights = graph.weights();
-  edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-    ParallelForChunks(0, num_edges, /*grain=*/4096, [&](int64_t lo, int64_t hi, int worker) {
-      const uint64_t span_start = obs::TimelineNow();
-      int64_t local = 0;
-      int64_t relaxed = 0;
-      for (int64_t i = lo; i < hi; ++i) {
-        const Edge& e = edges[static_cast<size_t>(i)];
-        if (!frontier.Contains(e.src) || !func.Cond(e.dst)) {
-          continue;
-        }
-        if (update(e.src, e.dst, weighted ? weights[static_cast<size_t>(i)] : 1.0f)) {
-          ++relaxed;
-          if (next.TestAndSet(e.dst)) {
-            ++local;
+  const EdgeCounts total =
+      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
+        return CountedChunks(0, num_edges, /*grain=*/4096, [&](int64_t lo, int64_t hi,
+                                                               int /*worker*/) {
+          EdgeCounts chunk;
+          chunk.scanned = hi - lo;  // edge-centric: every edge is touched
+          for (int64_t i = lo; i < hi; ++i) {
+            const Edge& e = edges[static_cast<size_t>(i)];
+            if (!frontier.Contains(e.src) || !func.Cond(e.dst)) {
+              continue;
+            }
+            if (update(e.src, e.dst, weighted ? weights[static_cast<size_t>(i)] : 1.0f)) {
+              ++chunk.relaxed;
+              if (next.TestAndSet(e.dst)) {
+                ++chunk.discovered;
+              }
+            }
           }
-        }
-      }
-      counts[static_cast<size_t>(worker)] += local;
-      metrics.edges_scanned.Add(hi - lo);  // edge-centric: every edge is touched
-      metrics.edges_relaxed.Add(relaxed);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, hi - lo);
-    });
-  });
-  return Frontier::FromBitmap(n, std::move(next),
-                              std::accumulate(counts.begin(), counts.end(), int64_t{0}));
+          return chunk;
+        });
+      });
+  if (counts != nullptr) {
+    *counts = total;
+  }
+  return Frontier::FromBitmap(n, std::move(next), total.discovered);
 }
 
 // --- Grid ------------------------------------------------------------------
@@ -386,78 +414,68 @@ inline GridColumns GridColumnsByMass(const Grid& grid) {
 // one cell per chunk, with synchronized updates.
 template <typename F>
 Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
-                     const EdgeMapOptions& options) {
+                     const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
   const VertexId n = grid.num_vertices();
   frontier.EnsureDense();
   const uint32_t blocks = grid.num_blocks();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.grid", frontier.Count());
 
   Bitmap next(n);
-  std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
   const bool weighted = grid.has_weights();
-  const auto& cell_offsets = grid.cell_offsets();
 
-  auto process_cell = [&](uint32_t i, uint32_t j, int worker, auto& update) {
+  auto process_cell = [&](uint32_t i, uint32_t j, auto& update, EdgeCounts& chunk) {
     const auto cell = grid.Cell(i, j);
     const auto weights = grid.CellWeights(i, j);
-    int64_t local = 0;
-    int64_t relaxed = 0;
+    chunk.scanned += static_cast<int64_t>(cell.size());
     for (size_t k = 0; k < cell.size(); ++k) {
       const Edge& e = cell[k];
       if (!frontier.Contains(e.src) || !func.Cond(e.dst)) {
         continue;
       }
       if (update(e.src, e.dst, weighted ? weights[k] : 1.0f)) {
-        ++relaxed;
+        ++chunk.relaxed;
         if (next.TestAndSet(e.dst)) {
-          ++local;
+          ++chunk.discovered;
         }
       }
     }
-    counts[static_cast<size_t>(worker)] += local;
-    metrics.edges_scanned.Add(static_cast<int64_t>(cell.size()));
-    metrics.edges_relaxed.Add(relaxed);
   };
 
+  EdgeCounts total;
   if (options.sync == Sync::kLockFree) {
     // Column ownership: the thread processing column j is the only writer
     // of destination block j.
     auto owned = [&func](VertexId src, VertexId dst, float w) { return func.Update(src, dst, w); };
     const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
-    ParallelForChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
-                      [&](int64_t lo, int64_t hi, int worker) {
-                        for (int64_t idx = lo; idx < hi; ++idx) {
-                          const uint32_t j = columns.order[static_cast<size_t>(idx)];
-                          const uint64_t span_start = obs::TimelineNow();
-                          for (uint32_t i = 0; i < blocks; ++i) {
-                            process_cell(i, j, worker, owned);
-                          }
-                          obs::TimelineEndSpan("engine", "edgemap.chunk", span_start,
-                                               static_cast<int64_t>(columns.edges[j]));
-                        }
-                      });
+    total = CountedChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
+                          [&](int64_t lo, int64_t hi, int /*worker*/) {
+                            EdgeCounts chunk;
+                            for (int64_t idx = lo; idx < hi; ++idx) {
+                              const uint32_t j = columns.order[static_cast<size_t>(idx)];
+                              for (uint32_t i = 0; i < blocks; ++i) {
+                                process_cell(i, j, owned, chunk);
+                              }
+                            }
+                            return chunk;
+                          });
   } else {
-    edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-      ParallelForChunks(
-          0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
-          [&](int64_t lo, int64_t hi, int worker) {
-            const uint64_t span_start = obs::TimelineNow();
-            for (int64_t c = lo; c < hi; ++c) {
-              process_cell(static_cast<uint32_t>(c / blocks), static_cast<uint32_t>(c % blocks),
-                           worker, update);
-            }
-            obs::TimelineEndSpan(
-                "engine", "edgemap.chunk", span_start,
-                static_cast<int64_t>(cell_offsets[static_cast<size_t>(hi)] -
-                                     cell_offsets[static_cast<size_t>(lo)]));
-          });
-    });
+    total = edge_map_internal::WithSharedUpdate(
+        func, options.sync, options.locks, [&](auto& update) {
+          return CountedChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
+                               [&](int64_t lo, int64_t hi, int /*worker*/) {
+                                 EdgeCounts chunk;
+                                 for (int64_t c = lo; c < hi; ++c) {
+                                   process_cell(static_cast<uint32_t>(c / blocks),
+                                                static_cast<uint32_t>(c % blocks), update, chunk);
+                                 }
+                                 return chunk;
+                               });
+        });
   }
-  return Frontier::FromBitmap(n, std::move(next),
-                              std::accumulate(counts.begin(), counts.end(), int64_t{0}));
+  if (counts != nullptr) {
+    *counts = total;
+  }
+  return Frontier::FromBitmap(n, std::move(next), total.discovered);
 }
 
 }  // namespace egraph

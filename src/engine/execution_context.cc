@@ -9,7 +9,6 @@ ExecutionContext::ExecutionContext(ExecutionContextOptions options)
   if (options_.num_threads > 0) {
     private_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-  private_sink_ = std::make_unique<obs::TraceSink>(options_.trace_capacity);
 }
 
 ExecutionContext::ExecutionContext(bool is_default)
@@ -19,7 +18,7 @@ ExecutionContext::ExecutionContext(bool is_default)
 
 ExecutionContext& ExecutionContext::Default() {
   // Leaked so it outlives every static-destruction-order hazard, like the
-  // ThreadPool::Get() / TraceSink::Get() singletons it wraps.
+  // ThreadPool::Get() singleton it wraps.
   static ExecutionContext* context = new ExecutionContext(/*is_default=*/true);
   return *context;
 }
@@ -34,13 +33,6 @@ ThreadPool& ExecutionContext::pool() {
   return ThreadPool::Current();
 }
 
-obs::TraceSink& ExecutionContext::trace_sink() {
-  if (private_sink_ != nullptr) {
-    return *private_sink_;
-  }
-  return obs::TraceSink::Current();
-}
-
 uint64_t ExecutionContext::NextSeed() {
   // SplitMix64 with an atomic state advance: each call claims the next
   // point of the stream, then mixes it.
@@ -53,7 +45,7 @@ uint64_t ExecutionContext::NextSeed() {
 }
 
 ExecutionContext::Scope::Scope(ExecutionContext& context)
-    : pool_binding_(context.pool()), sink_binding_(context.trace_sink()) {
+    : pool_binding_(context.pool()) {
   if (obs::Timeline::Enabled()) {
     obs::Timeline::SetThreadLabel(context.name());
   }

@@ -1,24 +1,25 @@
 // ExecutionContext: everything one caller ("query") needs to run an
-// algorithm — the thread pool its parallel loops dispatch to, the trace
-// sink its completed traces deposit into, a private EdgeMapScratch, and a
-// deterministic RNG seed stream — bundled into one object instead of a set
-// of process-wide singletons.
+// algorithm — the thread pool its parallel loops dispatch to, a private
+// EdgeMapScratch, and a deterministic RNG seed stream — bundled into one
+// object instead of a set of process-wide singletons.
 //
 // Two modes:
-//   * ExecutionContext::Default() wraps the process-wide facilities
-//     (ThreadPool::Get(), TraceSink::Get()). Every Run* entry point
-//     defaults to it, so single-query code keeps working unchanged.
+//   * ExecutionContext::Default() wraps the process-wide pool
+//     (ThreadPool::Get()). Every Run* entry point defaults to it, so
+//     single-query code keeps working unchanged.
 //   * A constructed ExecutionContext with options.num_threads > 0 owns a
-//     PRIVATE pool and a PRIVATE trace sink, so N contexts on N threads run
-//     N algorithms genuinely concurrently — no shared region mutex, no
-//     interleaved traces, no shared scratch. This is what QuerySession
-//     gives each of its workers.
+//     PRIVATE pool, so N contexts on N threads run N algorithms genuinely
+//     concurrently — no shared region mutex, no shared scratch. This is
+//     what QuerySession gives each of its workers.
+//
+// Every run's trace counts only its own rounds (src/obs/trace.h) and lands
+// in the one process-wide TraceSink, whichever context ran it.
 //
 // The context reaches code that never sees an ExecutionContext& (EdgeMap
-// kernels, scans, layout builders) through thread-local bindings: Scope
-// binds the context's pool as ThreadPool::Current() and its sink as
-// TraceSink::Current() on the calling thread for its lifetime. Algorithms
-// open a Scope at entry; everything beneath them inherits the context.
+// kernels, scans, layout builders) through a thread-local binding: Scope
+// binds the context's pool as ThreadPool::Current() on the calling thread
+// for its lifetime. Algorithms open a Scope at entry; everything beneath
+// them inherits the context.
 //
 // Concurrency contract: one context serves ONE running query at a time
 // (its scratch follows the EdgeMapScratch contract). Distinct contexts are
@@ -33,7 +34,6 @@
 #include <string>
 
 #include "src/engine/edge_map_scratch.h"
-#include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 
 namespace egraph {
@@ -45,8 +45,6 @@ struct ExecutionContextOptions {
   // parallel loops never contend on the process-wide pool's region lock.
   // 0: the context dispatches to the caller's current pool binding.
   int num_threads = 0;
-  // Ring capacity of the context's private trace sink.
-  size_t trace_capacity = obs::TraceSink::kMaxTraces;
   // Seed for the context's deterministic seed stream (NextSeed()).
   uint64_t seed = 0;
 };
@@ -59,16 +57,13 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  // The process-wide default context: ThreadPool::Get() / TraceSink::Get()
-  // (or whatever outer Scope is already bound on the calling thread — the
-  // default context never overrides an explicit binding).
+  // The process-wide default context: ThreadPool::Get() (or whatever outer
+  // Scope is already bound on the calling thread — the default context
+  // never overrides an explicit binding).
   static ExecutionContext& Default();
 
   // The pool this context's parallel loops run on.
   ThreadPool& pool();
-
-  // The sink this context's completed traces deposit into.
-  obs::TraceSink& trace_sink();
 
   // Reusable per-round EdgeMap scratch. One EdgeMap call at a time — which
   // the one-query-per-context contract guarantees.
@@ -82,10 +77,10 @@ class ExecutionContext {
   const std::string& name() const { return options_.name; }
   bool has_private_pool() const { return private_pool_ != nullptr; }
 
-  // RAII: binds the context's pool and trace sink as the calling thread's
-  // ThreadPool::Current() / TraceSink::Current() (and labels the thread's
-  // timeline track with the context name). Algorithms open one at entry;
-  // bindings nest and are restored on destruction.
+  // RAII: binds the context's pool as the calling thread's
+  // ThreadPool::Current() (and labels the thread's timeline track with the
+  // context name). Algorithms open one at entry; bindings nest and are
+  // restored on destruction.
   class Scope {
    public:
     explicit Scope(ExecutionContext& context);
@@ -95,7 +90,6 @@ class ExecutionContext {
 
    private:
     ScopedPoolBinding pool_binding_;
-    obs::ScopedTraceSink sink_binding_;
   };
 
  private:
@@ -103,8 +97,7 @@ class ExecutionContext {
 
   ExecutionContextOptions options_;
   const bool is_default_ = false;
-  std::unique_ptr<ThreadPool> private_pool_;   // null: shared/current pool
-  std::unique_ptr<obs::TraceSink> private_sink_;  // null only for Default()
+  std::unique_ptr<ThreadPool> private_pool_;  // null: shared/current pool
   EdgeMapScratch scratch_;
   std::atomic<uint64_t> seed_state_;
 };

@@ -194,18 +194,6 @@ void GraphHandle::InstallCsr(EdgeDirection direction, Csr csr, double build_seco
   AddPreprocessSeconds(build_seconds);
 }
 
-void GraphHandle::InstallCompressed(EdgeDirection direction, CompressedCsr compressed,
-                                    double build_seconds) {
-  std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
-  CheckBuildPhase("InstallCompressed");
-  if (direction == EdgeDirection::kOut) {
-    compressed_out_ = std::move(compressed);
-  } else {
-    compressed_in_ = std::move(compressed);
-  }
-  AddPreprocessSeconds(build_seconds);
-}
-
 void GraphHandle::DropLayouts() {
   std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
   CheckBuildPhase("DropLayouts");

@@ -107,12 +107,6 @@ class GraphHandle {
   // Build phase only.
   void InstallCsr(EdgeDirection direction, Csr csr, double build_seconds);
 
-  // Installs a compressed CSR built or loaded elsewhere (e.g. read from the
-  // on-disk chunked format by src/io/compressed_io.h) so Prepare() will not
-  // re-encode it. Build phase only.
-  void InstallCompressed(EdgeDirection direction, CompressedCsr compressed,
-                         double build_seconds);
-
   bool has_out_csr() const { return out_csr_.has_value(); }
   bool has_in_csr() const {
     return in_csr_.has_value() ||

@@ -8,18 +8,18 @@
 // the destination fold.
 //
 // All scans iterate in fixed-size chunks (256 vertices, 4096 edges, or one
-// grid cell; whole grid columns when a column is owned) so the
-// edges_scanned counter is bumped once per chunk, not per edge — the
-// metrics cost stays off the inner loop.
+// grid cell; whole grid columns when a column is owned) through the counted
+// chunk loop (CountedChunks in edge_map.h), and each returns the edges it
+// scanned: the count costs one add per chunk, never one per edge.
 #ifndef SRC_ENGINE_SCAN_H_
 #define SRC_ENGINE_SCAN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/engine/edge_map.h"
 #include "src/graph/edge_list.h"
 #include "src/layout/grid.h"
-#include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/util/parallel.h"
 
@@ -58,41 +58,43 @@ void ScanCell(const Grid& grid, uint32_t i, uint32_t j, Body& body, int64_t& sca
 }  // namespace scan_internal
 
 // Edge-centric scan: body(src, dst, weight) for every edge, in parallel.
-// Caller synchronizes destination writes (atomics/locks).
+// Caller synchronizes destination writes (atomics/locks). Like every scan
+// here, returns the edges scanned.
 template <typename Body>
-void ScanEdgeArray(const EdgeList& graph, Body&& body) {
+int64_t ScanEdgeArray(const EdgeList& graph, Body&& body) {
   const auto& edges = graph.edges();
   obs::TimelineSpan timeline_span("engine", "scan.edgearray",
                                   static_cast<int64_t>(edges.size()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  ParallelForChunks(0, static_cast<int64_t>(edges.size()), /*grain=*/4096,
-                    [&](int64_t lo, int64_t hi, int /*worker*/) {
-                      for (int64_t i = lo; i < hi; ++i) {
-                        const Edge& e = edges[static_cast<size_t>(i)];
-                        body(e.src, e.dst, graph.EdgeWeight(static_cast<EdgeIndex>(i)));
-                      }
-                      scanned.Add(hi - lo);
-                    });
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(edges.size()), /*grain=*/4096,
+      [&](int64_t lo, int64_t hi, int /*worker*/) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const Edge& e = edges[static_cast<size_t>(i)];
+          body(e.src, e.dst, graph.EdgeWeight(static_cast<EdgeIndex>(i)));
+        }
+        return EdgeCounts{.scanned = hi - lo};
+      });
+  return total.scanned;
 }
 
 // Vertex-centric push scan over an out-adjacency source: body(src, dst,
 // weight) for every edge, 256 sources per chunk. Caller synchronizes
 // destination writes.
 template <typename Source, typename Body>
-void ScanBySource(const Source& out, Body&& body) {
+int64_t ScanBySource(const Source& out, Body&& body) {
   obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
-                    [&](int64_t lo, int64_t hi, int /*worker*/) {
-                      int64_t local = 0;
-                      for (int64_t v = lo; v < hi; ++v) {
-                        const VertexId src = static_cast<VertexId>(v);
-                        out.ForEachNeighbor(
-                            src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
-                        local += static_cast<int64_t>(out.Degree(src));
-                      }
-                      scanned.Add(local);
-                    });
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
+      [&](int64_t lo, int64_t hi, int /*worker*/) {
+        EdgeCounts chunk;
+        for (int64_t v = lo; v < hi; ++v) {
+          const VertexId src = static_cast<VertexId>(v);
+          out.ForEachNeighbor(src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
+          chunk.scanned += static_cast<int64_t>(out.Degree(src));
+        }
+        return chunk;
+      });
+  return total.scanned;
 }
 
 // Vertex-centric pull scan over an in-adjacency source: sums[dst] +=
@@ -101,31 +103,33 @@ void ScanBySource(const Source& out, Body&& body) {
 // Compressed lists decode in ascending order, so they fold in the same
 // order as a sorted plain CSR and float sums match it bit for bit.
 template <typename Source, typename Value>
-void ScanByDestination(const Source& in, Value&& value, float* sums) {
+int64_t ScanByDestination(const Source& in, Value&& value, float* sums) {
   obs::TimelineSpan timeline_span("engine", "scan.dst", static_cast<int64_t>(in.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256,
-                    [&](int64_t lo, int64_t hi, int /*worker*/) {
-                      scanned.Add(scan_internal::SumDestinations(in, lo, hi, value, sums));
-                    });
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256,
+      [&](int64_t lo, int64_t hi, int /*worker*/) {
+        return EdgeCounts{.scanned = scan_internal::SumDestinations(in, lo, hi, value, sums)};
+      });
+  return total.scanned;
 }
 
 // Grid scan, row-major cells, one cell per chunk: body(src, dst, weight);
 // best source-block locality; caller synchronizes destination writes.
 template <typename Body>
-void ScanGridRowMajor(const Grid& grid, Body&& body) {
+int64_t ScanGridRowMajor(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   obs::TimelineSpan timeline_span("engine", "scan.grid.rows");
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
-                    [&](int64_t lo, int64_t hi, int /*worker*/) {
-                      int64_t local = 0;
-                      for (int64_t c = lo; c < hi; ++c) {
-                        scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
-                                                static_cast<uint32_t>(c % blocks), body, local);
-                      }
-                      scanned.Add(local);
-                    });
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
+      [&](int64_t lo, int64_t hi, int /*worker*/) {
+        EdgeCounts chunk;
+        for (int64_t c = lo; c < hi; ++c) {
+          scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
+                                  static_cast<uint32_t>(c % blocks), body, chunk.scanned);
+        }
+        return chunk;
+      });
+  return total.scanned;
 }
 
 // Grid scan with column ownership: each thread exclusively owns the
@@ -134,26 +138,26 @@ void ScanGridRowMajor(const Grid& grid, Body&& body) {
 // Columns dispatch in descending edge count (GridColumnsByMass), the only
 // balancing lever when columns cannot be split.
 template <typename Body>
-void ScanGridColumnOwned(const Grid& grid, Body&& body) {
+int64_t ScanGridColumnOwned(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   obs::TimelineSpan timeline_span("engine", "scan.grid.cols");
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
   const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
-  ParallelForChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
-                    [&](int64_t lo, int64_t hi, int /*worker*/) {
-                      // A worker-local copy keeps body's captures in
-                      // registers through the cell loops (PageRank's hot
-                      // loop on the grid) instead of behind a pointer.
-                      auto owner = body;
-                      int64_t local = 0;
-                      for (int64_t idx = lo; idx < hi; ++idx) {
-                        const uint32_t j = columns.order[static_cast<size_t>(idx)];
-                        for (uint32_t i = 0; i < blocks; ++i) {
-                          scan_internal::ScanCell(grid, i, j, owner, local);
-                        }
-                      }
-                      scanned.Add(local);
-                    });
+  const EdgeCounts total = CountedChunks(
+      0, static_cast<int64_t>(blocks), /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+        // A worker-local copy keeps body's captures in registers through the
+        // cell loops (PageRank's hot loop on the grid) instead of behind a
+        // pointer.
+        auto owner = body;
+        EdgeCounts chunk;
+        for (int64_t idx = lo; idx < hi; ++idx) {
+          const uint32_t j = columns.order[static_cast<size_t>(idx)];
+          for (uint32_t i = 0; i < blocks; ++i) {
+            scan_internal::ScanCell(grid, i, j, owner, chunk.scanned);
+          }
+        }
+        return chunk;
+      });
+  return total.scanned;
 }
 
 // Parallel map over all vertices: body(v).

@@ -41,13 +41,14 @@ namespace radix_internal {
 // Stable LSD radix sort of bucket[0, size) over key bits [0, top_shift) (the
 // bits above are equal within a top-level bucket), ping-ponging through
 // `scratch`, which holds at least `size` records. One counting pass fills
-// the histograms of every digit.
+// the histograms of every digit. When top_shift is not a multiple of
+// digit_bits, the last digit reaches into the top digit's constant bits.
 template <typename Record, typename KeyFn>
 void SortBucketLsd(Record* bucket, Record* scratch, size_t size, int top_shift,
                    int digit_bits, const KeyFn& key) {
   const size_t radix = size_t{1} << digit_bits;
   const uint64_t mask = radix - 1;
-  const int num_digits = top_shift / digit_bits;
+  const int num_digits = (top_shift + digit_bits - 1) / digit_bits;
   std::vector<size_t> counts(static_cast<size_t>(num_digits) * radix, 0);
   for (size_t i = 0; i < size; ++i) {
     const uint64_t k = key(bucket[i]);
@@ -98,8 +99,9 @@ std::vector<Record> ParallelRadixSort(size_t n, const RecordAt& record_at, int k
   key_bits = std::clamp(key_bits, 1, 64);
   const size_t radix = size_t{1} << digit_bits;
   const uint64_t mask = radix - 1;
-  // Highest digit position covering the key width.
-  const int top_shift = ((key_bits - 1) / digit_bits) * digit_bits;
+  // The top digit is the key's highest digit_bits bits, so every key width
+  // gets the full radix of top-level buckets.
+  const int top_shift = std::max(0, key_bits - digit_bits);
 
   // --- Top-level parallel counting pass over the most significant digit ---
   const int slots = ThreadPool::Current().num_threads();

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/obs/metrics.h"
 #include "src/obs/phase.h"
 #include "src/obs/timeline.h"
 #include "src/util/table.h"
@@ -126,7 +127,7 @@ JsonValue ProcessReportToJson(const std::string& name) {
   report.Set("metrics", MetricsToJson());
 
   JsonValue traces = JsonValue::Array();
-  TraceSink& sink = TraceSink::Current();
+  const TraceSink& sink = TraceSink::Get();
   for (const EngineTrace& trace : sink.Snapshot()) {
     traces.Append(TraceToJson(trace));
   }

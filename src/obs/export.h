@@ -15,7 +15,9 @@ namespace egraph::obs {
 // {"load": s, "preprocess": s, "partition": s, "algorithm": s, "total": s}
 JsonValue PhasesToJson();
 
-// {"counters": {name: value, ...}, "histograms": {name: {...}, ...}}
+// {"counters": {name: value, ...}, "histograms": {name: {count, sum, mean,
+// p50, p90, p95, p99}, ...}}: the registry's one JSON encoding, shared by the
+// process report and the stats exposition (ExpositionJson).
 JsonValue MetricsToJson();
 
 // {"algorithm", "layout", "direction", "sync", "total_seconds",
@@ -23,7 +25,7 @@ JsonValue MetricsToJson();
 JsonValue TraceToJson(const EngineTrace& trace);
 
 // The full process report: name + threads + phases + metrics + every trace
-// currently in the TraceSink.
+// currently in TraceSink::Get().
 JsonValue ProcessReportToJson(const std::string& name);
 
 // Renders counters, histograms and the phase breakdown as aligned tables

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
@@ -38,7 +39,7 @@ void AppendFamilyHeader(std::string& out, const std::string& metric,
 
 std::vector<GaugeSample> ObsSelfGauges() {
   std::vector<GaugeSample> gauges;
-  TraceSink& sink = TraceSink::Current();
+  const TraceSink& sink = TraceSink::Get();
   gauges.push_back({"obs.trace_sink.recorded",
                     static_cast<double>(sink.recorded())});
   gauges.push_back({"obs.trace_sink.dropped",
@@ -113,24 +114,12 @@ JsonValue ExpositionJson(const std::vector<GaugeSample>& gauges) {
   doc.Set("schema", "egraph-stats-v1");
   doc.Set("metrics_compiled", kMetricsCompiled);
 
-  JsonValue counters = JsonValue::Object();
-  for (const CounterSnapshot& c : Registry::Get().SnapshotCounters()) {
-    counters.Set(c.name, c.value);
+  // The registry's "counters" and "histograms" objects, as the process
+  // report (MetricsToJson) encodes them.
+  const JsonValue metrics = MetricsToJson();
+  for (const auto& [key, value] : metrics.members()) {
+    doc.Set(key, value);
   }
-  doc.Set("counters", std::move(counters));
-
-  JsonValue histograms = JsonValue::Object();
-  for (const HistogramSnapshot& h : Registry::Get().SnapshotHistograms()) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("count", h.count);
-    entry.Set("sum", h.sum);
-    entry.Set("mean", h.mean);
-    entry.Set("p50", h.p50);
-    entry.Set("p95", h.p95);
-    entry.Set("p99", h.p99);
-    histograms.Set(h.name, std::move(entry));
-  }
-  doc.Set("histograms", std::move(histograms));
 
   JsonValue gauge_obj = JsonValue::Object();
   for (const GaugeSample& gauge : gauges) {

@@ -44,7 +44,7 @@ struct GaugeSample {
 using GaugeProvider = std::function<std::vector<GaugeSample>()>;
 
 // The obs layer's own health gauges: engine-trace ring accounting for the
-// thread's current TraceSink (obs.trace_sink.recorded / .dropped) and total
+// process's TraceSink (obs.trace_sink.recorded / .dropped) and total
 // timeline events dropped to full buffers (obs.timeline.dropped_events) —
 // the drop counts that used to vanish silently when rings overflowed under
 // high concurrency.
@@ -60,7 +60,8 @@ std::string PrometheusMetricName(const std::string& name);
 std::string ExpositionText(const std::vector<GaugeSample>& gauges = {});
 
 // Same content as JSON: {"schema": "egraph-stats-v1", "counters": {...},
-// "histograms": {name: {count,sum,mean,p50,p95,p99}}, "gauges": {...}}.
+// "histograms": {name: {count,sum,mean,p50,p90,p95,p99}}, "gauges": {...}},
+// the counters and histograms encoded by MetricsToJson (export.h).
 JsonValue ExpositionJson(const std::vector<GaugeSample>& gauges = {});
 
 // Writes ExpositionText to `text_path` and ExpositionJson to `json_path`

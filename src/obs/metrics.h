@@ -1,9 +1,10 @@
 // Engine observability: a metrics registry of per-worker-sharded counters
 // and log2-bucketed histograms. Hot paths touch only their own worker's
-// cache line (one relaxed fetch_add per chunk of work, never per edge);
-// aggregation across shards happens on read. The paper's credibility rests
-// on end-to-end measurement, so the instrumentation itself must not move
-// the numbers it reports.
+// cache line (at most one relaxed fetch_add per chunk of work, never per
+// edge; the engine kernels publish once per call); aggregation across
+// shards happens on read. The paper's credibility rests on end-to-end
+// measurement, so the instrumentation itself must not move the numbers it
+// reports.
 //
 // Compile-time escape hatch: building with -DEGRAPH_METRICS=0 (CMake option
 // EGRAPH_METRICS=OFF) compiles every mutation out of the hot path; readers
@@ -202,15 +203,16 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-// The engine's hot-path counters, resolved once. Everything EdgeMap, the
-// scans and Frontier touch per chunk/conversion lives here.
+// The engine's hot-path counters, resolved once. EdgeMap and the scans
+// publish once per call (CountedChunks in src/engine/edge_map.h), Frontier
+// once per conversion.
 struct EngineCounters {
-  Counter& edgemap_calls;        // one per EdgeMap / whole-graph scan
+  Counter& edgemap_calls;        // one per EdgeMap call (whole-graph scans not counted)
   Counter& edges_scanned;        // edge entries examined
   Counter& edges_relaxed;        // Update calls returning true
   Counter& frontier_to_dense;    // sparse -> bitmap materializations
   Counter& frontier_to_sparse;   // bitmap -> vector materializations
-  Histogram& frontier_size;      // |frontier| entering each EdgeMap
+  Histogram& frontier_size;      // |frontier| entering each traced round
 
   static EngineCounters& Get();
 };

@@ -23,43 +23,14 @@ std::string FormatSlowQuery(const SlowQueryRecord& record) {
 }
 
 SlowQueryLog::SlowQueryLog(double threshold_seconds, size_t capacity)
-    : threshold_seconds_(threshold_seconds),
-      capacity_(capacity == 0 ? 1 : capacity) {}
+    : threshold_seconds_(threshold_seconds), ring_(capacity) {}
 
 bool SlowQueryLog::MaybeRecord(const SlowQueryRecord& record) {
   if (record.trace.TotalSeconds() < threshold_seconds_) {
     return false;
   }
-  std::lock_guard<std::mutex> guard(mutex_);
-  ++recorded_;
-  if (records_.size() < capacity_) {
-    records_.push_back(record);
-  } else {
-    records_[head_] = record;
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
+  ring_.Record(record);
   return true;
-}
-
-std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<SlowQueryRecord> out;
-  out.reserve(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    out.push_back(records_[(head_ + i) % records_.size()]);
-  }
-  return out;
-}
-
-int64_t SlowQueryLog::recorded() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return recorded_;
-}
-
-int64_t SlowQueryLog::dropped() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return dropped_;
 }
 
 }  // namespace egraph::obs

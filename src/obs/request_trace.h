@@ -17,9 +17,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "src/obs/ring.h"
 
 namespace egraph::obs {
 
@@ -84,10 +85,10 @@ struct SlowQueryRecord {
 // the full phase breakdown (admission / queue / dispatch / execute).
 std::string FormatSlowQuery(const SlowQueryRecord& record);
 
-// Bounded newest-kept ring of queries whose total latency crossed a
-// threshold. Record() is called once per completed query from the serving
-// workers, so it takes a mutex (queries complete at most thousands per
-// second — this is not EdgeMap's hot path). Thread-safe throughout.
+// The newest offenders whose total latency crossed a threshold, in a
+// NewestRing. MaybeRecord() is called once per completed query from the
+// serving workers (queries complete at most thousands per second — this is
+// not EdgeMap's hot path). Thread-safe throughout.
 class SlowQueryLog {
  public:
   static constexpr size_t kDefaultCapacity = 128;
@@ -106,19 +107,14 @@ class SlowQueryLog {
   bool MaybeRecord(const SlowQueryRecord& record);
 
   // Offenders, oldest to newest.
-  std::vector<SlowQueryRecord> Snapshot() const;
+  std::vector<SlowQueryRecord> Snapshot() const { return ring_.Snapshot(); }
 
-  int64_t recorded() const;  // offenders seen (including overwritten ones)
-  int64_t dropped() const;   // offenders overwritten by newer ones
+  int64_t recorded() const { return ring_.recorded(); }  // offenders seen
+  int64_t dropped() const { return ring_.dropped(); }    // overwritten by newer ones
 
  private:
   const double threshold_seconds_;
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<SlowQueryRecord> records_;  // ring, at most capacity_ entries
-  size_t head_ = 0;                       // oldest retained record
-  int64_t recorded_ = 0;
-  int64_t dropped_ = 0;
+  NewestRing<SlowQueryRecord> ring_;
 };
 
 }  // namespace egraph::obs

@@ -1,5 +1,6 @@
 #include "src/obs/trace.h"
 
+#include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 
 namespace egraph::obs {
@@ -19,106 +20,37 @@ TraceSession::~TraceSession() {
   if (in_iteration_) {
     // An algorithm bailed mid-iteration; close the record so the trace is
     // still well-formed.
-    EndIteration(trace_.direction);
+    EndIteration(trace_.direction, 0, 0);
   }
   trace_.total_seconds = total_timer_.Seconds();
-  TraceSink::Current().Record(trace_);
+  TraceSink::Get().Record(trace_);
 }
 
 void TraceSession::BeginIteration(int64_t frontier_count, bool frontier_sparse) {
-  EngineCounters& counters = EngineCounters::Get();
   pending_ = IterationRecord{};
   pending_.iteration = static_cast<int>(trace_.iterations.size());
   pending_.frontier_size = frontier_count;
   pending_.frontier_sparse = frontier_sparse;
-  scanned_at_begin_ = counters.edges_scanned.Total();
-  relaxed_at_begin_ = counters.edges_relaxed.Total();
-  counters.frontier_size.Record(frontier_count);
+  EngineCounters::Get().frontier_size.Record(frontier_count);
   in_iteration_ = true;
   iteration_start_ns_ = TimelineNow();
   iteration_timer_.Reset();
 }
 
-void TraceSession::EndIteration(Direction direction_used) {
-  EngineCounters& counters = EngineCounters::Get();
+void TraceSession::EndIteration(Direction direction_used, int64_t edges_scanned,
+                                int64_t edges_relaxed) {
   pending_.seconds = iteration_timer_.Seconds();
-  pending_.edges_scanned = counters.edges_scanned.Total() - scanned_at_begin_;
-  pending_.edges_relaxed = counters.edges_relaxed.Total() - relaxed_at_begin_;
+  pending_.edges_scanned = edges_scanned;
+  pending_.edges_relaxed = edges_relaxed;
   pending_.direction = direction_used;
   TimelineEndSpan("engine", "iteration", iteration_start_ns_, pending_.iteration);
   trace_.iterations.push_back(pending_);
   in_iteration_ = false;
 }
 
-namespace {
-
-thread_local TraceSink* tls_current_sink = nullptr;
-
-}  // namespace
-
-TraceSink::TraceSink(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
 TraceSink& TraceSink::Get() {
   static TraceSink* sink = new TraceSink();
   return *sink;
-}
-
-TraceSink& TraceSink::Current() {
-  return tls_current_sink != nullptr ? *tls_current_sink : Get();
-}
-
-ScopedTraceSink::ScopedTraceSink(TraceSink& sink) : previous_(tls_current_sink) {
-  tls_current_sink = &sink;
-}
-
-ScopedTraceSink::~ScopedTraceSink() { tls_current_sink = previous_; }
-
-void TraceSink::Record(const EngineTrace& trace) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  ++recorded_;
-  if (traces_.size() < capacity_) {
-    traces_.push_back(trace);
-    return;
-  }
-  // Ring is full: overwrite the oldest slot in place (no O(capacity) shift,
-  // no allocation churn across long-lived serving processes).
-  traces_[head_] = trace;
-  head_ = (head_ + 1) % capacity_;
-  ++dropped_;
-}
-
-std::vector<EngineTrace> TraceSink::Snapshot() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<EngineTrace> out;
-  out.reserve(traces_.size());
-  for (size_t i = 0; i < traces_.size(); ++i) {
-    out.push_back(traces_[(head_ + i) % traces_.size()]);
-  }
-  return out;
-}
-
-void TraceSink::Clear() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  traces_.clear();
-  head_ = 0;
-}
-
-void TraceSink::Reset() {
-  std::lock_guard<std::mutex> guard(mutex_);
-  traces_.clear();
-  head_ = 0;
-  recorded_ = 0;
-  dropped_ = 0;
-}
-
-int64_t TraceSink::recorded() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return recorded_;
-}
-
-int64_t TraceSink::dropped() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return dropped_;
 }
 
 }  // namespace egraph::obs

@@ -273,14 +273,14 @@ ServeResult QuerySession::Execute(GraphHandle& handle, const Pending& pending,
   switch (query.kind) {
     case QueryKind::kBfs: {
       const BfsResult run = RunBfs(handle, query.source, query.config, ctx);
-      result.iterations = run.stats.iterations;
+      result.iterations = run.stats.rounds();
       result.checksum = ChecksumBfs(run.parent);
       result.ok = true;
       break;
     }
     case QueryKind::kSssp: {
       const SsspResult run = RunSssp(handle, query.source, query.config, ctx);
-      result.iterations = run.stats.iterations;
+      result.iterations = run.stats.rounds();
       result.checksum = ChecksumSssp(run.dist);
       result.ok = true;
       break;
@@ -289,14 +289,14 @@ ServeResult QuerySession::Execute(GraphHandle& handle, const Pending& pending,
       PagerankOptions options;
       options.iterations = query.iterations;
       const PagerankResult run = RunPagerank(handle, options, query.config, ctx);
-      result.iterations = run.stats.iterations;
+      result.iterations = run.stats.rounds();
       result.checksum = ChecksumPagerank(run.rank);
       result.ok = true;
       break;
     }
     case QueryKind::kWcc: {
       const WccResult run = RunWcc(handle, query.config, ctx);
-      result.iterations = run.stats.iterations;
+      result.iterations = run.stats.rounds();
       result.checksum = ChecksumWcc(run.label);
       result.ok = true;
       break;

@@ -1,12 +1,14 @@
 // QuerySession: a bounded multi-query executor over one frozen GraphHandle —
 // the serving-side counterpart of the paper's one-algorithm-at-a-time
 // benchmarks. N worker threads each own a private ExecutionContext (pool,
-// trace sink, scratch), pull queries from a bounded queue, and run the
-// requested algorithm against the shared snapshot. Because the handle is
-// frozen and every per-query mutable state lives in the worker's context,
-// queries are data-race free by construction; because each context owns a
-// private pool, they scale with concurrency instead of serializing on the
-// process-wide pool's region lock.
+// scratch), pull queries from a bounded queue, and run the requested
+// algorithm against the shared snapshot. Because the handle is frozen and
+// every per-query mutable state lives in the worker's context, queries are
+// data-race free by construction; because each context owns a private
+// pool, they scale with concurrency instead of serializing on the
+// process-wide pool's region lock. Each query's engine trace counts only
+// its own rounds, however many run at once (ServeResult::iterations is its
+// round count), and lands in the process-wide TraceSink.
 //
 // Admission control is explicit: Submit() rejects — with a distinct status
 // for "queue full" vs "session draining" — so a producer that outruns the

@@ -32,7 +32,7 @@
 #ifndef SRC_SHARD_EDGE_MAP_SHARDED_H_
 #define SRC_SHARD_EDGE_MAP_SHARDED_H_
 
-#include <numeric>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -41,7 +41,6 @@
 #include "src/engine/frontier.h"
 #include "src/engine/options.h"
 #include "src/layout/csr.h"
-#include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/shard/aggregation_buffer.h"
 #include "src/shard/shard_metrics.h"
@@ -129,11 +128,9 @@ class BufferGrid {
 // the plain kernel.
 template <typename F>
 Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier& frontier,
-                            F& func, const EdgeMapOptions& options) {
+                            F& func, const EdgeMapOptions& options,
+                            EdgeCounts* counts = nullptr) {
   const int num_shards = shards.num_shards();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   ShardMetrics& shard_metrics = ShardMetrics::Get();
   shard_metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.push", frontier.Count());
@@ -145,17 +142,16 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
 
   // Phase 1: scatter. Task s owns shard s's destinations; everything else
   // rides an aggregation buffer.
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+  EdgeCounts total = CountedChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi,
+                                                                   int worker) {
     auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+    EdgeCounts chunk;
     for (int64_t idx = lo; idx < hi; ++idx) {
       const int s = shards.out_order()[static_cast<size_t>(idx)];
       Frontier& slice = slices[static_cast<size_t>(s)];
       if (slice.Empty()) {
         continue;  // no producer touched row s: nothing to flush either
       }
-      const uint64_t span_start = obs::TimelineNow();
-      int64_t scanned = 0;
-      int64_t relaxed = 0;
       int64_t local_updates = 0;
       int64_t remote_updates = 0;
       // Owned destinations update in place; remote ones are enqueued and
@@ -171,48 +167,47 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
         return false;
       };
       for (const VertexId src : slice.Vertices()) {
-        scanned += edge_map_internal::PushNeighbors(out, src, func, update, next, buffer, relaxed);
+        chunk.scanned +=
+            edge_map_internal::PushNeighbors(out, src, func, update, next, buffer, chunk.relaxed);
       }
       grid.FlushRow(s);
-      metrics.edges_scanned.Add(scanned);
-      metrics.edges_relaxed.Add(relaxed);
       shard_metrics.local_updates.Add(local_updates);
       shard_metrics.remote_updates.Add(remote_updates);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
     }
+    return chunk;
   });
 
   // Phase 2: apply. Task t is the only writer of shard t's state; every
   // drained batch lands as sequential plain stores on warm owner pages.
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+  total += CountedChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
     auto& buffer = round.buffers()[static_cast<size_t>(worker)];
+    EdgeCounts chunk;
     for (int64_t idx = lo; idx < hi; ++idx) {
       const int t = shards.in_order()[static_cast<size_t>(idx)];
-      const uint64_t span_start = obs::TimelineNow();
-      int64_t relaxed = 0;
-      int64_t applied = 0;
       for (int s = 0; s < num_shards; ++s) {
         if (s == t) {
           continue;
         }
-        applied += grid.At(s, t).Drain([&](const ShardUpdate& update) {
+        grid.At(s, t).Drain([&](const ShardUpdate& update) {
           if (!func.Cond(update.dst)) {
             return;
           }
           if (func.Update(update.src, update.dst, update.weight)) {
-            ++relaxed;
+            ++chunk.relaxed;
             if (next.TestAndSet(update.dst)) {
               buffer.push_back(update.dst);
             }
           }
         });
       }
-      metrics.edges_relaxed.Add(relaxed);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, applied);
     }
+    return chunk;
   });
 
   grid.PublishStats();
+  if (counts != nullptr) {
+    *counts = total;
+  }
   return round.Finish();
 }
 
@@ -224,35 +219,32 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
 // Like EdgeMapPull it takes no EdgeMapOptions.
 template <typename F>
 Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier& frontier,
-                            F& func) {
+                            F& func, EdgeCounts* counts = nullptr) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();
   const int num_shards = shards.num_shards();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
   ShardMetrics& shard_metrics = ShardMetrics::Get();
   shard_metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.pull", frontier.Count());
 
   Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
-  std::vector<int64_t> counts(static_cast<size_t>(ThreadPool::Current().num_threads()), 0);
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int t = shards.in_order()[static_cast<size_t>(idx)];
-      const uint64_t span_start = obs::TimelineNow();
-      const edge_map_internal::GatherCounts c = edge_map_internal::GatherRange(
-          in, static_cast<int64_t>(shards.ShardBegin(t)), static_cast<int64_t>(shards.ShardEnd(t)),
-          frontier.bitmap(), func, next);
-      counts[static_cast<size_t>(worker)] += c.discovered;
-      shard_metrics.local_updates.Add(c.relaxed);  // every pull apply is owner-local
-      metrics.edges_scanned.Add(c.scanned);
-      metrics.edges_relaxed.Add(c.relaxed);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, c.scanned);
-    }
-  });
-  return Frontier::FromBitmap(n, std::move(next),
-                              std::accumulate(counts.begin(), counts.end(), int64_t{0}));
+  const EdgeCounts total =
+      CountedChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+        EdgeCounts chunk;
+        for (int64_t idx = lo; idx < hi; ++idx) {
+          const int t = shards.in_order()[static_cast<size_t>(idx)];
+          const EdgeCounts c = edge_map_internal::GatherRange(
+              in, static_cast<int64_t>(shards.ShardBegin(t)),
+              static_cast<int64_t>(shards.ShardEnd(t)), frontier.bitmap(), func, next);
+          shard_metrics.local_updates.Add(c.relaxed);  // every pull apply is owner-local
+          chunk += c;
+        }
+        return chunk;
+      });
+  if (counts != nullptr) {
+    *counts = total;
+  }
+  return Frontier::FromBitmap(n, std::move(next), total.discovered);
 }
 
 // --- Sharded all-active scans (PageRank / SpMV) ----------------------------
@@ -263,45 +255,47 @@ Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier&
 // two-phase shape — owner applies local edges during the scatter, remote
 // edges ride the buffers and land in the owner's phase-2 drain.
 template <typename Body>
-void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) {
+int64_t ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) {
   const int num_shards = shards.num_shards();
   obs::TimelineSpan timeline_span("engine", "scan.sharded.src",
                                   static_cast<int64_t>(out.num_edges()));
-  obs::Counter& scanned_counter = obs::EngineCounters::Get().edges_scanned;
   ShardMetrics& shard_metrics = ShardMetrics::Get();
   shard_metrics.edgemap_calls.Add(1);
 
   shard_internal::BufferGrid grid(num_shards);
 
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int s = shards.out_order()[static_cast<size_t>(idx)];
-      int64_t scanned = 0;
-      int64_t local_updates = 0;
-      int64_t remote_updates = 0;
-      const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(s));
-      const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(s));
-      for (int64_t v = v_lo; v < v_hi; ++v) {
-        const VertexId src = static_cast<VertexId>(v);
-        out.ForEachNeighbor(src, [&](VertexId dst, float w) {
-          const int t = shards.ShardOf(dst);
-          if (t == s) {
-            ++local_updates;
-            body(src, dst, w);
-          } else {
-            ++remote_updates;
-            grid.At(s, t).Enqueue(src, dst, w);
+  const EdgeCounts scatter =
+      CountedChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+        EdgeCounts chunk;
+        for (int64_t idx = lo; idx < hi; ++idx) {
+          const int s = shards.out_order()[static_cast<size_t>(idx)];
+          int64_t local_updates = 0;
+          int64_t remote_updates = 0;
+          const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(s));
+          const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(s));
+          for (int64_t v = v_lo; v < v_hi; ++v) {
+            const VertexId src = static_cast<VertexId>(v);
+            out.ForEachNeighbor(src, [&](VertexId dst, float w) {
+              const int t = shards.ShardOf(dst);
+              if (t == s) {
+                ++local_updates;
+                body(src, dst, w);
+              } else {
+                ++remote_updates;
+                grid.At(s, t).Enqueue(src, dst, w);
+              }
+            });
+            chunk.scanned += static_cast<int64_t>(out.Degree(src));
           }
-        });
-        scanned += static_cast<int64_t>(out.Degree(src));
-      }
-      grid.FlushRow(s);
-      scanned_counter.Add(scanned);
-      shard_metrics.local_updates.Add(local_updates);
-      shard_metrics.remote_updates.Add(remote_updates);
-    }
-  });
+          grid.FlushRow(s);
+          shard_metrics.local_updates.Add(local_updates);
+          shard_metrics.remote_updates.Add(remote_updates);
+        }
+        return chunk;
+      });
 
+  // Apply: as in EdgeMapShardedPush's phase 2; the edges were counted when
+  // scattered.
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
     for (int64_t idx = lo; idx < hi; ++idx) {
       const int t = shards.in_order()[static_cast<size_t>(idx)];
@@ -317,6 +311,7 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
   });
 
   grid.PublishStats();
+  return scatter.scanned;
 }
 
 // Owner-partitioned dense gather: sums[dst] += value(src, weight) over every
@@ -324,23 +319,24 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
 // order — the same fold as ScanByDestination, so floating-point gather sums
 // (PageRank, SpMV) are bit-identical to the plain pull backend.
 template <typename Value>
-void ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Value&& value,
-                            float* sums) {
+int64_t ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Value&& value,
+                               float* sums) {
   const int num_shards = shards.num_shards();
   obs::TimelineSpan timeline_span("engine", "scan.sharded.dst",
                                   static_cast<int64_t>(in.num_edges()));
-  obs::Counter& scanned_counter = obs::EngineCounters::Get().edges_scanned;
-  ShardMetrics& shard_metrics = ShardMetrics::Get();
-  shard_metrics.edgemap_calls.Add(1);
-
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int t = shards.in_order()[static_cast<size_t>(idx)];
-      scanned_counter.Add(scan_internal::SumDestinations(
-          in, static_cast<int64_t>(shards.ShardBegin(t)),
-          static_cast<int64_t>(shards.ShardEnd(t)), value, sums));
-    }
-  });
+  ShardMetrics::Get().edgemap_calls.Add(1);
+  const EdgeCounts total =
+      CountedChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+        EdgeCounts chunk;
+        for (int64_t idx = lo; idx < hi; ++idx) {
+          const int t = shards.in_order()[static_cast<size_t>(idx)];
+          chunk.scanned += scan_internal::SumDestinations(
+              in, static_cast<int64_t>(shards.ShardBegin(t)),
+              static_cast<int64_t>(shards.ShardEnd(t)), value, sums);
+        }
+        return chunk;
+      });
+  return total.scanned;
 }
 
 }  // namespace egraph

@@ -67,9 +67,8 @@ TEST_P(BfsConfigTest, ParentTreeMatchesReference) {
   config.sync = sync;
   const BfsResult result = RunBfs(handle, /*source=*/0, config);
   ValidateParents(*graph_, 0, result.parent);
-  EXPECT_GT(result.stats.iterations, 0);
-  EXPECT_EQ(result.stats.per_iteration_seconds.size(),
-            static_cast<size_t>(result.stats.iterations));
+  EXPECT_GT(result.stats.rounds(), 0);
+  EXPECT_EQ(result.stats.trace.iterations.size(), static_cast<size_t>(result.stats.rounds()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,7 +101,7 @@ TEST(Bfs, RoadGraphHighDiameter) {
   const BfsResult result = RunBfs(handle, 0, config);
   ValidateParents(graph, 0, result.parent);
   // Road proxy: BFS needs ~diameter iterations, far more than a power law.
-  EXPECT_GT(result.stats.iterations, 40);
+  EXPECT_GT(result.stats.rounds(), 40);
 }
 
 TEST(Bfs, SourceOutOfRangeReturnsAllInvalid) {
@@ -134,12 +133,13 @@ TEST(Bfs, FrontierSizesTrackDiscovery) {
   const EdgeList graph = GenerateRmat(options);
   GraphHandle handle(graph);
   const BfsResult result = RunBfs(handle, 0, RunConfig{});
-  ASSERT_FALSE(result.stats.frontier_sizes.empty());
-  EXPECT_EQ(result.stats.frontier_sizes[0], 1);  // just the source
+  const std::vector<obs::IterationRecord>& rounds = result.stats.trace.iterations;
+  ASSERT_FALSE(rounds.empty());
+  EXPECT_EQ(rounds[0].frontier_size, 1);  // just the source
   // Total discovered == sum of frontier sizes.
   int64_t discovered = 0;
-  for (const int64_t s : result.stats.frontier_sizes) {
-    discovered += s;
+  for (const obs::IterationRecord& round : rounds) {
+    discovered += round.frontier_size;
   }
   int64_t reached = 0;
   for (const VertexId p : result.parent) {
@@ -158,13 +158,16 @@ TEST(Bfs, PushPullRecordsSwitchDecisions) {
   RunConfig config;
   config.direction = Direction::kPushPull;
   const BfsResult result = RunBfs(handle, 0, config);
-  ASSERT_EQ(result.stats.used_pull.size(),
-            static_cast<size_t>(result.stats.iterations));
+  // Every round records the direction it resolved to.
+  const std::vector<obs::IterationRecord>& rounds = result.stats.trace.iterations;
+  ASSERT_EQ(rounds.size(), static_cast<size_t>(result.stats.rounds()));
+  ASSERT_FALSE(rounds.empty());
   // Paper Fig. 6: early iterations push, the explosion iterations pull.
-  EXPECT_FALSE(result.stats.used_pull.front());
+  EXPECT_EQ(rounds.front().direction, Direction::kPush);
   bool any_pull = false;
-  for (const bool pulled : result.stats.used_pull) {
-    any_pull |= pulled;
+  for (const obs::IterationRecord& round : rounds) {
+    EXPECT_NE(round.direction, Direction::kPushPull);
+    any_pull |= round.direction == Direction::kPull;
   }
   EXPECT_TRUE(any_pull);
 }

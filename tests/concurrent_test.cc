@@ -12,8 +12,11 @@
 //      the layout must be built exactly once (identical CSR to a serial
 //      build, build cost far below 8 independent builds).
 //   3. QuerySession admission control and drain semantics.
+//   4. Traces: each run's EngineTrace counts only its own rounds' edges
+//      while another context runs a larger graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -30,6 +33,7 @@
 #include "src/obs/request_trace.h"
 #include "src/serve/query_session.h"
 #include "src/util/thread_pool.h"
+#include "tests/hand_computed_bfs.h"
 
 namespace egraph {
 namespace {
@@ -593,29 +597,108 @@ TEST(ConcurrentTest, ExecutionContextSeedStreamIsDeterministic) {
   EXPECT_NE(ExecutionContext(options).NextSeed(), c.NextSeed());
 }
 
-// The thread-local Scope binding redirects nested parallel loops and trace
-// deposits without touching the process-wide defaults on other threads.
+// The thread-local Scope binding redirects nested parallel loops without
+// touching the process-wide pool on other threads; whichever context runs
+// it, a trace lands in the one process ring.
 TEST(ConcurrentTest, ScopeBindsPoolAndSinkPerThread) {
   ExecutionContextOptions options;
   options.name = "scope-test";
   options.num_threads = 2;
-  options.trace_capacity = 4;
   ExecutionContext ctx(options);
   {
     ExecutionContext::Scope scope(ctx);
     EXPECT_EQ(&ThreadPool::Current(), &ctx.pool());
-    EXPECT_EQ(&obs::TraceSink::Current(), &ctx.trace_sink());
   }
   EXPECT_EQ(&ThreadPool::Current(), &ThreadPool::Get());
-  EXPECT_EQ(&obs::TraceSink::Current(), &obs::TraceSink::Get());
 
-  // A run through the context lands its trace in the context's sink, not
-  // the process-wide one.
   GraphHandle handle(TestGraph());
-  const size_t global_before = obs::TraceSink::Get().Snapshot().size();
-  RunBfs(handle, 1, PushConfig(), ctx);
-  EXPECT_EQ(ctx.trace_sink().Snapshot().size(), 1u);
-  EXPECT_EQ(obs::TraceSink::Get().Snapshot().size(), global_before);
+  const int64_t recorded_before = obs::TraceSink::Get().recorded();
+  const BfsResult result = RunBfs(handle, 1, PushConfig(), ctx);
+  EXPECT_EQ(obs::TraceSink::Get().recorded(), recorded_before + 1);
+  const std::vector<obs::EngineTrace> sunk = obs::TraceSink::Get().Snapshot();
+  ASSERT_FALSE(sunk.empty());
+  EXPECT_EQ(sunk.back().algorithm, "bfs");
+  EXPECT_EQ(sunk.back().iterations.size(), result.stats.trace.iterations.size());
+}
+
+// Whether `trace` holds exactly the hand-computed push BFS rounds.
+bool IsHandComputedBfs(const obs::EngineTrace& trace) {
+  if (trace.iterations.size() != static_cast<size_t>(kHandBfsRounds)) {
+    return false;
+  }
+  for (int i = 0; i < kHandBfsRounds; ++i) {
+    const obs::IterationRecord& round = trace.iterations[static_cast<size_t>(i)];
+    if (round.frontier_size != kHandBfsFrontier[i] || round.edges_scanned != kHandBfsScanned[i] ||
+        round.edges_relaxed != kHandBfsRelaxed[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Each run's trace counts only its own work. One context runs push BFS on
+// the hand-computed graph over and over while another runs pull PageRank on
+// an R-MAT graph, on two threads: every BFS trace must hold the
+// hand-computed rounds and edges, and every PageRank round must have
+// scanned exactly the graph's m edges, however the two runs interleave.
+TEST(ConcurrentTest, TracesCountOnlyTheirOwnRun) {
+  constexpr int kBfsRuns = 1000;
+  GraphHandle small(HandComputedGraph());
+  PrepareForRun(small, PushConfig());
+  small.Freeze();
+  RmatOptions rmat;
+  rmat.scale = 14;
+  rmat.edge_factor = 16;
+  rmat.seed = 5;
+  GraphHandle large(GenerateRmat(rmat));
+  RunConfig pull;
+  pull.layout = Layout::kAdjacency;
+  pull.direction = Direction::kPull;
+  pull.sync = Sync::kLockFree;
+  PrepareForRun(large, pull);
+  large.Freeze();
+  const int64_t m = static_cast<int64_t>(large.in_csr().num_edges());
+
+  ExecutionContextOptions options;
+  options.num_threads = std::max(1, ThreadPool::Get().num_threads() / 2);
+  options.name = "trace-bfs";
+  ExecutionContext bfs_ctx(options);
+  options.name = "trace-pagerank";
+  ExecutionContext pagerank_ctx(options);
+
+  std::atomic<bool> pagerank_started{false};
+  std::atomic<bool> bfs_done{false};
+  int64_t pagerank_rounds = 0;
+  int64_t pagerank_wrong = 0;
+  std::thread pagerank_thread([&] {
+    PagerankOptions pr;
+    pr.iterations = 2;
+    pagerank_started.store(true);
+    do {
+      const PagerankResult result = RunPagerank(large, pr, pull, pagerank_ctx);
+      for (const obs::IterationRecord& round : result.stats.trace.iterations) {
+        ++pagerank_rounds;
+        pagerank_wrong += round.edges_scanned == m ? 0 : 1;
+      }
+    } while (!bfs_done.load());
+  });
+  int64_t bfs_wrong = 0;
+  std::thread bfs_thread([&] {
+    while (!pagerank_started.load()) {
+      std::this_thread::yield();
+    }
+    for (int run = 0; run < kBfsRuns; ++run) {
+      const BfsResult result = RunBfs(small, /*source=*/0, PushConfig(), bfs_ctx);
+      bfs_wrong += IsHandComputedBfs(result.stats.trace) ? 0 : 1;
+    }
+    bfs_done.store(true);
+  });
+  bfs_thread.join();
+  pagerank_thread.join();
+
+  EXPECT_EQ(bfs_wrong, 0) << "of " << kBfsRuns << " BFS runs";
+  EXPECT_GT(pagerank_rounds, 0);
+  EXPECT_EQ(pagerank_wrong, 0) << "of " << pagerank_rounds << " PageRank rounds";
 }
 
 }  // namespace

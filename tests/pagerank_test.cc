@@ -51,7 +51,7 @@ TEST_P(PagerankConfigTest, MatchesSequentialReference) {
   config.sync = sync;
   const PagerankResult result = RunPagerank(handle, PagerankOptions{}, config);
   ExpectRanksNear(result.rank, *expected_);
-  EXPECT_EQ(result.stats.iterations, 10);
+  EXPECT_EQ(result.stats.rounds(), 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,9 +146,9 @@ TEST(Pagerank, PerIterationTimesRecorded) {
   PagerankOptions pr_options;
   pr_options.iterations = 7;
   const PagerankResult result = RunPagerank(handle, pr_options, RunConfig{});
-  EXPECT_EQ(result.stats.per_iteration_seconds.size(), 7u);
-  for (const double s : result.stats.per_iteration_seconds) {
-    EXPECT_GE(s, 0.0);
+  EXPECT_EQ(result.stats.trace.iterations.size(), 7u);
+  for (const obs::IterationRecord& round : result.stats.trace.iterations) {
+    EXPECT_GE(round.seconds, 0.0);
   }
 }
 

@@ -46,7 +46,7 @@ void ExpectSpmvMatchesReference(const RunConfig& config, const EdgeList& graph) 
   GraphHandle handle(graph);
   const SpmvResult result = RunSpmv(handle, x, config);
   ExpectNear(result.y, expected);
-  EXPECT_EQ(result.stats.iterations, 1);  // single pass by definition
+  EXPECT_EQ(result.stats.rounds(), 1);  // single pass by definition
 }
 
 using SpmvParam = std::tuple<Layout, Direction, Sync>;

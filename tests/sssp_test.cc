@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include "src/algos/reference.h"
 #include "src/algos/sssp.h"
@@ -32,6 +33,15 @@ ExecutionContext& SingleThread() {
     return new ExecutionContext(options);
   }();
   return *ctx;
+}
+
+// Each round's frontier size, from the run's trace.
+std::vector<int64_t> FrontierSizes(const AlgoStats& stats) {
+  std::vector<int64_t> sizes;
+  for (const obs::IterationRecord& round : stats.trace.iterations) {
+    sizes.push_back(round.frontier_size);
+  }
+  return sizes;
 }
 
 // 0->1->3 costs 10; 0->2->4->3 costs 3 and is found one round later; 3->5.
@@ -162,7 +172,7 @@ TEST(Sssp, RoadGraphLongPaths) {
   ExpectDistancesEqual(result.dist, expected);
   // High-diameter graph: SSSP needs many more iterations than a power law
   // (the paper's Table 6 contrast: 30.7 s on US-Road vs 2.8 s on RMAT-26).
-  EXPECT_GT(result.stats.iterations, 30);
+  EXPECT_GT(result.stats.rounds(), 30);
 }
 
 TEST(Sssp, VertexCanRelaxMultipleTimes) {
@@ -185,7 +195,7 @@ TEST(DeltaStepping, MatchesDijkstraOnWeightedRmat) {
   GraphHandle handle(graph);
   const SsspResult result = RunSssp(handle, 0, RunConfig{});
   ExpectDistancesEqual(result.dist, expected);
-  EXPECT_GT(result.stats.iterations, 0);
+  EXPECT_GT(result.stats.rounds(), 0);
 }
 
 // Distances are the least fixpoint of the float relaxations, so every bucket
@@ -230,9 +240,8 @@ TEST(DeltaStepping, DeltaSweepAllCorrect) {
   // improves to 3 inside that bucket, and is relaxed again.
   GraphHandle diamond_handle(diamond);
   const SsspResult wide = RunSsspAtWidth(diamond_handle, 0, RunConfig{}, SingleThread(), 100.0);
-  EXPECT_EQ(std::accumulate(wide.stats.frontier_sizes.begin(), wide.stats.frontier_sizes.end(),
-                            int64_t{0}),
-            8);
+  const std::vector<int64_t> wide_sizes = FrontierSizes(wide.stats);
+  EXPECT_EQ(std::accumulate(wide_sizes.begin(), wide_sizes.end(), int64_t{0}), 8);
 }
 
 TEST(DeltaStepping, UnweightedDegeneratesToBfsLevels) {
@@ -253,7 +262,7 @@ TEST(DeltaStepping, UnweightedDegeneratesToBfsLevels) {
     }
   }
   // Unit weights: every bucket is one BFS level, relaxed in one round.
-  EXPECT_EQ(result.stats.frontier_sizes, level_sizes);
+  EXPECT_EQ(FrontierSizes(result.stats), level_sizes);
 }
 
 TEST(DeltaStepping, RoadGraphLongPaths) {
@@ -282,8 +291,8 @@ TEST(Sssp, BucketedRoundsRelaxEachVertexAboutOnce) {
   const int64_t reachable = std::count_if(bucketed.dist.begin(), bucketed.dist.end(),
                                           [](float d) { return !std::isinf(d); });
   const auto relaxed = [](const SsspResult& result) {
-    return std::accumulate(result.stats.frontier_sizes.begin(),
-                           result.stats.frontier_sizes.end(), int64_t{0});
+    const std::vector<int64_t> sizes = FrontierSizes(result.stats);
+    return std::accumulate(sizes.begin(), sizes.end(), int64_t{0});
   };
   EXPECT_LE(static_cast<double>(relaxed(bucketed)), 1.25 * static_cast<double>(reachable));
   const SsspResult one_bucket = RunSsspAtWidth(handle, 0, RunConfig{}, SingleThread(),

@@ -19,6 +19,7 @@
 #include "src/engine/graph_handle.h"
 #include "src/gen/rmat.h"
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/util/parallel.h"
 #include "src/util/thread_pool.h"
 

@@ -401,7 +401,7 @@ int CmdRun(const Flags& flags) {
       reached += p != kInvalidVertex ? 1 : 0;
     }
     std::snprintf(buffer, sizeof(buffer), "reached %lld vertices in %d iterations",
-                  static_cast<long long>(reached), result.stats.iterations);
+                  static_cast<long long>(reached), result.stats.rounds());
     summary = buffer;
     algorithm_seconds = result.stats.algorithm_seconds;
   } else if (algo == "wcc") {
@@ -411,12 +411,12 @@ int CmdRun(const Flags& flags) {
       components += result.label[v] == v ? 1 : 0;
     }
     std::snprintf(buffer, sizeof(buffer), "%lld components in %d rounds",
-                  static_cast<long long>(components), result.stats.iterations);
+                  static_cast<long long>(components), result.stats.rounds());
     summary = buffer;
     algorithm_seconds = result.stats.algorithm_seconds;
   } else if (algo == "sssp") {
     const SsspResult result = RunSssp(handle, source, config);
-    std::snprintf(buffer, sizeof(buffer), "%d relaxation rounds", result.stats.iterations);
+    std::snprintf(buffer, sizeof(buffer), "%d relaxation rounds", result.stats.rounds());
     summary = buffer;
     algorithm_seconds = result.stats.algorithm_seconds;
   } else if (algo == "pagerank") {
