@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "src/graph/stats.h"
 #include "src/obs/export.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/util/env.h"
 #include "src/util/thread_pool.h"
@@ -122,7 +120,6 @@ void EmitBenchJsonAtExit() {
   obs::JsonValue config = obs::JsonValue::Object();
   config.Set("eg_scale", static_cast<int64_t>(Scale()));
   config.Set("threads", static_cast<int64_t>(ThreadPool::Get().num_threads()));
-  config.Set("metrics_compiled", obs::kMetricsCompiled);
   doc.Set("config", std::move(config));
   doc.Set("machine", MachineInfoJson());
 
@@ -152,13 +149,7 @@ void EmitBenchJsonAtExit() {
     dir.push_back('/');
   }
   const std::string path = dir + "BENCH_" + g_experiment_slug + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << doc.Dump(1) << '\n';
-  if (out.good()) {
+  if (obs::WriteReportFile(path, doc.Dump(1) + "\n")) {
     std::printf("bench results: %s\n", path.c_str());
   }
 }

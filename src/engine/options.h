@@ -37,11 +37,53 @@ enum class Sync {
 // True for the layouts that walk per-vertex adjacency lists (plain,
 // compressed, sharded): they honor the direction switch and need the out-
 // and/or in-lists it implies. The edge array and grid scan stored edges.
-bool IsVertexCentric(Layout layout);
+inline bool IsVertexCentric(Layout layout) {
+  return layout == Layout::kAdjacency || layout == Layout::kCompressed ||
+         layout == Layout::kSharded;
+}
 
-const char* LayoutName(Layout layout);
-const char* DirectionName(Direction direction);
-const char* SyncName(Sync sync);
+// The names of the switches' values: the CLI's flag spellings and the
+// strings of every report. Inline, so that libraries linked below the
+// engine (obs) can use them.
+inline const char* LayoutName(Layout layout) {
+  switch (layout) {
+    case Layout::kEdgeArray:
+      return "edge-array";
+    case Layout::kAdjacency:
+      return "adjacency";
+    case Layout::kGrid:
+      return "grid";
+    case Layout::kCompressed:
+      return "compressed";
+    case Layout::kSharded:
+      return "sharded";
+  }
+  return "?";
+}
+
+inline const char* DirectionName(Direction direction) {
+  switch (direction) {
+    case Direction::kPush:
+      return "push";
+    case Direction::kPull:
+      return "pull";
+    case Direction::kPushPull:
+      return "push-pull";
+  }
+  return "?";
+}
+
+inline const char* SyncName(Sync sync) {
+  switch (sync) {
+    case Sync::kAtomics:
+      return "atomics";
+    case Sync::kLocks:
+      return "locks";
+    case Sync::kLockFree:
+      return "lock-free";
+  }
+  return "?";
+}
 
 // Per-phase end-to-end timing, the paper's reporting unit.
 struct TimingBreakdown {

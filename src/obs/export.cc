@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/engine/options.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
 #include "src/obs/timeline.h"
@@ -9,52 +10,6 @@
 #include "src/util/thread_pool.h"
 
 namespace egraph::obs {
-namespace {
-
-// Local enum names: obs sits below the engine library in the link order, so
-// it spells out the handful of names itself instead of pulling in
-// engine/options.cc.
-const char* LayoutString(Layout layout) {
-  switch (layout) {
-    case Layout::kEdgeArray:
-      return "edge-array";
-    case Layout::kAdjacency:
-      return "adjacency";
-    case Layout::kGrid:
-      return "grid";
-    case Layout::kCompressed:
-      return "compressed";
-    case Layout::kSharded:
-      return "sharded";
-  }
-  return "?";
-}
-
-const char* DirectionString(Direction direction) {
-  switch (direction) {
-    case Direction::kPush:
-      return "push";
-    case Direction::kPull:
-      return "pull";
-    case Direction::kPushPull:
-      return "push-pull";
-  }
-  return "?";
-}
-
-const char* SyncString(Sync sync) {
-  switch (sync) {
-    case Sync::kAtomics:
-      return "atomics";
-    case Sync::kLocks:
-      return "locks";
-    case Sync::kLockFree:
-      return "lock-free";
-  }
-  return "?";
-}
-
-}  // namespace
 
 JsonValue PhasesToJson() {
   const TimingBreakdown breakdown = PhaseTimers::Get().ToBreakdown();
@@ -95,9 +50,9 @@ JsonValue MetricsToJson() {
 JsonValue TraceToJson(const EngineTrace& trace) {
   JsonValue out = JsonValue::Object();
   out.Set("algorithm", trace.algorithm);
-  out.Set("layout", LayoutString(trace.layout));
-  out.Set("direction", DirectionString(trace.direction));
-  out.Set("sync", SyncString(trace.sync));
+  out.Set("layout", LayoutName(trace.layout));
+  out.Set("direction", DirectionName(trace.direction));
+  out.Set("sync", SyncName(trace.sync));
   out.Set("total_seconds", trace.total_seconds);
   out.Set("num_iterations", static_cast<int64_t>(trace.iterations.size()));
 
@@ -109,7 +64,7 @@ JsonValue TraceToJson(const EngineTrace& trace) {
     entry.Set("frontier_repr", record.frontier_sparse ? "sparse" : "dense");
     entry.Set("edges_scanned", record.edges_scanned);
     entry.Set("edges_relaxed", record.edges_relaxed);
-    entry.Set("direction", DirectionString(record.direction));
+    entry.Set("direction", DirectionName(record.direction));
     entry.Set("seconds", record.seconds);
     iterations.Append(std::move(entry));
   }
@@ -121,7 +76,6 @@ JsonValue ProcessReportToJson(const std::string& name) {
   JsonValue report = JsonValue::Object();
   report.Set("name", name);
   report.Set("schema", "egraph-trace-v1");
-  report.Set("metrics_compiled", kMetricsCompiled);
   report.Set("threads", ThreadPool::Current().num_threads());
   report.Set("phases", PhasesToJson());
   report.Set("metrics", MetricsToJson());
@@ -183,17 +137,24 @@ std::string MetricsTableString() {
   return out;
 }
 
-bool WriteProcessReport(const std::string& path, const std::string& name) {
-  const std::string json = ProcessReportToJson(name).Dump(/*indent=*/2);
+bool WriteReportFile(const std::string& path, std::string_view content) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
-    std::fprintf(stderr, "obs: cannot write trace to %s\n", path.c_str());
+    std::fprintf(stderr, "obs: cannot open %s\n", path.c_str());
     return false;
   }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  return written == json.size();
+  const bool written = std::fwrite(content.data(), 1, content.size(), file) == content.size();
+  // A full disk often shows only when fclose flushes the last buffer.
+  const bool closed = std::fclose(file) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool WriteProcessReport(const std::string& path, const std::string& name) {
+  return WriteReportFile(path, ProcessReportToJson(name).Dump(/*indent=*/2) + "\n");
 }
 
 }  // namespace egraph::obs

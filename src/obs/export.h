@@ -6,6 +6,7 @@
 #define SRC_OBS_EXPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/obs/json.h"
 #include "src/obs/trace.h"
@@ -31,6 +32,12 @@ JsonValue ProcessReportToJson(const std::string& name);
 // Renders counters, histograms and the phase breakdown as aligned tables
 // (the CLI's --metrics output).
 std::string MetricsTableString();
+
+// Writes `content` to `path`, replacing the file: the one writer of every
+// report file (process reports, timelines, stats exposition, bench
+// results). Returns false, after a line on stderr, when the file cannot be
+// opened, a write falls short or closing it fails.
+bool WriteReportFile(const std::string& path, std::string_view content);
 
 // Writes ProcessReportToJson(name) to `path` (pretty-printed). Returns
 // false (and prints to stderr) when the file cannot be written.

@@ -112,7 +112,6 @@ std::string ExpositionText(const std::vector<GaugeSample>& gauges) {
 JsonValue ExpositionJson(const std::vector<GaugeSample>& gauges) {
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", "egraph-stats-v1");
-  doc.Set("metrics_compiled", kMetricsCompiled);
 
   // The registry's "counters" and "histograms" objects, as the process
   // report (MetricsToJson) encodes them.
@@ -129,29 +128,14 @@ JsonValue ExpositionJson(const std::vector<GaugeSample>& gauges) {
   return doc;
 }
 
-namespace {
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "obs: cannot write stats to %s\n", path.c_str());
-    return false;
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  std::fclose(file);
-  return written == content.size();
-}
-
-}  // namespace
-
 bool WriteExposition(const std::string& text_path, const std::string& json_path,
                      const std::vector<GaugeSample>& gauges) {
   bool ok = true;
   if (!text_path.empty()) {
-    ok &= WriteFile(text_path, ExpositionText(gauges));
+    ok &= WriteReportFile(text_path, ExpositionText(gauges));
   }
   if (!json_path.empty()) {
-    ok &= WriteFile(json_path, ExpositionJson(gauges).Dump(2) + "\n");
+    ok &= WriteReportFile(json_path, ExpositionJson(gauges).Dump(2) + "\n");
   }
   return ok;
 }

@@ -4,56 +4,13 @@
 
 namespace egraph::obs {
 
-namespace internal {
-std::atomic<bool> g_enabled{true};
-}  // namespace internal
-
-bool Enabled() { return internal::g_enabled.load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  internal::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Counter
-
-Counter::Counter(std::string name)
-    : name_(std::move(name)),
-      shards_(static_cast<size_t>(ThreadPool::Get().num_threads())) {}
-
-int64_t Counter::Total() const {
-  int64_t total = 0;
-  for (const internal::CounterShard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (internal::CounterShard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(std::string name)
-    : name_(std::move(name)),
-      shards_(static_cast<size_t>(ThreadPool::Get().num_threads())) {}
-
 int64_t Histogram::Count() const {
   int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t Histogram::Sum() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.sum.load(std::memory_order_relaxed);
+  for (const std::atomic<int64_t>& bucket : buckets_) {
+    total += bucket.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -63,22 +20,12 @@ double Histogram::Mean() const {
   return count == 0 ? 0.0 : static_cast<double>(Sum()) / static_cast<double>(count);
 }
 
-std::vector<int64_t> Histogram::MergedBuckets() const {
-  std::vector<int64_t> merged(kBuckets, 0);
-  for (const Shard& shard : shards_) {
-    for (int b = 0; b < kBuckets; ++b) {
-      merged[static_cast<size_t>(b)] +=
-          shard.buckets[static_cast<size_t>(b)].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
-}
-
 int64_t Histogram::Percentile(double q) const {
-  const std::vector<int64_t> merged = MergedBuckets();
+  int64_t counts[kBuckets];
   int64_t total = 0;
-  for (const int64_t c : merged) {
-    total += c;
+  for (int b = 0; b < kBuckets; ++b) {
+    counts[b] = buckets_[b].load(std::memory_order_relaxed);
+    total += counts[b];
   }
   if (total == 0) {
     return 0;
@@ -94,7 +41,7 @@ int64_t Histogram::Percentile(double q) const {
       1, static_cast<int64_t>(q * static_cast<double>(total) + 0.5));
   int64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
-    seen += merged[static_cast<size_t>(b)];
+    seen += counts[b];
     if (seen >= rank) {
       return BucketUpperBound(b);
     }
@@ -103,13 +50,10 @@ int64_t Histogram::Percentile(double q) const {
 }
 
 void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    for (int b = 0; b < kBuckets; ++b) {
-      shard.buckets[static_cast<size_t>(b)].store(0, std::memory_order_relaxed);
-    }
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
+  for (std::atomic<int64_t>& bucket : buckets_) {
+    bucket.store(0, std::memory_order_relaxed);
   }
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,13 @@
-// Engine observability: a metrics registry of per-worker-sharded counters
-// and log2-bucketed histograms. Hot paths touch only their own worker's
-// cache line (at most one relaxed fetch_add per chunk of work, never per
-// edge; the engine kernels publish once per call); aggregation across
-// shards happens on read. The paper's credibility rests on end-to-end
-// measurement, so the instrumentation itself must not move the numbers it
-// reports.
-//
-// Compile-time escape hatch: building with -DEGRAPH_METRICS=0 (CMake option
-// EGRAPH_METRICS=OFF) compiles every mutation out of the hot path; readers
-// then observe zeros. A runtime toggle (SetEnabled) additionally allows
-// in-process overhead A/B measurement without rebuilding.
+// Engine observability: a metrics registry of counters and log2-bucketed
+// histograms. An update is a relaxed atomic add on the metric's own values
+// (one for a counter, two for a histogram sample), made once per EdgeMap
+// call, round, query, build or merge, never per edge (the engine kernels
+// sum their chunks' counts and publish once per call, CountedChunks in
+// src/engine/edge_map.h). The paper's credibility
+// rests on end-to-end measurement, so the instrumentation itself must not
+// move the numbers it reports.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
-
-#ifndef EGRAPH_METRICS
-#define EGRAPH_METRICS 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -23,79 +15,46 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "src/util/thread_pool.h"
 
 namespace egraph::obs {
 
-inline constexpr bool kMetricsCompiled = EGRAPH_METRICS != 0;
-
-// Runtime toggle over the compiled-in instrumentation (default: enabled).
-// A single relaxed bool load on the mutation path; used by the overhead
-// test to A/B the cost of the counter writes themselves.
-bool Enabled();
-void SetEnabled(bool enabled);
-
-namespace internal {
-// One cache line per worker so concurrent Add calls never share a line.
-struct alignas(64) CounterShard {
-  std::atomic<int64_t> value{0};
-};
-
-extern std::atomic<bool> g_enabled;
-}  // namespace internal
-
-// Monotonic counter, sharded per pool worker. Adds from outside a parallel
-// region (or from foreign threads) land on shard 0, which is why shards use
-// fetch_add rather than plain stores. Shards are sized for the process-wide
-// default pool; workers of larger context-private pools wrap around with a
-// modulo, which costs contention on the shared shard but never correctness
-// (registries and counters are process-lifetime, context pools are not).
+// Monotonic counter. Add is safe from any thread: pool workers, foreign
+// threads and other contexts' pools all add to the one relaxed atomic.
 class Counter {
  public:
-  explicit Counter(std::string name);
+  explicit Counter(std::string name) : name_(std::move(name)) {}
 
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
   const std::string& name() const { return name_; }
 
-  void Add(int64_t delta) {
-#if EGRAPH_METRICS
-    if (!internal::g_enabled.load(std::memory_order_relaxed)) {
-      return;
-    }
-    shards_[static_cast<size_t>(ThreadPool::CurrentWorkerSlot()) % shards_.size()]
-        .value.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
-  }
+  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
 
   void Increment() { Add(1); }
 
-  // Aggregates across shards. Linearizable only when no Add is concurrent;
-  // concurrent reads see a consistent-enough sum for reporting.
-  int64_t Total() const;
+  int64_t Total() const { return value_.load(std::memory_order_relaxed); }
 
-  void Reset();
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::string name_;
-  std::vector<internal::CounterShard> shards_;
+  std::atomic<int64_t> value_{0};
 };
 
-// Log2-bucketed histogram of non-negative integer samples, sharded per
-// worker like Counter. Bucket b holds samples in [2^(b-1), 2^b); bucket 0
-// holds samples <= 0 and 1. Percentiles are therefore resolved to within a
-// factor of two, which is what per-iteration wall-time and frontier-size
-// distributions need.
+// Log2-bucketed histogram of non-negative integer samples, safe to record
+// from any thread like Counter. Bucket b holds samples in [2^(b-1), 2^b);
+// bucket 0 holds samples <= 0 and 1. Percentiles are therefore resolved to
+// within a factor of two, which is what per-iteration wall-time and
+// frontier-size distributions need. Readers running concurrently with
+// Record see a count, sum and buckets that may be a sample apart.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
 
-  explicit Histogram(std::string name);
+  explicit Histogram(std::string name) : name_(std::move(name)) {}
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
@@ -103,23 +62,13 @@ class Histogram {
   const std::string& name() const { return name_; }
 
   void Record(int64_t sample) {
-#if EGRAPH_METRICS
-    if (!internal::g_enabled.load(std::memory_order_relaxed)) {
-      return;
-    }
-    Shard& shard =
-        shards_[static_cast<size_t>(ThreadPool::CurrentWorkerSlot()) % shards_.size()];
-    shard.buckets[static_cast<size_t>(BucketOf(sample))].fetch_add(
-        1, std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(sample, std::memory_order_relaxed);
-#else
-    (void)sample;
-#endif
+    buckets_[BucketOf(sample)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(sample, std::memory_order_relaxed);
   }
 
+  // Samples recorded: the sum of the bucket counts.
   int64_t Count() const;
-  int64_t Sum() const;
+  int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   double Mean() const;
 
   // Upper bound of the bucket containing the q-quantile (q in [0, 1]).
@@ -148,17 +97,9 @@ class Histogram {
   }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<int64_t> buckets[kBuckets]{};
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-  };
-
-  // Aggregated bucket counts across shards.
-  std::vector<int64_t> MergedBuckets() const;
-
   std::string name_;
-  std::vector<Shard> shards_;
+  std::atomic<int64_t> buckets_[kBuckets]{};
+  std::atomic<int64_t> sum_{0};
 };
 
 struct CounterSnapshot {

@@ -4,8 +4,7 @@
 // the matching phase, so any binary can read a paper-style breakdown from
 // the process without adding its own Timer calls.
 //
-// Phase accounting is off the hot path (a handful of events per run), so it
-// stays active even under EGRAPH_METRICS=0.
+// Phase accounting is off the hot path: a handful of events per run.
 #ifndef SRC_OBS_PHASE_H_
 #define SRC_OBS_PHASE_H_
 

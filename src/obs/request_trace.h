@@ -6,12 +6,10 @@
 // go — admission, queue wait, dispatch, or execution?"
 //
 // The stamps are steady-clock nanoseconds taken at phase transitions (a
-// handful of clock reads per query, never per edge or per round), so they
-// stay on even under EGRAPH_METRICS=0: the phase breakdown is part of the
-// result a caller paid for, not optional instrumentation. Everything
-// derived from the stamps — per-kind latency histograms, the slow-query
-// log, exposition — is ordinary registry traffic and compiles out with the
-// rest of the metrics layer.
+// handful of clock reads per query, never per edge or per round): the phase
+// breakdown is part of the result a caller paid for. Everything derived
+// from the stamps — per-kind latency histograms, the slow-query log,
+// exposition — is ordinary registry traffic.
 #ifndef SRC_OBS_REQUEST_TRACE_H_
 #define SRC_OBS_REQUEST_TRACE_H_
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string_view>
 
+#include "src/obs/export.h"
 #include "src/obs/json.h"
 #include "src/util/env.h"
 #include "src/util/table.h"
@@ -188,16 +189,7 @@ JsonValue TimelineToChromeJson() {
 }
 
 bool WriteTimelineTrace(const std::string& path) {
-  const std::string json = TimelineToChromeJson().Dump(/*indent=*/1);
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "obs: cannot write timeline to %s\n", path.c_str());
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  return written == json.size();
+  return WriteReportFile(path, TimelineToChromeJson().Dump(/*indent=*/1) + "\n");
 }
 
 std::string TimelineSummaryTableString() {

@@ -13,10 +13,8 @@
 // egraph_util's thread pool can emit pool spans without a link dependency on
 // the obs library; only the exporters and the summary live in timeline.cc.
 //
-// Compile gate: EGRAPH_METRICS=0 compiles every emission path to nothing
-// (TimelineSpan becomes an empty class, Enabled() a constant false). At
-// runtime the timeline is off by default; enabling costs one relaxed load
-// per span on top of the clock reads.
+// The timeline is off by default (EG_TIMELINE turns it on); a disabled span
+// site costs one relaxed load, an enabled one adds the clock reads.
 //
 // Concurrency contract: emission is safe from any number of threads
 // concurrently (each writes only its own buffer) and Snapshot() may run
@@ -25,10 +23,6 @@
 // must not race with emission — call them outside parallel regions.
 #ifndef SRC_OBS_TIMELINE_H_
 #define SRC_OBS_TIMELINE_H_
-
-#ifndef EGRAPH_METRICS
-#define EGRAPH_METRICS 1
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -128,38 +122,25 @@ inline void Emit(const char* cat, const char* name, uint64_t start_ns,
 
 class Timeline {
  public:
-#if EGRAPH_METRICS
   static bool Enabled() {
     return timeline_internal::g_timeline_enabled.load(std::memory_order_relaxed);
   }
-#else
-  static constexpr bool Enabled() { return false; }
-#endif
 
   static void SetEnabled(bool enabled) {
-#if EGRAPH_METRICS
     timeline_internal::g_timeline_enabled.store(enabled, std::memory_order_relaxed);
-#else
-    (void)enabled;
-#endif
   }
 
   // Per-thread buffer capacity, in events. Applies to buffers registered
   // after the call; Reset() re-sizes existing buffers to the new capacity.
   static void SetCapacityPerThread(size_t events) {
-#if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
     registry.capacity = events == 0 ? 1 : events;
-#else
-    (void)events;
-#endif
   }
 
   // Names the calling thread's track in the exported trace (ExecutionContext
   // scopes pass the context's name, such as "serve.w0").
   static void SetThreadLabel(const std::string& label) {
-#if EGRAPH_METRICS
     if (!Enabled()) {
       return;
     }
@@ -167,15 +148,11 @@ class Timeline {
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
     buffer->label = label;
-#else
-    (void)label;
-#endif
   }
 
   // Tags the calling thread with its pool worker id; called by the pool at
   // region entry (cheap: one tls lookup and a compare once registered).
   static void NoteWorker(int worker_id) {
-#if EGRAPH_METRICS
     if (!Enabled()) {
       return;
     }
@@ -183,15 +160,11 @@ class Timeline {
     if (buffer->worker_id.load(std::memory_order_relaxed) != worker_id) {
       buffer->worker_id.store(worker_id, std::memory_order_relaxed);
     }
-#else
-    (void)worker_id;
-#endif
   }
 
   // Zeroes every buffer (and applies a pending capacity change). Must not
   // race with emission.
   static void Reset() {
-#if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
     for (auto& buffer : registry.buffers) {
@@ -201,12 +174,10 @@ class Timeline {
       buffer->size.store(0, std::memory_order_relaxed);
       buffer->dropped.store(0, std::memory_order_relaxed);
     }
-#endif
   }
 
   // Events dropped across all buffers since the last Reset.
   static uint64_t TotalDropped() {
-#if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
     uint64_t total = 0;
@@ -214,9 +185,6 @@ class Timeline {
       total += buffer->dropped.load(std::memory_order_relaxed);
     }
     return total;
-#else
-    return 0;
-#endif
   }
 
   struct ThreadSnapshot {
@@ -232,7 +200,6 @@ class Timeline {
   // an in-flight span simply isn't included yet.
   static std::vector<ThreadSnapshot> Snapshot() {
     std::vector<ThreadSnapshot> out;
-#if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
     out.reserve(registry.buffers.size());
@@ -248,17 +215,14 @@ class Timeline {
                              buffer->events.begin() + static_cast<int64_t>(n));
       out.push_back(std::move(snapshot));
     }
-#endif
     return out;
   }
 };
 
 // RAII scoped span: records [construction, destruction) on the calling
-// thread's track. Costs one relaxed load when the timeline is disabled and
-// compiles to nothing under EGRAPH_METRICS=0.
+// thread's track. Costs one relaxed load when the timeline is disabled.
 class TimelineSpan {
  public:
-#if EGRAPH_METRICS
   TimelineSpan(const char* cat, const char* name, int64_t arg = 0)
       : cat_(cat),
         name_(name),
@@ -273,58 +237,37 @@ class TimelineSpan {
     }
   }
 
+  TimelineSpan(const TimelineSpan&) = delete;
+  TimelineSpan& operator=(const TimelineSpan&) = delete;
+
  private:
   const char* cat_;
   const char* name_;
   int64_t arg_;
   uint64_t start_ns_;
-#else
-  TimelineSpan(const char*, const char*, int64_t = 0) {}
-#endif
-
- public:
-  TimelineSpan(const TimelineSpan&) = delete;
-  TimelineSpan& operator=(const TimelineSpan&) = delete;
 };
 
 // Manual span plumbing for begin/end call pairs that cannot hold an RAII
 // object (TraceSession iterations). TimelineNow() returns 0 when disabled;
 // TimelineEndSpan is a no-op for a 0 start.
 inline uint64_t TimelineNow() {
-#if EGRAPH_METRICS
   return Timeline::Enabled() ? timeline_internal::NowNs() : 0;
-#else
-  return 0;
-#endif
 }
 
 inline void TimelineEndSpan(const char* cat, const char* name, uint64_t start_ns,
                             int64_t arg = 0) {
-#if EGRAPH_METRICS
   if (start_ns != 0 && Timeline::Enabled()) {
     timeline_internal::Emit(cat, name, start_ns,
                             timeline_internal::NowNs() - start_ns, arg,
                             TimelineEventKind::kSpan);
   }
-#else
-  (void)cat;
-  (void)name;
-  (void)start_ns;
-  (void)arg;
-#endif
 }
 
 inline void TimelineInstant(const char* cat, const char* name, int64_t arg = 0) {
-#if EGRAPH_METRICS
   if (Timeline::Enabled()) {
     timeline_internal::Emit(cat, name, timeline_internal::NowNs(), 0, arg,
                             TimelineEventKind::kInstant);
   }
-#else
-  (void)cat;
-  (void)name;
-  (void)arg;
-#endif
 }
 
 // ---------------------------------------------------------------------------

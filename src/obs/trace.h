@@ -4,8 +4,7 @@
 // per algorithm run is the run's only per-round record. A TraceSession
 // fills it from the run's round loop, which hands each round the counts its
 // EdgeMap or scan call returned, so a trace counts exactly its own run's
-// work under any concurrency, and also when the metrics registry is
-// compiled out.
+// work under any concurrency, without reading the metrics registry.
 //
 // Completed traces are also deposited in the one process-wide TraceSink so
 // that harness code (bench binaries, the CLI, the stats exposition) can

@@ -54,8 +54,8 @@ class ThreadPool {
                          const std::function<void(int64_t, int64_t, int)>& body);
 
   // Sentinel returned by CurrentWorker() outside a parallel region. Callers
-  // that index per-worker buffers must use CurrentWorkerSlot() (or the
-  // worker id passed to their chunk body) instead of assuming a valid id.
+  // that index per-worker buffers must use the worker id passed to their
+  // chunk body instead of assuming a valid id.
   static constexpr int kNoWorker = -1;
 
   // Worker id of the current thread while inside a parallel region
@@ -64,15 +64,6 @@ class ThreadPool {
   // 0's slot in per-worker-indexed state; the sentinel makes that misuse
   // detectable (see util_test CurrentWorkerSentinel).
   static int CurrentWorker();
-
-  // Shard index for per-worker-striped state (metrics shards): the worker id
-  // inside a region, slot 0 outside. Foreign threads sharing slot 0 is the
-  // documented contract of the metrics shards — they use fetch_add, so
-  // aliasing costs contention, never correctness.
-  static int CurrentWorkerSlot() {
-    const int worker = CurrentWorker();
-    return worker >= 0 ? worker : 0;
-  }
 
   // True while executing inside a parallel region on this thread.
   static bool InParallelRegion();

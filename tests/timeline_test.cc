@@ -19,7 +19,6 @@
 #include "src/engine/graph_handle.h"
 #include "src/gen/rmat.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/util/parallel.h"
 #include "src/util/thread_pool.h"
 
@@ -31,9 +30,6 @@ namespace {
 class TimelineFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kMetricsCompiled) {
-      GTEST_SKIP() << "timeline compiled out (EGRAPH_METRICS=0)";
-    }
     Timeline::SetCapacityPerThread(timeline_internal::kDefaultEventsPerThread);
     Timeline::Reset();
     Timeline::SetEnabled(true);
@@ -285,15 +281,6 @@ TEST_F(TimelineFixture, SummaryClassifiesForeignThreadsOutsideThePool) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(TimelineCompileGate, EnabledIsConstantFalseWhenCompiledOut) {
-  if (kMetricsCompiled) {
-    GTEST_SKIP() << "metrics compiled in";
-  }
-  EXPECT_FALSE(Timeline::Enabled());
-  EXPECT_EQ(TimelineNow(), 0u);
-  EXPECT_TRUE(Timeline::Snapshot().empty());
 }
 
 }  // namespace

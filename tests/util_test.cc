@@ -71,24 +71,18 @@ TEST(ThreadPool, WorkerIdsWithinBounds) {
 }
 
 TEST(ThreadPool, CurrentWorkerSentinel) {
-  // Outside any parallel region there is no worker identity: callers that
-  // used to see a bogus 0 (aliasing real worker 0's shard) now get the
-  // detectable sentinel, while CurrentWorkerSlot() still yields a safe
-  // index for per-worker buffers.
+  // Outside any parallel region there is no worker identity, only the
+  // detectable sentinel (a 0 here would alias real worker 0).
   EXPECT_EQ(ThreadPool::CurrentWorker(), ThreadPool::kNoWorker);
   EXPECT_FALSE(ThreadPool::InParallelRegion());
-  EXPECT_EQ(ThreadPool::CurrentWorkerSlot(), 0);
 
-  // Inside a region every body invocation sees a real worker id, and the
-  // slot matches it.
+  // Inside a region every body invocation sees a real worker id.
   const int workers = ThreadPool::Get().num_threads();
   std::atomic<bool> ok{true};
   ParallelForChunks(0, 256, 1, [&](int64_t, int64_t, int worker) {
     const int current = ThreadPool::CurrentWorker();
     if (current == ThreadPool::kNoWorker || current != worker ||
-        current < 0 || current >= workers ||
-        ThreadPool::CurrentWorkerSlot() != current ||
-        !ThreadPool::InParallelRegion()) {
+        current < 0 || current >= workers || !ThreadPool::InParallelRegion()) {
       ok.store(false);
     }
   });

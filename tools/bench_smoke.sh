@@ -46,18 +46,6 @@ echo "found ${bench_json[0]##*/}"
 # malformed documents, then the diff of a file against itself must be clean.
 python3 "$ROOT/tools/bench_regress.py" "${bench_json[0]}" "${bench_json[0]}"
 
-# An EGRAPH_METRICS=OFF build compiles the timeline out entirely: no trace
-# file is emitted and there is nothing more to check. The BENCH json records
-# which build this was.
-metrics_compiled=$(python3 -c \
-  "import json,sys; print(json.load(open(sys.argv[1]))['config']['metrics_compiled'])" \
-  "${bench_json[0]}")
-if [[ "$metrics_compiled" != "True" ]]; then
-  echo "metrics compiled out: skipping timeline checks"
-  echo "bench_smoke: PASS"
-  exit 0
-fi
-
 timeline_json=("$WORKDIR"/*.timeline.json)
 if [[ ! -f "${timeline_json[0]}" ]]; then
   echo "bench_smoke: FAIL - no *.timeline.json emitted" >&2

@@ -59,6 +59,7 @@
 // `egraph_cli: ignored flag --NAME`; the exit code does not change.
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -71,6 +72,7 @@
 #include "src/algos/triangles.h"
 #include "src/algos/wcc.h"
 #include "src/engine/advisor.h"
+#include "src/engine/options.h"
 #include "src/gen/datasets.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/stats.h"
@@ -102,49 +104,35 @@ int Usage() {
   return 2;
 }
 
+// Matches a flag against the names of an enum's values (LayoutName and
+// friends in src/engine/options.h), so each spelling is written once.
+template <typename Enum>
+Enum ParseEnum(const std::string& name, const char* what,
+               std::initializer_list<Enum> values, const char* (*name_of)(Enum)) {
+  for (const Enum value : values) {
+    if (name == name_of(value)) {
+      return value;
+    }
+  }
+  throw std::runtime_error(std::string("unknown ") + what + ": " + name);
+}
+
 Layout ParseLayout(const std::string& name) {
-  if (name == "adjacency") {
-    return Layout::kAdjacency;
-  }
-  if (name == "compressed") {
-    return Layout::kCompressed;
-  }
-  if (name == "edge-array") {
-    return Layout::kEdgeArray;
-  }
-  if (name == "grid") {
-    return Layout::kGrid;
-  }
-  if (name == "sharded") {
-    return Layout::kSharded;
-  }
-  throw std::runtime_error("unknown layout: " + name);
+  return ParseEnum(name, "layout",
+                   {Layout::kAdjacency, Layout::kCompressed, Layout::kEdgeArray,
+                    Layout::kGrid, Layout::kSharded},
+                   LayoutName);
 }
 
 Direction ParseDirection(const std::string& name) {
-  if (name == "push") {
-    return Direction::kPush;
-  }
-  if (name == "pull") {
-    return Direction::kPull;
-  }
-  if (name == "push-pull") {
-    return Direction::kPushPull;
-  }
-  throw std::runtime_error("unknown direction: " + name);
+  return ParseEnum(name, "direction",
+                   {Direction::kPush, Direction::kPull, Direction::kPushPull},
+                   DirectionName);
 }
 
 Sync ParseSync(const std::string& name) {
-  if (name == "atomics") {
-    return Sync::kAtomics;
-  }
-  if (name == "locks") {
-    return Sync::kLocks;
-  }
-  if (name == "lock-free") {
-    return Sync::kLockFree;
-  }
-  throw std::runtime_error("unknown sync: " + name);
+  return ParseEnum(name, "sync", {Sync::kAtomics, Sync::kLocks, Sync::kLockFree},
+                   SyncName);
 }
 
 BuildMethod ParseMethod(const std::string& name) {
