@@ -7,27 +7,21 @@
 //     + the three metadata tables vs plain offsets + neighbor array),
 //   - traversal time for all four kernels (BFS push, SSSP push on weights,
 //     WCC push on the symmetrized graph, PageRank pull lock-free) on the
-//     plain and compressed layouts,
-//   - the selective loader's decoded-vs-skipped byte split for a quarter
-//     vertex range.
+//     plain and compressed layouts.
 //
 // Hard gates (exit 1): the compressed layout must be strictly smaller than
 // the plain CSR on BOTH datasets (the road lattice is the adversarial case
 // for chunk metadata); every kernel's result checksum must be identical
-// across layouts; decode overhead must stay within a bounded slowdown; and
-// the selective loader must decode strictly fewer bytes than the full
-// stream while producing exactly the requested adjacencies.
+// across layouts; and decode overhead must stay within a bounded slowdown.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/algos/bfs.h"
 #include "src/algos/pagerank.h"
 #include "src/algos/sssp.h"
 #include "src/algos/wcc.h"
-#include "src/io/compressed_io.h"
 #include "src/layout/compressed_csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/serve/checksum.h"
@@ -103,49 +97,6 @@ CellResult RunCell(const std::string& cell, const std::string& dataset,
                   /*can_arm=*/true),
        cell + " on " + dataset + ": compressed decode slowdown out of bounds");
   return result;
-}
-
-void SelectiveLoaderCell(const std::string& dataset, const CompressedCsr& compressed,
-                         Table& table) {
-  const std::string path = "ablation_compression_" + dataset + ".egc";
-  WriteCompressedCsr(path, compressed);
-  {
-    SelectiveCompressedLoader loader(path);
-    const VertexId n = loader.num_vertices();
-    const DecodedRange range = loader.LoadRange(n / 4, n / 2);
-    uint64_t range_edges = 0;
-    for (VertexId v = n / 4; v < n / 2; ++v) {
-      range_edges += compressed.Degree(v);
-    }
-    const auto& stats = loader.stats();
-    Gate(range.neighbors.size() == range_edges,
-         dataset + ": selective loader edge count mismatch");
-    Gate(stats.bytes_decoded < loader.stream_bytes(),
-         dataset + ": selective loader decoded the whole stream");
-    Gate(stats.bytes_decoded + stats.bytes_skipped == loader.stream_bytes(),
-         dataset + ": selective loader byte accounting broken");
-    // Spot-check decoded adjacencies against the in-memory layout.
-    for (VertexId v = n / 4; v < n / 2; v += 97) {
-      const size_t i = v - n / 4;
-      const std::vector<VertexId> want = compressed.Neighbors(v);
-      Gate(range.offsets[i + 1] - range.offsets[i] == want.size() &&
-               std::vector<VertexId>(
-                   range.neighbors.begin() + static_cast<int64_t>(range.offsets[i]),
-                   range.neighbors.begin() + static_cast<int64_t>(range.offsets[i + 1])) ==
-                   want,
-           dataset + ": selective loader neighbor mismatch at vertex " +
-               std::to_string(v));
-    }
-    table.AddRow({"selective load [n/4, n/2)", dataset,
-                  Table::FormatCount(static_cast<int64_t>(stats.bytes_decoded)) +
-                      " of " +
-                      Table::FormatCount(static_cast<int64_t>(loader.stream_bytes())) +
-                      " bytes",
-                  "-",
-                  Ratio(static_cast<double>(stats.bytes_decoded) /
-                        static_cast<double>(loader.stream_bytes()))});
-  }
-  std::remove(path.c_str());
 }
 
 void RunDataset(const std::string& dataset, const EdgeList& graph, Table& layout_table,
@@ -234,8 +185,6 @@ void RunDataset(const std::string& dataset, const EdgeList& graph, Table& layout
                          Sec(r.compressed_seconds),
                          Ratio(r.compressed_seconds / r.plain_seconds)});
   }
-
-  SelectiveLoaderCell(dataset, compressed, kernel_table);
 }
 
 }  // namespace
@@ -245,7 +194,7 @@ int main() {
   const EdgeList road = UsRoad();
   PrintBanner("Ablation compression: chunked delta-varint adjacency vs plain CSR",
               "smaller layout on both graph shapes, identical kernel results, "
-              "bounded decode overhead, selective loads touch only their bytes",
+              "bounded decode overhead",
               DescribeDataset("twitter-proxy", twitter) + "; " +
                   DescribeDataset("us-road", road));
 
@@ -255,7 +204,7 @@ int main() {
   RunDataset("us-road", road, layout_table, kernel_table);
 
   layout_table.Print("Layout footprint");
-  kernel_table.Print("Kernels: plain vs compressed (+ selective loading)");
+  kernel_table.Print("Kernels: plain vs compressed");
   if (failures != 0) {
     std::fprintf(stderr, "%d compression-ablation gate(s) failed\n", failures);
     return 1;

@@ -59,19 +59,26 @@ VertexId GoodSource(const EdgeList& graph);
 // kMeaningfulSeconds are dominated by round dispatch and timer noise (ctest
 // runs the benches at smoke scale beside other tests), so a gate is armed
 // only when the baseline reaches it and the caller's precondition holds
-// (`can_arm`, e.g. enough hardware threads). Otherwise it degrades to a
-// regression bound, candidate < baseline * max(factor, kRegressionFactor) +
-// kNoiseGraceSeconds, which still catches an accidental serialization and
-// is never stricter than the armed gate. Checksum, identity and footprint
-// gates never go through here: they stay hard at every scale.
+// (`can_arm`, e.g. enough hardware threads), and never in a sanitizer
+// build, whose wall clock measures the instrumentation. Otherwise it
+// degrades to a regression bound, candidate < baseline *
+// max(factor, kRegressionFactor) + kNoiseGraceSeconds, which still catches
+// an accidental serialization and is never stricter than the armed gate.
+// Checksum, identity and footprint gates never go through here: they stay
+// hard at every scale and in every build.
 inline constexpr double kMeaningfulSeconds = 0.05;
 inline constexpr double kNoiseGraceSeconds = 0.05;
 inline constexpr double kRegressionFactor = 4.0;
+#ifdef EGRAPH_SANITIZED
+inline constexpr bool kSanitizedBuild = true;
+#else
+inline constexpr bool kSanitizedBuild = false;
+#endif
 
 // Returns whether the gate held; `*armed` (optional) reports which form ran.
 inline bool TimingGate(double candidate, double baseline, double factor, bool can_arm,
                        bool* armed = nullptr) {
-  const bool strict = can_arm && baseline >= kMeaningfulSeconds;
+  const bool strict = !kSanitizedBuild && can_arm && baseline >= kMeaningfulSeconds;
   if (armed != nullptr) {
     *armed = strict;
   }

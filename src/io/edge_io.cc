@@ -113,6 +113,11 @@ void ParseTextShard(std::string_view shard, const std::string& path, TextShard& 
       out.error = "unparsable line in " + path + ": " + std::string(line);
       return;
     }
+    // kInvalidVertex is the engine's "no vertex"; as an id, max + 1 wraps.
+    if (src >= kInvalidVertex || dst >= kInvalidVertex) {
+      out.error = "vertex id out of range in " + path + ": " + std::string(line);
+      return;
+    }
     if (text::AtLineEnd(p, le)) {
       out.any_unweighted = true;
       out.edges.push_back({src, dst});

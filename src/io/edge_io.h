@@ -38,7 +38,8 @@ void WriteBinaryEdges(const std::string& path, const EdgeList& graph);
 
 // Text interchange: one "src dst [weight]" line per edge; '#' comments
 // allowed. Vertex count is the max endpoint + 1 unless a "# vertices N"
-// comment is present.
+// comment is present. ReadTextEdges throws std::runtime_error on malformed
+// lines and on an id of kInvalidVertex or more.
 void WriteTextEdges(const std::string& path, const EdgeList& graph);
 EdgeList ReadTextEdges(const std::string& path);
 

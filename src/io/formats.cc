@@ -39,6 +39,11 @@ void ParseSnapShard(std::string_view shard, const std::string& path, ParsedShard
       out.error = "unparsable SNAP line in " + path + ": " + std::string(line);
       return;
     }
+    // kInvalidVertex is the engine's "no vertex"; as an id, max + 1 wraps.
+    if (src >= kInvalidVertex || dst >= kInvalidVertex) {
+      out.error = "vertex id out of range in " + path + ": " + std::string(line);
+      return;
+    }
     // Some SNAP exports carry extra numeric columns (timestamps); ignore
     // them, but reject non-numeric trailing junk.
     while (!text::AtLineEnd(p, le)) {
@@ -211,6 +216,11 @@ EdgeList ReadMatrixMarket(const std::string& path) {
   }
   if (!have_size || (mm.rows == 0 && mm.cols == 0)) {
     throw std::runtime_error("missing MatrixMarket size line in " + path);
+  }
+  // Vertex ids are 32-bit: a larger dimension would wrap the vertex count
+  // and every index past it.
+  if (mm.rows > kInvalidVertex || mm.cols > kInvalidVertex) {
+    throw std::runtime_error("MatrixMarket dimension out of vertex id range in " + path);
   }
 
   EdgeList graph;

@@ -12,7 +12,8 @@ namespace egraph {
 
 // SNAP format: one "src<ws>dst" pair per line, '#' comment lines.
 // Vertex ids are used as-is (the caller may compact them with reorder.h).
-// Throws std::runtime_error on unparsable lines.
+// Throws std::runtime_error on unparsable lines and on an id of
+// kInvalidVertex or more.
 EdgeList ReadSnapEdges(const std::string& path);
 
 // Matrix Market coordinate format:
@@ -22,7 +23,8 @@ EdgeList ReadSnapEdges(const std::string& path);
 //   i j [value]          (1-based)
 // Entry (i, j) becomes edge (i-1) -> (j-1); `symmetric` mirrors off-diagonal
 // entries; real/integer values become edge weights. Throws on malformed
-// input or unsupported qualifiers (complex, hermitian, skew-symmetric).
+// input, a dimension above kInvalidVertex, or unsupported qualifiers
+// (complex, hermitian, skew-symmetric).
 EdgeList ReadMatrixMarket(const std::string& path);
 
 }  // namespace egraph

@@ -99,11 +99,6 @@ void StreamEdges(const std::string& path, size_t chunk_bytes, EdgeList& graph,
 
 }  // namespace
 
-EdgeFileHeader ReadEdgeFileHeader(const std::string& path) {
-  ThrottledFileReader reader(path, kMediumMemory);
-  return ReadHeader(reader, path);
-}
-
 EdgeList LoadEdges(const std::string& path, StorageMedium medium, double* seconds) {
   obs::ScopedPhase phase(obs::Phase::kLoad);
   Timer timer;

@@ -57,10 +57,6 @@ LoadBuildResult LoadAndBuild(const std::string& path, const LoadBuildOptions& op
 // std::runtime_error on missing, corrupt or truncated input.
 EdgeList LoadEdges(const std::string& path, StorageMedium medium, double* seconds = nullptr);
 
-// Reads just the header, after the same magic and section-size checks the
-// streaming loop runs. Throws std::runtime_error on malformed input.
-EdgeFileHeader ReadEdgeFileHeader(const std::string& path);
-
 }  // namespace egraph
 
 #endif  // SRC_IO_LOADER_H_

@@ -4,9 +4,8 @@
 // delta-encoded and varint-packed, and every list is cut into fixed-size
 // chunks of at most chunk_edges() entries. Each chunk carries its own byte
 // offset and re-anchors its first neighbor against the owning vertex, so
-//   - every chunk decodes independently of the ones before it, and
-//   - a selective loader can decompress any vertex range from disk without
-//     touching bytes outside it (the per-chunk offsets are the seek table).
+// every chunk encodes, decodes and validates independently of the ones
+// before it (Build and Validate split their parallel work by chunk).
 // The EdgeMap kernels walk a list whole, like a plain CSR list: they chunk
 // work by vertex count (src/engine/edge_map.h), never inside a list.
 //
@@ -200,12 +199,11 @@ class CompressedCsr {
   // Full structural check with bounds-checked varint decode: every chunk
   // must decode exactly its entry count consuming exactly its byte span,
   // every neighbor must be < num_vertices, and the tables must be mutually
-  // consistent. The file loader runs this on untrusted input so a corrupt
-  // stream fails cleanly instead of decoding garbage.
+  // consistent. Reports a corrupt structure instead of decoding garbage.
   bool Validate(std::string* error = nullptr) const;
 
-  // Installs externally assembled tables (the file reader). Callers feed
-  // untrusted data through Validate() afterwards.
+  // Installs externally assembled tables, taken as untrusted: run Validate()
+  // before decoding them.
   void Init(VertexId num_vertices, EdgeIndex num_edges, bool has_weights,
             uint32_t chunk_edges, std::vector<uint32_t> degrees,
             std::vector<uint32_t> chunk_begin, std::vector<uint64_t> chunk_bytes,
@@ -220,7 +218,7 @@ class CompressedCsr {
     bytes_ = std::move(bytes);
   }
 
-  // Raw table access (persistence layer).
+  // Raw table access (format pins and structural tests).
   const std::vector<uint32_t>& degrees() const { return degrees_; }
   const std::vector<uint32_t>& chunk_begin() const { return chunk_begin_; }
   const std::vector<uint64_t>& chunk_bytes() const { return chunk_bytes_; }

@@ -36,10 +36,6 @@ class Csr {
     return {weights_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
-  float WeightAt(EdgeIndex position) const {
-    return weights_.empty() ? 1.0f : weights_[position];
-  }
-
   // --- Adjacency source: the surface the EdgeMap kernels and scans are
   // written against, shared with CompressedCsr. Callbacks receive
   // (neighbor, weight), weight 1.0f on unweighted graphs; the weighted

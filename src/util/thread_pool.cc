@@ -6,7 +6,10 @@
 namespace egraph {
 namespace {
 
-thread_local int tls_worker_id = ThreadPool::kNoWorker;
+// Worker id of a thread outside every parallel region.
+constexpr int kNoWorker = -1;
+
+thread_local int tls_worker_id = kNoWorker;
 thread_local bool tls_in_region = false;
 thread_local ThreadPool* tls_current_pool = nullptr;
 
@@ -55,18 +58,6 @@ uint64_t ThreadPool::steal_count() const {
   }
   return total;
 }
-
-std::vector<uint64_t> ThreadPool::StealCountsPerWorker() const {
-  std::vector<uint64_t> counts(steal_counts_.size());
-  for (size_t i = 0; i < steal_counts_.size(); ++i) {
-    counts[i] = steal_counts_[i].value.load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-int ThreadPool::CurrentWorker() { return tls_worker_id; }
-
-bool ThreadPool::InParallelRegion() { return tls_in_region; }
 
 void ThreadPool::ParallelForChunks(int64_t begin, int64_t end, int64_t grain,
                                    const std::function<void(int64_t, int64_t, int)>& body) {

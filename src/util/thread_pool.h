@@ -53,27 +53,9 @@ class ThreadPool {
   void ParallelForChunks(int64_t begin, int64_t end, int64_t grain,
                          const std::function<void(int64_t, int64_t, int)>& body);
 
-  // Sentinel returned by CurrentWorker() outside a parallel region. Callers
-  // that index per-worker buffers must use the worker id passed to their
-  // chunk body instead of assuming a valid id.
-  static constexpr int kNoWorker = -1;
-
-  // Worker id of the current thread while inside a parallel region
-  // (0..num_threads-1 of the pool running the region); kNoWorker outside.
-  // Historically this returned 0 outside a region, silently aliasing worker
-  // 0's slot in per-worker-indexed state; the sentinel makes that misuse
-  // detectable (see util_test CurrentWorkerSentinel).
-  static int CurrentWorker();
-
-  // True while executing inside a parallel region on this thread.
-  static bool InParallelRegion();
-
   // Total number of chunks stolen since construction (telemetry for tests),
   // aggregated across the per-worker tallies.
   uint64_t steal_count() const;
-
-  // Per-worker steal tallies (index = stealing worker's id).
-  std::vector<uint64_t> StealCountsPerWorker() const;
 
  private:
   struct Chunk {

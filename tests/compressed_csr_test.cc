@@ -346,9 +346,9 @@ uint64_t Fnv1a(uint64_t hash, const std::vector<T>& table) {
   return Fnv1a(hash, table.data(), table.size() * sizeof(T));
 }
 
-// Pins the stream format (and so EGCMPR01 file compatibility): the tables
-// of a seeded unweighted R-MAT graph hash to the values the earlier
-// CSR-based encoder produced for it.
+// Pins the stream format: the tables of a seeded unweighted R-MAT graph hash
+// to the values the earlier CSR-based encoder produced for it, so a format
+// change is made on purpose, never by accident.
 TEST(CompressedCsr, StreamFormatPinnedByHash) {
   RmatOptions options;
   options.scale = 12;

@@ -91,6 +91,13 @@ TEST_F(FormatsTest, MatrixMarketRejectsOutOfRangeIndex) {
                                  "2 2 1\n"
                                  "3 1\n");
   EXPECT_THROW(ReadMatrixMarket(path), std::runtime_error);
+  // A dimension past the 32-bit vertex ids: cast to VertexId, 2^32 + 1
+  // would load as one vertex and the entry would wrap to the self-loop 0->0.
+  const std::string wide = Write("wide.mtx",
+                                 "%%MatrixMarket matrix coordinate pattern general\n"
+                                 "4294967297 2 1\n"
+                                 "4294967297 1\n");
+  EXPECT_THROW(ReadMatrixMarket(wide), std::runtime_error);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Adversarial I/O suite: hostile binary inputs (truncated sections, bad
 // magic, absurd edge counts, out-of-range endpoints) against the one
 // streaming loader under every build method, hostile text inputs (overlong
-// lines, negative/overflowing ids, trailing junk), the weighted kDynamic
-// regression (weights must survive the overlapped pipeline), and hostile
-// compressed files.
+// lines, negative/overflowing ids, trailing junk), and the weighted kDynamic
+// regression (weights must survive the overlapped pipeline).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,10 +17,9 @@
 #include <vector>
 
 #include "src/gen/rmat.h"
-#include "src/io/compressed_io.h"
 #include "src/io/edge_io.h"
+#include "src/io/formats.h"
 #include "src/io/loader.h"
-#include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
 
@@ -227,6 +225,13 @@ TEST_F(IoAdversarialTest, OverflowingIdsRejected) {
                std::runtime_error);
   EXPECT_THROW(ReadTextEdges(WriteText("ovf2.txt", "1 4294967296\n")),
                std::runtime_error);
+  // UINT32_MAX itself is kInvalidVertex: as an endpoint, the vertex count
+  // max + 1 wraps to 0 and the graph loads as 0 vertices with edges.
+  for (const char* body : {"4294967295 0\n0 1\n", "0 4294967295\n0 1\n"}) {
+    const std::string path = WriteText("invalid.txt", body);
+    EXPECT_THROW(ReadTextEdges(path), std::runtime_error) << body;
+    EXPECT_THROW(ReadSnapEdges(path), std::runtime_error) << body;
+  }
 }
 
 TEST_F(IoAdversarialTest, TrailingJunkRejected) {
@@ -308,166 +313,6 @@ TEST_F(IoAdversarialTest, WeightedDynamicInCsrPreservesWeights) {
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     ASSERT_EQ(VertexPairs(result.in, v), VertexPairs(reference, v)) << "vertex " << v;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Compressed graph files ("EGCMPR01"): hostile headers and streams, plus the
-// selective loader's decode-only-what-you-ask-for guarantee.
-// ---------------------------------------------------------------------------
-
-CompressedCsr SampleCompressed(bool weighted) {
-  const EdgeList graph = SampleGraph(weighted);
-  return CompressedCsr::Build(graph, EdgeDirection::kOut);
-}
-
-TEST_F(IoAdversarialTest, CompressedFileRoundTrip) {
-  for (const bool weighted : {false, true}) {
-    const CompressedCsr original = SampleCompressed(weighted);
-    const std::string path = Path(weighted ? "cw.egc" : "c.egc");
-    WriteCompressedCsr(path, original);
-
-    const CompressedFileHeader header = ReadCompressedFileHeader(path);
-    EXPECT_EQ(header.num_vertices, original.num_vertices());
-    EXPECT_EQ(header.num_edges, static_cast<uint64_t>(original.num_edges()));
-    EXPECT_EQ(header.has_weights(), weighted);
-
-    const CompressedCsr loaded = ReadCompressedCsr(path);
-    ASSERT_EQ(loaded.degrees(), original.degrees());
-    ASSERT_EQ(loaded.chunk_begin(), original.chunk_begin());
-    ASSERT_EQ(loaded.chunk_bytes(), original.chunk_bytes());
-    ASSERT_EQ(loaded.stream_bytes(), original.stream_bytes());
-    for (VertexId v = 0; v < original.num_vertices(); v += 37) {
-      EXPECT_EQ(loaded.Neighbors(v), original.Neighbors(v)) << "vertex " << v;
-    }
-  }
-}
-
-TEST_F(IoAdversarialTest, CompressedBadMagicRejected) {
-  const std::string path = Path("c.egc");
-  WriteCompressedCsr(path, SampleCompressed(false));
-  const uint64_t bogus = 0xDEADBEEFDEADBEEFULL;
-  CorruptAt(path, 0, &bogus, sizeof(bogus));
-  EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
-  EXPECT_THROW(ReadCompressedFileHeader(path), std::runtime_error);
-  EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
-}
-
-TEST_F(IoAdversarialTest, CompressedTruncationRejected) {
-  const std::string path = Path("c.egc");
-  WriteCompressedCsr(path, SampleCompressed(true));
-  const uint64_t full = std::filesystem::file_size(path);
-  // Inside the varint stream, inside the chunk tables, and mid-header: the
-  // size check must fire before any section is read.
-  for (const uint64_t bytes : {full - 16, sizeof(CompressedFileHeader) + 32,
-                               static_cast<uint64_t>(10)}) {
-    const std::string copy = Path("trunc.egc");
-    std::filesystem::copy_file(path, copy,
-                               std::filesystem::copy_options::overwrite_existing);
-    TruncateFile(copy, bytes);
-    EXPECT_THROW(ReadCompressedCsr(copy), std::runtime_error) << bytes;
-    EXPECT_THROW(SelectiveCompressedLoader loader(copy), std::runtime_error) << bytes;
-  }
-}
-
-// A corrupt chunk count far larger than the file must fail the up-front size
-// check — the u32 chunk-index space bounds it before any table allocation.
-TEST_F(IoAdversarialTest, CompressedAbsurdChunkCountRejected) {
-  const std::string path = Path("c.egc");
-  WriteCompressedCsr(path, SampleCompressed(false));
-  const uint64_t absurd = 1ULL << 60;
-  CorruptAt(path, 24, &absurd, sizeof(absurd));  // num_chunks field
-  EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
-  EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
-}
-
-// Setting the continuation bit on the final stream byte makes the last
-// chunk's varint run past its byte span: full reads and selective loads of
-// that range must throw, while ranges before the corruption still decode.
-TEST_F(IoAdversarialTest, CompressedCorruptStreamRejectedOnlyWhereDecoded) {
-  const CompressedCsr original = SampleCompressed(false);
-  const std::string path = Path("c.egc");
-  WriteCompressedCsr(path, original);
-  const uint64_t full = std::filesystem::file_size(path);
-  const uint8_t overrun = 0x80;
-  CorruptAt(path, full - 1, &overrun, sizeof(overrun));
-
-  EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
-
-  const VertexId bad_owner = original.OwnerOf(original.num_chunks() - 1);
-  SelectiveCompressedLoader loader(path);
-  // The corrupt byte lives in the last vertex's last chunk: a range that
-  // stops short of it never touches those bytes and decodes fine...
-  const DecodedRange clean = loader.LoadRange(0, bad_owner);
-  for (VertexId v = 0; v < bad_owner; v += 41) {
-    EXPECT_EQ(std::vector<VertexId>(
-                  clean.neighbors.begin() + static_cast<int64_t>(clean.offsets[v]),
-                  clean.neighbors.begin() + static_cast<int64_t>(clean.offsets[v + 1])),
-              original.Neighbors(v))
-        << "vertex " << v;
-  }
-  // ...while the range covering it throws.
-  EXPECT_THROW(loader.LoadRange(bad_owner, loader.num_vertices()), std::runtime_error);
-}
-
-TEST_F(IoAdversarialTest, SelectiveLoaderDecodesOnlyRequestedBytes) {
-  const CompressedCsr original = SampleCompressed(true);
-  const std::string path = Path("cw.egc");
-  WriteCompressedCsr(path, original);
-
-  const VertexId n = original.num_vertices();
-  const VertexId v_lo = n / 4;
-  const VertexId v_hi = n / 2;
-  SelectiveCompressedLoader loader(path);
-  const DecodedRange range = loader.LoadRange(v_lo, v_hi);
-
-  ASSERT_EQ(range.offsets.size(), static_cast<size_t>(v_hi - v_lo) + 1);
-  for (VertexId v = v_lo; v < v_hi; ++v) {
-    const size_t i = v - v_lo;
-    const auto lo = static_cast<int64_t>(range.offsets[i]);
-    const auto hi = static_cast<int64_t>(range.offsets[i + 1]);
-    ASSERT_EQ(std::vector<VertexId>(range.neighbors.begin() + lo,
-                                    range.neighbors.begin() + hi),
-              original.Neighbors(v))
-        << "vertex " << v;
-    ASSERT_EQ(std::vector<float>(range.weights.begin() + lo, range.weights.begin() + hi),
-              original.NeighborWeights(v))
-        << "vertex " << v;
-  }
-
-  // Provably selective: exactly the covering byte span was decoded, the rest
-  // of the stream was skipped untouched.
-  const auto& stats = loader.stats();
-  const uint64_t expected_bytes = static_cast<uint64_t>(original.ByteOffset(v_hi)) -
-                                  static_cast<uint64_t>(original.ByteOffset(v_lo));
-  EXPECT_EQ(stats.bytes_decoded, expected_bytes);
-  EXPECT_LT(stats.bytes_decoded, loader.stream_bytes());
-  EXPECT_EQ(stats.bytes_decoded + stats.bytes_skipped, loader.stream_bytes());
-  EXPECT_EQ(stats.ranges_loaded, 1u);
-}
-
-TEST_F(IoAdversarialTest, SelectiveLoaderPartitionsCoverWholeGraph) {
-  const CompressedCsr original = SampleCompressed(false);
-  const std::string path = Path("c.egc");
-  WriteCompressedCsr(path, original);
-
-  SelectiveCompressedLoader loader(path);
-  constexpr uint32_t kPartitions = 4;
-  uint64_t edges_seen = 0;
-  uint64_t bytes_seen = 0;
-  VertexId next_vertex = 0;
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    const DecodedRange part = loader.LoadPartition(p, kPartitions);
-    EXPECT_EQ(part.v_lo, next_vertex);  // contiguous, no gaps or overlaps
-    next_vertex = part.v_hi;
-    edges_seen += part.neighbors.size();
-  }
-  EXPECT_EQ(next_vertex, loader.num_vertices());
-  EXPECT_EQ(edges_seen, loader.num_edges());
-  bytes_seen = loader.stats().bytes_decoded;
-  // Contiguous partitions cover the full stream exactly once.
-  EXPECT_EQ(bytes_seen, loader.stream_bytes());
-  EXPECT_EQ(loader.stats().chunks_decoded,
-            static_cast<uint64_t>(original.num_chunks()));
 }
 
 }  // namespace

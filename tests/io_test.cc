@@ -64,15 +64,6 @@ TEST_F(IoTest, BinaryRoundTripWeighted) {
   EXPECT_EQ(loaded.weights(), graph.weights());
 }
 
-TEST_F(IoTest, HeaderOnlyRead) {
-  const EdgeList graph = SampleGraph(true);
-  WriteBinaryEdges(Path("g.bin"), graph);
-  const EdgeFileHeader header = ReadEdgeFileHeader(Path("g.bin"));
-  EXPECT_EQ(header.num_vertices, graph.num_vertices());
-  EXPECT_EQ(header.num_edges, graph.num_edges());
-  EXPECT_TRUE(header.has_weights());
-}
-
 TEST_F(IoTest, MissingFileThrows) {
   EXPECT_THROW(LoadEdges(Path("nonexistent.bin"), kMediumMemory), std::runtime_error);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -57,6 +58,41 @@ TEST(ThreadPool, NestedParallelForRunsSerially) {
     ParallelFor(0, 100, [&](int64_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 800);
+
+  // A nested region runs inline on the calling worker, so every inner body
+  // call gets the enclosing chunk's worker id: per-worker buffers indexed
+  // by it (CountedChunks' tallies, a sparse round's output lists) stay
+  // private to one thread. Checked on the process pool and a private one.
+  ThreadPool local(4);
+  for (ThreadPool* pool : {&ThreadPool::Get(), &local}) {
+    const int workers = pool->num_threads();
+    ASSERT_LE(workers, 64);  // every worker's queue gets a chunk
+    // Each worker holds its first chunk until all hold one, so every worker
+    // runs nested regions (the caller alone could drain 64 tiny chunks).
+    std::latch all_in(workers);
+    std::vector<std::atomic<bool>> entered(static_cast<size_t>(workers));
+    std::atomic<int64_t> inner_calls{0};
+    std::atomic<bool> same_worker{true};
+    pool->ParallelForChunks(0, 64, 1, [&](int64_t, int64_t, int outer) {
+      if (!entered[static_cast<size_t>(outer)].exchange(true)) {
+        all_in.arrive_and_wait();
+      }
+      pool->ParallelForChunks(0, 10, 3, [&](int64_t, int64_t, int inner) {
+        inner_calls.fetch_add(1);
+        if (inner != outer) {
+          same_worker.store(false);
+        }
+      });
+    });
+    EXPECT_EQ(inner_calls.load(), 64 * 4) << pool->num_threads() << " threads";
+    EXPECT_TRUE(same_worker.load()) << pool->num_threads() << " threads";
+  }
+
+  // An external caller of a 1-thread pool runs the region as its worker 0.
+  ThreadPool single(1);
+  int seen = -1;
+  single.ParallelForChunks(0, 1, 1, [&](int64_t, int64_t, int worker) { seen = worker; });
+  EXPECT_EQ(seen, 0);
 }
 
 TEST(ThreadPool, WorkerIdsWithinBounds) {
@@ -68,34 +104,6 @@ TEST(ThreadPool, WorkerIdsWithinBounds) {
     }
   });
   EXPECT_TRUE(ok.load());
-}
-
-TEST(ThreadPool, CurrentWorkerSentinel) {
-  // Outside any parallel region there is no worker identity, only the
-  // detectable sentinel (a 0 here would alias real worker 0).
-  EXPECT_EQ(ThreadPool::CurrentWorker(), ThreadPool::kNoWorker);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
-
-  // Inside a region every body invocation sees a real worker id.
-  const int workers = ThreadPool::Get().num_threads();
-  std::atomic<bool> ok{true};
-  ParallelForChunks(0, 256, 1, [&](int64_t, int64_t, int worker) {
-    const int current = ThreadPool::CurrentWorker();
-    if (current == ThreadPool::kNoWorker || current != worker ||
-        current < 0 || current >= workers || !ThreadPool::InParallelRegion()) {
-      ok.store(false);
-    }
-  });
-  EXPECT_TRUE(ok.load());
-
-  // The region is over: back to the sentinel on the calling thread.
-  EXPECT_EQ(ThreadPool::CurrentWorker(), ThreadPool::kNoWorker);
-
-  // A plain thread that never touches the pool also sees the sentinel.
-  int seen = 0;
-  std::thread observer([&] { seen = ThreadPool::CurrentWorker(); });
-  observer.join();
-  EXPECT_EQ(seen, ThreadPool::kNoWorker);
 }
 
 TEST(ThreadPool, ConcurrentExternalCallersSerialize) {
@@ -141,32 +149,6 @@ TEST(ThreadPool, SingleWorkerPoolRunsInline) {
                          [&](int64_t lo, int64_t hi, int /*worker*/) { sum += hi - lo; });
   EXPECT_EQ(sum, 1000);
   EXPECT_EQ(pool.steal_count(), 0u);
-}
-
-TEST(ThreadPool, PerWorkerStealCountsSumToAggregate) {
-  ThreadPool pool(4);
-  // Several imbalanced regions to provoke steals (not guaranteed on every
-  // schedule, which is fine — the invariant under test is the accounting).
-  for (int round = 0; round < 8; ++round) {
-    std::atomic<int64_t> sink{0};
-    pool.ParallelForChunks(0, 513, /*grain=*/1, [&](int64_t lo, int64_t hi, int) {
-      int64_t local = 0;
-      for (int64_t i = lo; i < hi; ++i) {
-        local += i % 7;
-      }
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  const std::vector<uint64_t> per_worker = pool.StealCountsPerWorker();
-  ASSERT_EQ(per_worker.size(), 4u);
-  uint64_t sum = 0;
-  for (const uint64_t count : per_worker) {
-    sum += count;
-  }
-  EXPECT_EQ(sum, pool.steal_count());
-  ThreadPool single(1);
-  EXPECT_EQ(single.StealCountsPerWorker().size(), 1u);
-  EXPECT_EQ(single.StealCountsPerWorker()[0], 0u);
 }
 
 TEST(ParallelReduce, SumMatchesSerial) {

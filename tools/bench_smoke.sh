@@ -17,7 +17,7 @@
 # bench_snapshot_smoke (incremental refreeze vs radix rebuild),
 # bench_shard_smoke (striped-lock vs sharded aggregated push), and
 # bench_compression_smoke (compressed vs plain layouts, whose internal gates
-# cover footprint, checksum identity and selective loading).
+# cover footprint, checksum identity and bounded decode slowdown).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
