@@ -35,7 +35,8 @@ int main() {
     {
       GraphHandle handle(graph);
       // Vertex-centric Pagerank runs pull/lock-free per the paper's best
-      // adjacency configuration; edge-centric uses atomics.
+      // adjacency configuration; edge-centric uses atomics, which a call
+      // that runs alone (one thread) replaces with plain adds.
       RunConfig pr = config;
       if (layout == Layout::kAdjacency) {
         pr.direction = Direction::kPull;

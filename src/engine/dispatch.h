@@ -77,10 +77,10 @@ inline bool RoundCostFollowsFrontier(const RunConfig& config) {
 // sync. Pull on the vertex-centric layouts folds each destination's
 // in-edges in list order on one thread, so float sums are deterministic and
 // match across plain, compressed and sharded lists. The grid's owned
-// columns (Sync::kLockFree) and both phases of the sharded push add
-// plainly; everywhere else Sync::kLocks adds under dst's striped lock and
-// the other modes add atomically. Push-pull scans by source. Returns the
-// edges scanned.
+// columns (Sync::kLockFree), both phases of the sharded push and a call
+// that runs alone (WithSharedUpdate) add plainly; everywhere else
+// Sync::kLocks adds under dst's striped lock and the other modes add
+// atomically. Push-pull scans by source. Returns the edges scanned.
 template <typename Value>
 int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* sums) {
   struct Add {
@@ -94,7 +94,7 @@ int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* s
   auto owned = [add](VertexId src, VertexId dst, float w) { add.Update(src, dst, w); };
   const bool pull = config.direction == Direction::kPull;
   return edge_map_internal::WithSharedUpdate(
-      add, config.sync, &handle.locks(), [&](auto& shared) -> int64_t {
+      add, config.sync, &handle.locks(), [&](auto& shared, auto /*mark*/) -> int64_t {
         switch (config.layout) {
           case Layout::kEdgeArray:
             return ScanEdgeArray(handle.edges(), shared);

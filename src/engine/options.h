@@ -27,7 +27,9 @@ enum class Direction {
   kPushPull,  // Ligra-style dynamic switching on frontier density
 };
 
-// Synchronization strategy for concurrent vertex updates.
+// Synchronization strategy for concurrent vertex updates. A call that runs
+// alone (ThreadPool::CallRunsAlone) has nothing to synchronize with and
+// updates plainly under any of them.
 enum class Sync {
   kAtomics,   // CAS/fetch-add per update
   kLocks,     // striped spinlocks around plain updates

@@ -5,24 +5,32 @@
 
 #include "src/util/atomics.h"
 #include "src/util/parallel.h"
+#include "src/util/thread_pool.h"
 
 namespace egraph {
 
+void CountEdgeKeys(std::span<const Edge> edges, VertexId Edge::*key,
+                   std::vector<uint32_t>& counts) {
+  if (ThreadPool::CallRunsAlone()) {
+    for (const Edge& e : edges) {
+      ++counts[e.*key];
+    }
+    return;
+  }
+  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
+    AtomicAdd(&counts[edges[static_cast<size_t>(i)].*key], 1u);
+  });
+}
+
 std::vector<uint32_t> OutDegrees(const EdgeList& graph) {
   std::vector<uint32_t> degrees(graph.num_vertices(), 0);
-  const auto& edges = graph.edges();
-  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
-    AtomicAdd(&degrees[edges[static_cast<size_t>(i)].src], 1u);
-  });
+  CountEdgeKeys(graph.edges(), &Edge::src, degrees);
   return degrees;
 }
 
 std::vector<uint32_t> InDegrees(const EdgeList& graph) {
   std::vector<uint32_t> degrees(graph.num_vertices(), 0);
-  const auto& edges = graph.edges();
-  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
-    AtomicAdd(&degrees[edges[static_cast<size_t>(i)].dst], 1u);
-  });
+  CountEdgeKeys(graph.edges(), &Edge::dst, degrees);
   return degrees;
 }
 

@@ -6,6 +6,7 @@
 #define SRC_GRAPH_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/graph/edge_list.h"
@@ -32,6 +33,12 @@ std::vector<uint32_t> OutDegrees(const EdgeList& graph);
 
 // In-degree of every vertex (parallel count).
 std::vector<uint32_t> InDegrees(const EdgeList& graph);
+
+// Adds one to counts[e.*key] for every edge e, in parallel: the count pass
+// of the degree arrays and of count sort. The adds are atomic, or plain
+// when the call runs alone (ThreadPool::CallRunsAlone).
+void CountEdgeKeys(std::span<const Edge> edges, VertexId Edge::*key,
+                   std::vector<uint32_t>& counts);
 
 // BFS-based diameter estimate: the eccentricity of `source` in the
 // undirected view of the graph (lower bound on diameter). Sequential;

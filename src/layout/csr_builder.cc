@@ -3,12 +3,13 @@
 #include <atomic>
 #include <cstring>
 
+#include "src/graph/stats.h"
 #include "src/layout/radix_sort.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
-#include "src/util/atomics.h"
 #include "src/util/parallel.h"
 #include "src/util/spinlock.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -55,59 +56,6 @@ Csr BuildRadix(const EdgeList& graph, EdgeDirection direction, int digit_bits,
              OffsetsFromSorted(sorted, n, [&key](const WeightedEdge& r) { return key(r.edge); }),
              std::move(neighbors), std::move(weights));
   }
-  if (seconds != nullptr) {
-    *seconds = timer.Seconds();
-  }
-  return csr;
-}
-
-Csr BuildCount(const EdgeList& graph, EdgeDirection direction, double* seconds) {
-  Timer timer;
-  const VertexId n = graph.num_vertices();
-  const auto& edges = graph.edges();
-  const size_t m = edges.size();
-
-  // Pass 1: count degrees (random atomic increments: the cache-unfriendly
-  // part the paper calls out). Counts live at offsets[v]; the exclusive scan
-  // over the n+1 slots (last slot 0) then yields standard CSR offsets with
-  // offsets[n] == m.
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
-  {
-    obs::TimelineSpan count_span("layout", "build.count.count",
-                                 static_cast<int64_t>(m));
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      AtomicAdd(&offsets[KeyOf(edges[static_cast<size_t>(i)], direction)],
-                static_cast<EdgeIndex>(1));
-    });
-    ParallelExclusiveScan(offsets);
-  }
-
-  // Pass 2: scatter with per-vertex atomic cursors.
-  obs::TimelineSpan scatter_span("layout", "build.count.scatter",
-                                 static_cast<int64_t>(m));
-  std::vector<std::atomic<EdgeIndex>> cursors(n);
-  ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
-    cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
-                                          std::memory_order_relaxed);
-  });
-  std::vector<VertexId> neighbors(m);
-  std::vector<float> weights;
-  if (graph.has_weights()) {
-    weights.resize(m);
-  }
-  ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-    const Edge& e = edges[static_cast<size_t>(i)];
-    const VertexId v = KeyOf(e, direction);
-    const EdgeIndex slot =
-        cursors[static_cast<size_t>(v)].fetch_add(1, std::memory_order_relaxed);
-    neighbors[slot] = ValueOf(e, direction);
-    if (!weights.empty()) {
-      weights[slot] = graph.weights()[static_cast<size_t>(i)];
-    }
-  });
-
-  Csr csr;
-  csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
   if (seconds != nullptr) {
     *seconds = timer.Seconds();
   }
@@ -272,9 +220,7 @@ void CountingAdjacencyBuilder::CountChunk(std::span<const Edge> edges) {
   Timer timer;
   obs::TimelineSpan timeline_span("layout", "build.count.count",
                                   static_cast<int64_t>(edges.size()));
-  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
-    AtomicAdd(&degrees_[KeyOf(edges[static_cast<size_t>(i)], direction_)], 1u);
-  });
+  CountEdgeKeys(edges, direction_ == EdgeDirection::kOut ? &Edge::src : &Edge::dst, degrees_);
   count_seconds_ += timer.Seconds();
 }
 
@@ -289,27 +235,38 @@ Csr CountingAdjacencyBuilder::Scatter(const EdgeList& graph, double* scatter_sec
   for (VertexId v = 0; v < n; ++v) {
     offsets[v + 1] = offsets[v] + degrees_[v];
   }
-  std::vector<std::atomic<EdgeIndex>> cursors(n);
-  ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
-    cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
-                                          std::memory_order_relaxed);
-  });
   const auto& edges = graph.edges();
   std::vector<VertexId> neighbors(edges.size());
   std::vector<float> weights;
   if (graph.has_weights()) {
     weights.resize(edges.size());
   }
-  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
-    const Edge& e = edges[static_cast<size_t>(i)];
-    const VertexId v = KeyOf(e, direction_);
-    const EdgeIndex slot =
-        cursors[static_cast<size_t>(v)].fetch_add(1, std::memory_order_relaxed);
-    neighbors[slot] = ValueOf(e, direction_);
+  // Files edge i at `slot`, taken from its key's cursor.
+  const auto place = [&](size_t i, EdgeIndex slot) {
+    neighbors[slot] = ValueOf(edges[i], direction_);
     if (!weights.empty()) {
-      weights[slot] = graph.weights()[static_cast<size_t>(i)];
+      weights[slot] = graph.weights()[i];
     }
-  });
+  };
+  if (ThreadPool::CallRunsAlone()) {
+    // Plain cursors: each list keeps edge-list order, as it does through the
+    // atomic cursors on one thread.
+    std::vector<EdgeIndex> cursors(offsets.begin(), offsets.end() - 1);
+    for (size_t i = 0; i < edges.size(); ++i) {
+      place(i, cursors[KeyOf(edges[i], direction_)]++);
+    }
+  } else {
+    std::vector<std::atomic<EdgeIndex>> cursors(n);
+    ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
+      cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
+                                            std::memory_order_relaxed);
+    });
+    ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
+      const VertexId v = KeyOf(edges[static_cast<size_t>(i)], direction_);
+      place(static_cast<size_t>(i),
+            cursors[static_cast<size_t>(v)].fetch_add(1, std::memory_order_relaxed));
+    });
+  }
   Csr csr;
   csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
   if (scatter_seconds != nullptr) {
@@ -328,9 +285,14 @@ Csr BuildCsr(const EdgeList& graph, EdgeDirection direction, BuildMethod method,
     case BuildMethod::kRadixSort:
       csr = BuildRadix(graph, direction, digit_bits, &seconds);
       break;
-    case BuildMethod::kCountSort:
-      csr = BuildCount(graph, direction, &seconds);
+    case BuildMethod::kCountSort: {
+      CountingAdjacencyBuilder builder(graph.num_vertices(), direction);
+      builder.CountChunk(graph.edges());
+      double scatter = 0.0;
+      csr = builder.Scatter(graph, &scatter);
+      seconds = builder.count_seconds() + scatter;
       break;
+    }
     case BuildMethod::kDynamic: {
       DynamicAdjacencyBuilder builder(graph.num_vertices(), direction, graph.has_weights());
       builder.AddChunk(graph.edges(), graph.weights());

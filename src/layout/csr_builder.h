@@ -82,11 +82,13 @@ class DynamicAdjacencyBuilder {
   double build_seconds_ = 0.0;
 };
 
-// Incremental count-sort front half: counts degrees chunk by chunk (the only
-// phase of count sort that can overlap loading), then scatters in one pass
-// over the fully loaded edge array. Like the dynamic builder, it takes its
-// chunk calls from one thread; CountChunk counts each chunk in parallel (the
-// degree array is updated with atomic adds).
+// Count sort: counts degrees chunk by chunk (the only phase of count sort
+// that can overlap loading), then scatters in one pass over the fully
+// loaded edge array. BuildCsr's kCountSort runs it with the whole edge list
+// as one chunk. Like the dynamic builder, it takes its chunk calls from one
+// thread. Both passes run in parallel with atomic degree adds and cursors
+// (random increments: the cache-unfriendly part the paper calls out), or
+// with plain ones when the call runs alone (ThreadPool::CallRunsAlone).
 class CountingAdjacencyBuilder {
  public:
   CountingAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction);

@@ -62,11 +62,15 @@ inline uint64_t NowNs() {
 
 // One buffer per emitting thread, process lifetime (threads may come and go;
 // their buffers stay exportable). Only the owning thread writes events and
-// bumps size/dropped; size is the release/acquire publication point.
+// bumps size/dropped; size is the release/acquire publication point. Events
+// stay uninitialized until written: only the published prefix is ever read,
+// so a new thread pays for the pages it writes, not for zeroing them all.
 struct ThreadBuffer {
-  explicit ThreadBuffer(size_t capacity) : events(capacity) {}
+  explicit ThreadBuffer(size_t capacity)
+      : events(std::make_unique_for_overwrite<TimelineEvent[]>(capacity)), capacity(capacity) {}
 
-  std::vector<TimelineEvent> events;  // fixed capacity; never reallocated
+  std::unique_ptr<TimelineEvent[]> events;  // fixed capacity; never reallocated
+  size_t capacity;
   std::atomic<uint64_t> size{0};
   std::atomic<uint64_t> dropped{0};
   std::atomic<int> worker_id{-1};  // pool worker id, -1 for foreign threads
@@ -77,7 +81,7 @@ struct ThreadBuffer {
 struct BufferRegistry {
   std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  size_t capacity = kDefaultEventsPerThread;
+  std::atomic<size_t> capacity{kDefaultEventsPerThread};
 };
 
 inline BufferRegistry& GetBufferRegistry() {
@@ -89,8 +93,11 @@ inline std::atomic<bool> g_timeline_enabled{false};
 
 inline ThreadBuffer* RegisterThisThread() {
   BufferRegistry& registry = GetBufferRegistry();
+  // Allocated before the lock, so new threads do not queue behind each
+  // other's allocations.
+  auto buffer =
+      std::make_unique<ThreadBuffer>(registry.capacity.load(std::memory_order_relaxed));
   std::lock_guard<std::mutex> guard(registry.mutex);
-  auto buffer = std::make_unique<ThreadBuffer>(registry.capacity);
   buffer->tid = static_cast<int>(registry.buffers.size());
   registry.buffers.push_back(std::move(buffer));
   return registry.buffers.back().get();
@@ -108,7 +115,7 @@ inline void Emit(const char* cat, const char* name, uint64_t start_ns,
                  uint64_t dur_ns, int64_t arg, TimelineEventKind kind) {
   ThreadBuffer* buffer = Buffer();
   const uint64_t n = buffer->size.load(std::memory_order_relaxed);
-  if (n >= buffer->events.size()) {
+  if (n >= buffer->capacity) {
     // Bounded: count the drop, never grow (growth would be an allocation on
     // the hot path and would skew exactly the timings being measured).
     buffer->dropped.fetch_add(1, std::memory_order_relaxed);
@@ -133,9 +140,8 @@ class Timeline {
   // Per-thread buffer capacity, in events. Applies to buffers registered
   // after the call; Reset() re-sizes existing buffers to the new capacity.
   static void SetCapacityPerThread(size_t events) {
-    timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
-    std::lock_guard<std::mutex> guard(registry.mutex);
-    registry.capacity = events == 0 ? 1 : events;
+    timeline_internal::GetBufferRegistry().capacity.store(events == 0 ? 1 : events,
+                                                          std::memory_order_relaxed);
   }
 
   // Names the calling thread's track in the exported trace (ExecutionContext
@@ -162,14 +168,16 @@ class Timeline {
     }
   }
 
-  // Zeroes every buffer (and applies a pending capacity change). Must not
+  // Empties every buffer (and applies a pending capacity change). Must not
   // race with emission.
   static void Reset() {
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
+    const size_t capacity = registry.capacity.load(std::memory_order_relaxed);
     for (auto& buffer : registry.buffers) {
-      if (buffer->events.size() != registry.capacity) {
-        std::vector<TimelineEvent>(registry.capacity).swap(buffer->events);
+      if (buffer->capacity != capacity) {
+        buffer->events = std::make_unique_for_overwrite<TimelineEvent[]>(capacity);
+        buffer->capacity = capacity;
       }
       buffer->size.store(0, std::memory_order_relaxed);
       buffer->dropped.store(0, std::memory_order_relaxed);
@@ -209,10 +217,9 @@ class Timeline {
       snapshot.worker_id = buffer->worker_id.load(std::memory_order_relaxed);
       snapshot.label = buffer->label;
       snapshot.dropped = buffer->dropped.load(std::memory_order_relaxed);
-      snapshot.capacity = buffer->events.size();
+      snapshot.capacity = buffer->capacity;
       const uint64_t n = buffer->size.load(std::memory_order_acquire);
-      snapshot.events.assign(buffer->events.begin(),
-                             buffer->events.begin() + static_cast<int64_t>(n));
+      snapshot.events.assign(buffer->events.get(), buffer->events.get() + n);
       out.push_back(std::move(snapshot));
     }
     return out;

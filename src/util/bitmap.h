@@ -1,5 +1,6 @@
 // Concurrent fixed-size bitmap: the dense frontier representation. Supports
-// racy reads and atomic test-and-set, the two operations EdgeMap needs.
+// racy reads and atomic test-and-set, the two operations EdgeMap needs, plus
+// a plain test-and-set for a caller no other thread can race.
 #ifndef SRC_UTIL_BITMAP_H_
 #define SRC_UTIL_BITMAP_H_
 
@@ -37,8 +38,8 @@ class Bitmap {
 
   int64_t num_words() const { return static_cast<int64_t>(words_.size()); }
 
-  // Non-atomic set; safe when each bit is written by at most one thread or
-  // races are benign (idempotent sets use SetAtomic instead).
+  // Sets the bit with an atomic fetch_or, so threads may set bits of the
+  // same word concurrently.
   void Set(int64_t index) {
     words_[static_cast<size_t>(index >> 6)].fetch_or(1ULL << (index & 63),
                                                      std::memory_order_relaxed);
@@ -50,6 +51,20 @@ class Bitmap {
     const uint64_t old = words_[static_cast<size_t>(index >> 6)].fetch_or(
         mask, std::memory_order_relaxed);
     return (old & mask) == 0;
+  }
+
+  // TestAndSet for a caller that no other thread can race (a call that runs
+  // alone, ThreadPool::CallRunsAlone): a plain load, test and store of the
+  // word, with no read-modify-write.
+  bool TestAndSetPlain(int64_t index) {
+    std::atomic<uint64_t>& word = words_[static_cast<size_t>(index >> 6)];
+    const uint64_t mask = 1ULL << (index & 63);
+    const uint64_t old = word.load(std::memory_order_relaxed);
+    if ((old & mask) != 0) {
+      return false;
+    }
+    word.store(old | mask, std::memory_order_relaxed);
+    return true;
   }
 
   // Number of set bits (parallel).

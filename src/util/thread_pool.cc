@@ -45,6 +45,8 @@ ThreadPool& ThreadPool::Current() {
   return tls_current_pool != nullptr ? *tls_current_pool : Get();
 }
 
+bool ThreadPool::CallRunsAlone() { return !tls_in_region && Current().num_threads() == 1; }
+
 ScopedPoolBinding::ScopedPoolBinding(ThreadPool& pool) : previous_(tls_current_pool) {
   tls_current_pool = &pool;
 }
@@ -167,6 +169,7 @@ void ThreadPool::RunRegion(int worker_id) {
 }
 
 void ThreadPool::WorkerLoop(int worker_id) {
+  const ScopedPoolBinding binding(*this);
   uint64_t seen_epoch = 0;
   while (true) {
     {

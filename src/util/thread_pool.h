@@ -40,10 +40,21 @@ class ThreadPool {
   // the innermost ScopedPoolBinding (an ExecutionContext with a private
   // pool), falling back to Get(). This is how the default context keeps the
   // old process-wide behaviour while concurrent query contexts get isolated
-  // worker sets.
+  // worker sets. A pool's spawned workers are bound to their own pool, so
+  // a buffer sized by Current() inside a region covers every worker id the
+  // region hands out (the caller runs as worker 0).
   static ThreadPool& Current();
 
   int num_threads() const { return num_threads_; }
+
+  // True when a call made now runs alone: the calling thread is outside
+  // every parallel region and Current() has one thread, so no other thread
+  // can run any part of the call and its shared updates need no
+  // synchronization. Inside a region it is false whatever the widths: the
+  // region's other workers may be running, and the region's caller may
+  // resolve Current() to a pool other than the one running the region (one
+  // it never bound), whose width says nothing about them.
+  static bool CallRunsAlone();
 
   // Calls body(chunk_begin, chunk_end, worker_id) until [begin, end) is
   // covered. Chunks have `grain` iterations (last chunk may be short);

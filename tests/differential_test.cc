@@ -189,44 +189,60 @@ ExecutionContextOptions PoolOptions(int threads) {
   return options;
 }
 
+// The contexts each reference check runs its cell on: the default one (the
+// process-wide pool, EG_THREADS wide, whose calls run alone and update
+// plainly at EG_THREADS=1) and a 2-thread one, whose calls keep the atomic
+// and lock paths at every EG_THREADS.
+std::vector<ExecutionContext*> ReferenceContexts() {
+  static ExecutionContext* two = new ExecutionContext(PoolOptions(2));
+  return {&ExecutionContext::Default(), two};
+}
+
 TEST_P(DifferentialTest, BfsMatchesReference) {
-  for (const TestGraph& g : Graphs()) {
-    GraphHandle handle(g.edges);
-    const BfsResult result = RunBfs(handle, g.source, Config());
-    ExpectBfsAgreesWithReference(g, result.parent, CellName() + " on " + g.name);
+  for (ExecutionContext* ctx : ReferenceContexts()) {
+    for (const TestGraph& g : Graphs()) {
+      GraphHandle handle(g.edges);
+      const BfsResult result = RunBfs(handle, g.source, Config(), *ctx);
+      ExpectBfsAgreesWithReference(g, result.parent,
+                                   CellName() + " on " + g.name + " in " + ctx->name());
+    }
   }
 }
 
 TEST_P(DifferentialTest, WccMatchesReference) {
   RunConfig config = Config();
-  for (const TestGraph& g : Graphs()) {
-    // Adjacency-list WCC (plain or compressed) propagates labels along
-    // stored edges only, so it runs on the symmetrized graph (paper section
-    // 8); edge-array and grid relax both endpoints of each stored edge and
-    // need no symmetrization.
-    const bool adjacency_like = config.layout == Layout::kAdjacency ||
-                                config.layout == Layout::kCompressed ||
-                                config.layout == Layout::kSharded;
-    GraphHandle handle(adjacency_like ? g.edges.MakeUndirected() : g.edges);
-    config.symmetric_input = adjacency_like;
-    const WccResult result = RunWcc(handle, config);
-    EXPECT_EQ(result.label, g.ref_wcc_labels) << CellName() << " on " << g.name;
+  for (ExecutionContext* ctx : ReferenceContexts()) {
+    for (const TestGraph& g : Graphs()) {
+      // Adjacency-list WCC (plain or compressed) propagates labels along
+      // stored edges only, so it runs on the symmetrized graph (paper
+      // section 8); edge-array and grid relax both endpoints of each stored
+      // edge and need no symmetrization.
+      const bool adjacency_like = config.layout == Layout::kAdjacency ||
+                                  config.layout == Layout::kCompressed ||
+                                  config.layout == Layout::kSharded;
+      GraphHandle handle(adjacency_like ? g.edges.MakeUndirected() : g.edges);
+      config.symmetric_input = adjacency_like;
+      const WccResult result = RunWcc(handle, config, *ctx);
+      EXPECT_EQ(result.label, g.ref_wcc_labels)
+          << CellName() << " on " << g.name << " in " << ctx->name();
+    }
   }
 }
 
 TEST_P(DifferentialTest, SsspMatchesReference) {
-  for (const TestGraph& g : Graphs()) {
-    GraphHandle handle(g.weighted);
-    const SsspResult result = RunSssp(handle, g.source, Config());
-    ASSERT_EQ(result.dist.size(), g.ref_sssp_dist.size());
-    for (VertexId v = 0; v < g.weighted.num_vertices(); ++v) {
-      const float expected = g.ref_sssp_dist[v];
-      if (std::isinf(expected)) {
-        EXPECT_TRUE(std::isinf(result.dist[v]))
-            << CellName() << " on " << g.name << ": vertex " << v;
-      } else {
-        EXPECT_NEAR(result.dist[v], expected, 1e-3)
-            << CellName() << " on " << g.name << ": vertex " << v;
+  for (ExecutionContext* ctx : ReferenceContexts()) {
+    for (const TestGraph& g : Graphs()) {
+      GraphHandle handle(g.weighted);
+      const SsspResult result = RunSssp(handle, g.source, Config(), *ctx);
+      ASSERT_EQ(result.dist.size(), g.ref_sssp_dist.size());
+      const std::string cell = CellName() + " on " + g.name + " in " + ctx->name();
+      for (VertexId v = 0; v < g.weighted.num_vertices(); ++v) {
+        const float expected = g.ref_sssp_dist[v];
+        if (std::isinf(expected)) {
+          EXPECT_TRUE(std::isinf(result.dist[v])) << cell << ": vertex " << v;
+        } else {
+          EXPECT_NEAR(result.dist[v], expected, 1e-3) << cell << ": vertex " << v;
+        }
       }
     }
   }
@@ -236,15 +252,17 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
   PagerankOptions options;
   options.iterations = kPagerankIterations;
   options.damping = kPagerankDamping;
-  for (const TestGraph& g : Graphs()) {
-    GraphHandle handle(g.edges);
-    const PagerankResult result = RunPagerank(handle, options, Config());
-    ASSERT_EQ(result.rank.size(), g.ref_pagerank.size());
-    for (VertexId v = 0; v < g.edges.num_vertices(); ++v) {
-      // Parallel float summation reorders additions; 2e-4 absolute on ranks
-      // that sum to 1 is far tighter than any real divergence.
-      EXPECT_NEAR(result.rank[v], g.ref_pagerank[v], 2e-4)
-          << CellName() << " on " << g.name << ": vertex " << v;
+  for (ExecutionContext* ctx : ReferenceContexts()) {
+    for (const TestGraph& g : Graphs()) {
+      GraphHandle handle(g.edges);
+      const PagerankResult result = RunPagerank(handle, options, Config(), *ctx);
+      ASSERT_EQ(result.rank.size(), g.ref_pagerank.size());
+      const std::string cell = CellName() + " on " + g.name + " in " + ctx->name();
+      for (VertexId v = 0; v < g.edges.num_vertices(); ++v) {
+        // Parallel float summation reorders additions; 2e-4 absolute on
+        // ranks that sum to 1 is far tighter than any real divergence.
+        EXPECT_NEAR(result.rank[v], g.ref_pagerank[v], 2e-4) << cell << ": vertex " << v;
+      }
     }
   }
 }
@@ -254,6 +272,8 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
 // relaxations), WCC labels, and PageRank where it gathers (pull on a
 // vertex-centric layout: fixed per-destination order plus the
 // deterministic dangling reduction) are bit-identical on 1 and 4 threads.
+// The 1-thread calls run alone and update plainly; the 4-thread ones take
+// the atomic and lock paths, so this also compares those two paths.
 // Push PageRank is exempt: its atomic float adds land in schedule order.
 TEST_P(DifferentialTest, ResultsIdenticalAcrossPoolWidths) {
   static ExecutionContext* narrow = new ExecutionContext(PoolOptions(1));

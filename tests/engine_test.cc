@@ -4,18 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/algos/bfs.h"
 #include "src/algos/reference.h"
 #include "src/engine/dispatch.h"
 #include "src/engine/edge_map.h"
+#include "src/engine/execution_context.h"
 #include "src/engine/graph_handle.h"
 #include "src/engine/scan.h"
 #include "src/gen/rmat.h"
 #include "src/graph/stats.h"
 #include "src/util/atomics.h"
+#include "src/util/spinlock.h"
 
 namespace egraph {
 namespace {
@@ -95,6 +99,16 @@ class EdgeMapTest : public ::testing::Test {
     handle_->Prepare(prepare);
     prepare.layout = Layout::kGrid;
     handle_->Prepare(prepare);
+    // A star whose every edge enters vertex 0, for the Scan path checks.
+    EdgeList star(kStarLeaves + 1, {});
+    for (VertexId v = 1; v <= kStarLeaves; ++v) {
+      star.AddEdge(v, 0);
+    }
+    star_ = new GraphHandle(std::move(star));
+    prepare.need_in = false;
+    star_->Prepare(prepare);
+    prepare.layout = Layout::kAdjacency;
+    star_->Prepare(prepare);
     // Expected reachable set from vertex 0 (sequential reference).
     const auto levels = RefBfsLevels(*graph_, 0);
     expected_ = new std::set<VertexId>();
@@ -106,6 +120,7 @@ class EdgeMapTest : public ::testing::Test {
   }
   static void TearDownTestSuite() {
     delete expected_;
+    delete star_;
     delete handle_;
     delete graph_;
   }
@@ -136,14 +151,131 @@ class EdgeMapTest : public ::testing::Test {
     return options;
   }
 
+  // How the shared updates of some kernel calls ran: through UpdateAtomic or
+  // plain Update, and how many plain ones ran while no thread held the
+  // destination's striped lock. Scan takes no functor, so its per-edge
+  // values are counted instead, with the same lock probe: that tells a
+  // locked add from an unlocked one, though not an atomic add from a plain
+  // one. Its sums are checked too.
+  struct UpdatePaths {
+    std::atomic<int64_t> atomic{0};
+    std::atomic<int64_t> plain{0};
+    std::atomic<int64_t> unlocked{0};
+    std::atomic<int64_t> scan_values{0};
+    std::atomic<int64_t> scan_unlocked{0};
+    std::atomic<bool> scan_exact{true};
+  };
+
+  // True iff no thread holds `lock`: TryLock fails while any holder, the
+  // probing thread's own caller included, has it.
+  static bool Unheld(Spinlock& lock) {
+    if (!lock.TryLock()) {
+      return false;
+    }
+    lock.Unlock();
+    return true;
+  }
+
+  // Claim-once functor that tallies the path of every update.
+  struct PathFunctor {
+    uint8_t* claimed;
+    StripedLocks* locks;
+    UpdatePaths* paths;
+    bool Update(VertexId /*s*/, VertexId d, float) {
+      paths->plain.fetch_add(1, std::memory_order_relaxed);
+      if (Unheld(locks->For(d))) {
+        paths->unlocked.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (claimed[d] == 0) {
+        AtomicStore(&claimed[d], uint8_t{1});
+        return true;
+      }
+      return false;
+    }
+    bool UpdateAtomic(VertexId /*s*/, VertexId d, float) {
+      paths->atomic.fetch_add(1, std::memory_order_relaxed);
+      return AtomicCas(&claimed[d], uint8_t{0}, uint8_t{1});
+    }
+    bool Cond(VertexId d) const { return AtomicLoad(&claimed[d]) == 0; }
+  };
+
+  // Runs every kernel whose shared updates WithSharedUpdate picks, under
+  // `sync`, on the calling thread's current pool: the push, edge-array and
+  // row-major grid EdgeMaps over an all-active frontier, and Scan on the
+  // edge array, the grid and the out-lists of the star.
+  static void RunSharedKernels(Sync sync, UpdatePaths& paths) {
+    const VertexId n = graph_->num_vertices();
+    const EdgeMapOptions options = Options(sync);
+    const auto edge_map = [&](auto kernel) {
+      std::vector<uint8_t> claimed(n, 0);
+      PathFunctor func{claimed.data(), options.locks, &paths};
+      Frontier all = Frontier::All(n);
+      kernel(all, func);
+    };
+    edge_map([&](Frontier& f, PathFunctor& fn) { EdgeMapPush(handle_->out_csr(), f, fn, options); });
+    edge_map(
+        [&](Frontier& f, PathFunctor& fn) { EdgeMapEdgeArray(handle_->edges(), f, fn, options); });
+    edge_map([&](Frontier& f, PathFunctor& fn) { EdgeMapGrid(handle_->grid(), f, fn, options); });
+
+    Spinlock& hub_lock = star_->locks().For(0);
+    for (const Layout layout : {Layout::kEdgeArray, Layout::kGrid, Layout::kAdjacency}) {
+      RunConfig config;
+      config.layout = layout;
+      config.direction = Direction::kPush;
+      config.sync = sync;
+      std::vector<float> sums(star_->num_vertices(), 0.0f);
+      Scan(
+          *star_, config,
+          [&](VertexId, float) {
+            paths.scan_values.fetch_add(1, std::memory_order_relaxed);
+            if (Unheld(hub_lock)) {
+              paths.scan_unlocked.fetch_add(1, std::memory_order_relaxed);
+            }
+            return 1.0f;
+          },
+          sums.data());
+      if (sums[0] != static_cast<float>(kStarLeaves)) {
+        paths.scan_exact.store(false);
+      }
+    }
+  }
+
+  // The paths of a call that shares its destinations with other workers:
+  // UpdateAtomic under Sync::kAtomics, Update under dst's lock under
+  // Sync::kLocks.
+  static void ExpectSynchronized(Sync sync, const UpdatePaths& paths, const std::string& where) {
+    if (sync == Sync::kAtomics) {
+      EXPECT_GT(paths.atomic.load(), 0) << where;
+      EXPECT_EQ(paths.plain.load(), 0) << where;
+    } else {
+      EXPECT_EQ(paths.atomic.load(), 0) << where;
+      EXPECT_GT(paths.plain.load(), 0) << where;
+      EXPECT_EQ(paths.unlocked.load(), 0) << where;
+      EXPECT_EQ(paths.scan_unlocked.load(), 0) << where;
+    }
+    EXPECT_GT(paths.scan_values.load(), 0) << where;
+    EXPECT_TRUE(paths.scan_exact.load()) << where;
+  }
+
+  static constexpr VertexId kStarLeaves = 3000;
+
   static EdgeList* graph_;
   static GraphHandle* handle_;
+  static GraphHandle* star_;
   static std::set<VertexId>* expected_;
 };
 
 EdgeList* EdgeMapTest::graph_ = nullptr;
 GraphHandle* EdgeMapTest::handle_ = nullptr;
+GraphHandle* EdgeMapTest::star_ = nullptr;
 std::set<VertexId>* EdgeMapTest::expected_ = nullptr;
+
+ExecutionContextOptions PoolOptions(int threads) {
+  ExecutionContextOptions options;
+  options.name = "pool" + std::to_string(threads);
+  options.num_threads = threads;
+  return options;
+}
 
 TEST_F(EdgeMapTest, CsrPushAtomics) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
@@ -208,6 +340,52 @@ TEST_F(EdgeMapTest, GridAtomics) {
     return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
+}
+
+// A call that runs alone (ThreadPool::CallRunsAlone) updates plainly under
+// either sync: nothing else can touch its destinations. Any other call keeps
+// its synchronized path: on a 2-thread pool, and inside a parallel region
+// even where ThreadPool::Current() is one thread wide.
+TEST_F(EdgeMapTest, SharedUpdatesArePlainOnlyWhenTheCallRunsAlone) {
+  ExecutionContext one(PoolOptions(1));
+  ExecutionContext two(PoolOptions(2));
+  ExecutionContext four(PoolOptions(4));
+  for (const Sync sync : {Sync::kAtomics, Sync::kLocks}) {
+    const std::string name = SyncName(sync);
+    {
+      ExecutionContext::Scope scope(one);
+      UpdatePaths paths;
+      RunSharedKernels(sync, paths);
+      const std::string where = name + " alone on 1 thread";
+      EXPECT_EQ(paths.atomic.load(), 0) << where;
+      EXPECT_GT(paths.plain.load(), 0) << where;
+      EXPECT_EQ(paths.unlocked.load(), paths.plain.load()) << where;
+      EXPECT_GT(paths.scan_values.load(), 0) << where;
+      EXPECT_EQ(paths.scan_unlocked.load(), paths.scan_values.load()) << where;
+      EXPECT_TRUE(paths.scan_exact.load()) << where;
+    }
+    {
+      ExecutionContext::Scope scope(two);
+      UpdatePaths paths;
+      RunSharedKernels(sync, paths);
+      ExpectSynchronized(sync, paths, name + " on 2 threads");
+    }
+    // Inside a region of the 4-thread pool, entered without binding it: the
+    // caller runs as worker 0 and still resolves Current() to the
+    // process-wide pool, one thread wide at EG_THREADS=1, while the other
+    // three workers run their chunks alongside. Each worker holds its chunk
+    // until all four hold one, so every worker makes the calls.
+    std::latch all_in(4);
+    std::vector<UpdatePaths> nested(4);
+    four.pool().ParallelForChunks(0, 4, 1, [&](int64_t lo, int64_t, int) {
+      all_in.arrive_and_wait();
+      RunSharedKernels(sync, nested[static_cast<size_t>(lo)]);
+    });
+    for (size_t chunk = 0; chunk < nested.size(); ++chunk) {
+      ExpectSynchronized(sync, nested[chunk],
+                         name + " inside a 4-thread region, chunk " + std::to_string(chunk));
+    }
+  }
 }
 
 // --- Frontier range split (sharded push building block) --------------------
