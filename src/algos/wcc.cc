@@ -6,7 +6,6 @@
 #include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
-#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -55,41 +54,26 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
   } else {
     // Edge array / grid: full scans updating *both* endpoints per stored
     // edge (no symmetrization needed), iterated to fixpoint. Both endpoints
-    // move, so every update is atomic whatever the configured sync, unless
-    // the call runs alone: then a plain min on both endpoints.
+    // move, so every update is atomic whatever the configured sync.
     VertexId* label = result.label.data();
     std::atomic<bool> changed{true};
-    const auto fixpoint = [&](auto relax) {
-      while (changed.exchange(false, std::memory_order_relaxed)) {
-        trace.BeginIteration(n, /*frontier_sparse=*/false);
-        const int64_t scanned = ScanStoredEdges(handle, config, relax);
-        trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
+    auto relax = [label, &changed](VertexId a, VertexId b, float /*w*/) {
+      const VertexId la = AtomicLoad(&label[a]);
+      const VertexId lb = AtomicLoad(&label[b]);
+      if (la < lb) {
+        if (AtomicMin(&label[b], la)) {
+          changed.store(true, std::memory_order_relaxed);
+        }
+      } else if (lb < la) {
+        if (AtomicMin(&label[a], lb)) {
+          changed.store(true, std::memory_order_relaxed);
+        }
       }
     };
-    if (ThreadPool::CallRunsAlone()) {
-      fixpoint([label, &changed](VertexId a, VertexId b, float /*w*/) {
-        if (label[a] < label[b]) {
-          label[b] = label[a];
-          changed.store(true, std::memory_order_relaxed);
-        } else if (label[b] < label[a]) {
-          label[a] = label[b];
-          changed.store(true, std::memory_order_relaxed);
-        }
-      });
-    } else {
-      fixpoint([label, &changed](VertexId a, VertexId b, float /*w*/) {
-        const VertexId la = AtomicLoad(&label[a]);
-        const VertexId lb = AtomicLoad(&label[b]);
-        if (la < lb) {
-          if (AtomicMin(&label[b], la)) {
-            changed.store(true, std::memory_order_relaxed);
-          }
-        } else if (lb < la) {
-          if (AtomicMin(&label[a], lb)) {
-            changed.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
+    while (changed.exchange(false, std::memory_order_relaxed)) {
+      trace.BeginIteration(n, /*frontier_sparse=*/false);
+      const int64_t scanned = ScanStoredEdges(handle, config, relax);
+      trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
     }
   }
   result.stats.algorithm_seconds = total.Seconds();

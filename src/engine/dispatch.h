@@ -94,7 +94,7 @@ int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* s
   auto owned = [add](VertexId src, VertexId dst, float w) { add.Update(src, dst, w); };
   const bool pull = config.direction == Direction::kPull;
   return edge_map_internal::WithSharedUpdate(
-      add, config.sync, &handle.locks(), [&](auto& shared, auto /*mark*/) -> int64_t {
+      add, config.sync, &handle.locks(), [&](auto& shared) -> int64_t {
         switch (config.layout) {
           case Layout::kEdgeArray:
             return ScanEdgeArray(handle.edges(), shared);

@@ -171,50 +171,39 @@ class SparseRound {
   std::vector<std::vector<VertexId>>* buffers_;
 };
 
-// The two ways a kernel marks a destination in its round bitmap; each
-// returns true iff the call flipped the bit. Other workers may mark the same
-// word, so a mark is Bitmap::TestAndSet unless the call runs alone.
-struct SharedMark {
-  bool operator()(Bitmap& next, VertexId v) const { return next.TestAndSet(v); }
-};
-struct PlainMark {
-  bool operator()(Bitmap& next, VertexId v) const { return next.TestAndSetPlain(v); }
-};
-
-// Returns run(update, mark) for a call whose destinations other workers may
-// write concurrently: update(src, dst, weight) applies func to an edge, and
-// mark is the call's round-bitmap mark. A call that runs alone
-// (ThreadPool::CallRunsAlone) has no other worker, so it updates with plain
-// Update and marks plainly. Otherwise Sync::kLocks wraps Update in dst's
-// striped lock, every other mode uses UpdateAtomic, and marks are shared.
-// Picking once per call keeps the branch out of the per-edge loop.
+// Returns run(update), where update(src, dst, weight) applies func to an
+// edge whose destination other workers may write concurrently. A call that
+// runs alone (ThreadPool::CallRunsAlone) has no other worker, so it uses
+// plain Update; otherwise Sync::kLocks wraps Update in dst's striped lock
+// and every other mode uses UpdateAtomic. Picking once per call keeps the
+// branch out of the per-edge loop.
 template <typename F, typename Run>
 auto WithSharedUpdate(F& func, Sync sync, StripedLocks* locks, Run&& run) {
   if (ThreadPool::CallRunsAlone()) {
     auto update = [&func](VertexId src, VertexId dst, float w) {
       return func.Update(src, dst, w);
     };
-    return run(update, PlainMark{});
+    return run(update);
   }
   if (sync == Sync::kLocks) {
     auto update = [&func, locks](VertexId src, VertexId dst, float w) {
       SpinlockGuard guard(locks->For(dst));
       return func.Update(src, dst, w);
     };
-    return run(update, SharedMark{});
+    return run(update);
   }
   auto update = [&func](VertexId src, VertexId dst, float w) {
     return func.UpdateAtomic(src, dst, w);
   };
-  return run(update, SharedMark{});
+  return run(update);
 }
 
 // The push inner loop, shared by every push backend: relaxes the out-edges
 // of `src` through `update` (the backend's sync policy), and for each
-// changed destination marks the round bitmap, appending first-time
+// changed destination sets the round bitmap, appending first-time
 // discoveries to the worker's buffer. Returns the edges walked.
-template <typename Source, typename F, typename Update, typename Mark>
-inline int64_t PushNeighbors(const Source& out, VertexId src, F& func, Update& update, Mark mark,
+template <typename Source, typename F, typename Update>
+inline int64_t PushNeighbors(const Source& out, VertexId src, F& func, Update& update,
                              Bitmap& next, std::vector<VertexId>& buffer, int64_t& relaxed) {
   out.ForEachNeighbor(src, [&](VertexId dst, float w) {
     if (!func.Cond(dst)) {
@@ -222,7 +211,7 @@ inline int64_t PushNeighbors(const Source& out, VertexId src, F& func, Update& u
     }
     if (update(src, dst, w)) {
       ++relaxed;
-      if (mark(next, dst)) {
+      if (next.TestAndSet(dst)) {
         buffer.push_back(dst);
       }
     }
@@ -292,15 +281,14 @@ Frontier EdgeMapPush(const Source& out, Frontier& frontier, F& func,
   obs::TimelineSpan timeline_span("engine", "edgemap.push", static_cast<int64_t>(active.size()));
   edge_map_internal::SparseRound round(out.num_vertices(), options.scratch);
   const EdgeCounts total =
-      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks,
-                                          [&](auto& update, auto mark) {
+      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
         return CountedChunks(0, static_cast<int64_t>(active.size()), /*grain=*/64,
                              [&](int64_t lo, int64_t hi, int worker) {
                                auto& buffer = round.buffers()[static_cast<size_t>(worker)];
                                EdgeCounts chunk;
                                for (int64_t i = lo; i < hi; ++i) {
                                  chunk.scanned += edge_map_internal::PushNeighbors(
-                                     out, active[static_cast<size_t>(i)], func, update, mark,
+                                     out, active[static_cast<size_t>(i)], func, update,
                                      round.next(), buffer, chunk.relaxed);
                                }
                                return chunk;
@@ -363,8 +351,7 @@ Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
   const bool weighted = graph.has_weights();
   const auto& weights = graph.weights();
   const EdgeCounts total =
-      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks,
-                                          [&](auto& update, auto mark) {
+      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
         return CountedChunks(0, num_edges, /*grain=*/4096, [&](int64_t lo, int64_t hi,
                                                                int /*worker*/) {
           EdgeCounts chunk;
@@ -376,7 +363,7 @@ Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
             }
             if (update(e.src, e.dst, weighted ? weights[static_cast<size_t>(i)] : 1.0f)) {
               ++chunk.relaxed;
-              if (mark(next, e.dst)) {
+              if (next.TestAndSet(e.dst)) {
                 ++chunk.discovered;
               }
             }
@@ -433,11 +420,9 @@ inline GridColumns GridColumnsByMass(const Grid& grid) {
 // 6.1.2): each thread owns a set of destination blocks (columns), so all
 // writes are exclusive and plain Update suffices — regardless of push/pull
 // direction. Columns dispatch in descending edge count (GridColumnsByMass).
-// Column boundaries need not fall on bitmap words, so marks stay shared
-// unless the call runs alone.
 //
 // Sync::kLocks / kAtomics iterate cells row-major (best source locality),
-// one cell per chunk, with the updates and marks of WithSharedUpdate.
+// one cell per chunk, with the updates of WithSharedUpdate.
 template <typename F>
 Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
                      const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
@@ -449,7 +434,7 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
   Bitmap next(n);
   const bool weighted = grid.has_weights();
 
-  auto process_cell = [&](uint32_t i, uint32_t j, auto& update, auto mark, EdgeCounts& chunk) {
+  auto process_cell = [&](uint32_t i, uint32_t j, auto& update, EdgeCounts& chunk) {
     const auto cell = grid.Cell(i, j);
     const auto weights = grid.CellWeights(i, j);
     chunk.scanned += static_cast<int64_t>(cell.size());
@@ -460,7 +445,7 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
       }
       if (update(e.src, e.dst, weighted ? weights[k] : 1.0f)) {
         ++chunk.relaxed;
-        if (mark(next, e.dst)) {
+        if (next.TestAndSet(e.dst)) {
           ++chunk.discovered;
         }
       }
@@ -473,31 +458,26 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
     // of destination block j.
     auto owned = [&func](VertexId src, VertexId dst, float w) { return func.Update(src, dst, w); };
     const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
-    const auto run_columns = [&](auto mark) {
-      return CountedChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
-                           [&](int64_t lo, int64_t hi, int /*worker*/) {
-                             EdgeCounts chunk;
-                             for (int64_t idx = lo; idx < hi; ++idx) {
-                               const uint32_t j = columns.order[static_cast<size_t>(idx)];
-                               for (uint32_t i = 0; i < blocks; ++i) {
-                                 process_cell(i, j, owned, mark, chunk);
-                               }
-                             }
-                             return chunk;
-                           });
-    };
-    total = ThreadPool::CallRunsAlone() ? run_columns(edge_map_internal::PlainMark{})
-                                        : run_columns(edge_map_internal::SharedMark{});
+    total = CountedChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
+                          [&](int64_t lo, int64_t hi, int /*worker*/) {
+                            EdgeCounts chunk;
+                            for (int64_t idx = lo; idx < hi; ++idx) {
+                              const uint32_t j = columns.order[static_cast<size_t>(idx)];
+                              for (uint32_t i = 0; i < blocks; ++i) {
+                                process_cell(i, j, owned, chunk);
+                              }
+                            }
+                            return chunk;
+                          });
   } else {
     total = edge_map_internal::WithSharedUpdate(
-        func, options.sync, options.locks, [&](auto& update, auto mark) {
+        func, options.sync, options.locks, [&](auto& update) {
           return CountedChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
                                [&](int64_t lo, int64_t hi, int /*worker*/) {
                                  EdgeCounts chunk;
                                  for (int64_t c = lo; c < hi; ++c) {
                                    process_cell(static_cast<uint32_t>(c / blocks),
-                                                static_cast<uint32_t>(c % blocks), update, mark,
-                                                chunk);
+                                                static_cast<uint32_t>(c % blocks), update, chunk);
                                  }
                                  return chunk;
                                });

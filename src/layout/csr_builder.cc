@@ -9,7 +9,6 @@
 #include "src/obs/timeline.h"
 #include "src/util/parallel.h"
 #include "src/util/spinlock.h"
-#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace egraph {
@@ -235,38 +234,27 @@ Csr CountingAdjacencyBuilder::Scatter(const EdgeList& graph, double* scatter_sec
   for (VertexId v = 0; v < n; ++v) {
     offsets[v + 1] = offsets[v] + degrees_[v];
   }
+  std::vector<std::atomic<EdgeIndex>> cursors(n);
+  ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
+    cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
+                                          std::memory_order_relaxed);
+  });
   const auto& edges = graph.edges();
   std::vector<VertexId> neighbors(edges.size());
   std::vector<float> weights;
   if (graph.has_weights()) {
     weights.resize(edges.size());
   }
-  // Files edge i at `slot`, taken from its key's cursor.
-  const auto place = [&](size_t i, EdgeIndex slot) {
-    neighbors[slot] = ValueOf(edges[i], direction_);
+  ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
+    const Edge& e = edges[static_cast<size_t>(i)];
+    const VertexId v = KeyOf(e, direction_);
+    const EdgeIndex slot =
+        cursors[static_cast<size_t>(v)].fetch_add(1, std::memory_order_relaxed);
+    neighbors[slot] = ValueOf(e, direction_);
     if (!weights.empty()) {
-      weights[slot] = graph.weights()[i];
+      weights[slot] = graph.weights()[static_cast<size_t>(i)];
     }
-  };
-  if (ThreadPool::CallRunsAlone()) {
-    // Plain cursors: each list keeps edge-list order, as it does through the
-    // atomic cursors on one thread.
-    std::vector<EdgeIndex> cursors(offsets.begin(), offsets.end() - 1);
-    for (size_t i = 0; i < edges.size(); ++i) {
-      place(i, cursors[KeyOf(edges[i], direction_)]++);
-    }
-  } else {
-    std::vector<std::atomic<EdgeIndex>> cursors(n);
-    ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
-      cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
-                                            std::memory_order_relaxed);
-    });
-    ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
-      const VertexId v = KeyOf(edges[static_cast<size_t>(i)], direction_);
-      place(static_cast<size_t>(i),
-            cursors[static_cast<size_t>(v)].fetch_add(1, std::memory_order_relaxed));
-    });
-  }
+  });
   Csr csr;
   csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
   if (scatter_seconds != nullptr) {

@@ -86,9 +86,9 @@ class DynamicAdjacencyBuilder {
 // that can overlap loading), then scatters in one pass over the fully
 // loaded edge array. BuildCsr's kCountSort runs it with the whole edge list
 // as one chunk. Like the dynamic builder, it takes its chunk calls from one
-// thread. Both passes run in parallel with atomic degree adds and cursors
-// (random increments: the cache-unfriendly part the paper calls out), or
-// with plain ones when the call runs alone (ThreadPool::CallRunsAlone).
+// thread. Both passes run in parallel and increment at random vertices (the
+// cache-unfriendly part the paper calls out): CountChunk adds degrees with
+// CountEdgeKeys, and Scatter files each edge through its key's atomic cursor.
 class CountingAdjacencyBuilder {
  public:
   CountingAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction);

@@ -168,9 +168,7 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
       };
       for (const VertexId src : slice.Vertices()) {
         chunk.scanned +=
-            edge_map_internal::PushNeighbors(out, src, func, update,
-                                             edge_map_internal::SharedMark{}, next, buffer,
-                                             chunk.relaxed);
+            edge_map_internal::PushNeighbors(out, src, func, update, next, buffer, chunk.relaxed);
       }
       grid.FlushRow(s);
       shard_metrics.local_updates.Add(local_updates);

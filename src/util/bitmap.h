@@ -1,6 +1,5 @@
 // Concurrent fixed-size bitmap: the dense frontier representation. Supports
-// racy reads and atomic test-and-set, the two operations EdgeMap needs, plus
-// a plain test-and-set for a caller no other thread can race.
+// racy reads and atomic test-and-set, the two operations EdgeMap needs.
 #ifndef SRC_UTIL_BITMAP_H_
 #define SRC_UTIL_BITMAP_H_
 
@@ -51,20 +50,6 @@ class Bitmap {
     const uint64_t old = words_[static_cast<size_t>(index >> 6)].fetch_or(
         mask, std::memory_order_relaxed);
     return (old & mask) == 0;
-  }
-
-  // TestAndSet for a caller that no other thread can race (a call that runs
-  // alone, ThreadPool::CallRunsAlone): a plain load, test and store of the
-  // word, with no read-modify-write.
-  bool TestAndSetPlain(int64_t index) {
-    std::atomic<uint64_t>& word = words_[static_cast<size_t>(index >> 6)];
-    const uint64_t mask = 1ULL << (index & 63);
-    const uint64_t old = word.load(std::memory_order_relaxed);
-    if ((old & mask) != 0) {
-      return false;
-    }
-    word.store(old | mask, std::memory_order_relaxed);
-    return true;
   }
 
   // Number of set bits (parallel).
