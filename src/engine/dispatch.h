@@ -1,8 +1,10 @@
 // The engine's one layout x direction switch. Algorithms hand their RunConfig
 // and a functor to EdgeMap (frontier rounds) or a per-edge value to Scan
-// (all-active sum rounds); only here is a kernel picked: the edge array, the
-// grid, or an adjacency source (plain CSR, compressed CSR, or shards over the
-// plain CSR) in the push or pull direction, with push-pull decided per round.
+// (all-active sum rounds); only here is a kernel picked: a stored-edge scan
+// (the edge array, or the grid's row-major cells or owned columns, picked by
+// RunStoredEdgeScan for EdgeMap, Scan and ScanStoredEdges alike), or an
+// adjacency source (plain CSR, compressed CSR, or shards over the plain CSR)
+// in the push or pull direction, with push-pull decided per round.
 #ifndef SRC_ENGINE_DISPATCH_H_
 #define SRC_ENGINE_DISPATCH_H_
 
@@ -19,6 +21,56 @@
 #include "src/util/atomics.h"
 
 namespace egraph {
+
+// The one switch among the stored-edge orders. A grid under Sync::kLockFree
+// runs owned columns with plain Update: one worker writes each destination
+// block (paper section 6.1.2), through its own copy of func, since
+// ScanGridColumnOwned copies its body per worker. Every other case runs the
+// edge array, or the grid's row-major cells, with the updates of
+// WithSharedUpdate. bind(update) returns the per-edge body that applies
+// `update`. Returns the scan's edge counts.
+template <typename F, typename Bind>
+EdgeCounts RunStoredEdgeScan(GraphHandle& handle, Layout layout, Sync sync, F& func,
+                             Bind&& bind) {
+  if (layout == Layout::kGrid && sync == Sync::kLockFree) {
+    auto owned = [func](VertexId src, VertexId dst, float w) mutable {
+      return func.Update(src, dst, w);
+    };
+    return ScanGridColumnOwned(handle.grid(), bind(owned));
+  }
+  return edge_map_internal::WithSharedUpdate(func, sync, &handle.locks(), [&](auto& update) {
+    return layout == Layout::kGrid ? ScanGridRowMajor(handle.grid(), bind(update))
+                                   : ScanEdgeArray(handle.edges(), bind(update));
+  });
+}
+
+// EdgeMap over the edge array or the grid: always a full scan (paper
+// section 4.1). Each edge whose source is active and whose destination
+// passes Cond applies the update and, when that changes the destination,
+// marks it in the next frontier. `relaxed` counts those changes and
+// `discovered` the marked vertices.
+template <typename F>
+Frontier EdgeMapStoredEdges(GraphHandle& handle, Frontier& frontier, F& func,
+                            const RunConfig& config, EdgeCounts* counts) {
+  const VertexId n = handle.num_vertices();
+  frontier.EnsureDense();
+  Bitmap next(n);
+  EdgeCounts total =
+      RunStoredEdgeScan(handle, config.layout, config.sync, func, [&](auto& update) {
+        return [&frontier, &func, &next, update](VertexId src, VertexId dst, float w) mutable {
+          if (!frontier.Contains(src) || !func.Cond(dst) || !update(src, dst, w)) {
+            return false;
+          }
+          next.Set(dst);
+          return true;
+        };
+      });
+  total.discovered = next.Count();
+  if (counts != nullptr) {
+    *counts = total;
+  }
+  return Frontier::FromBitmap(n, std::move(next), total.discovered);
+}
 
 // One EdgeMap round under config's layout, direction and sync.
 // Locks come from the handle; `scratch` (optional) carries round state
@@ -46,9 +98,8 @@ Frontier EdgeMap(GraphHandle& handle, Frontier& frontier, F& func, const RunConf
   const bool pull = direction == Direction::kPull;
   switch (config.layout) {
     case Layout::kEdgeArray:
-      return EdgeMapEdgeArray(handle.edges(), frontier, func, options, counts);
     case Layout::kGrid:
-      return EdgeMapGrid(handle.grid(), frontier, func, options, counts);
+      return EdgeMapStoredEdges(handle, frontier, func, config, counts);
     case Layout::kAdjacency:
       return pull ? EdgeMapPull(handle.in_csr(), frontier, func, counts)
                   : EdgeMapPush(handle.out_csr(), frontier, func, options, counts);
@@ -91,38 +142,48 @@ int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* s
       AtomicAdd(&sums[dst], value(src, w));
     }
   } add{value, sums};
-  auto owned = [add](VertexId src, VertexId dst, float w) { add.Update(src, dst, w); };
+  const auto by_source = [&](const auto& out) {
+    return edge_map_internal::WithSharedUpdate(
+        add, config.sync, &handle.locks(), [&](auto& shared) { return ScanBySource(out, shared); });
+  };
   const bool pull = config.direction == Direction::kPull;
-  return edge_map_internal::WithSharedUpdate(
-      add, config.sync, &handle.locks(), [&](auto& shared) -> int64_t {
-        switch (config.layout) {
-          case Layout::kEdgeArray:
-            return ScanEdgeArray(handle.edges(), shared);
-          case Layout::kGrid:
-            return config.sync == Sync::kLockFree ? ScanGridColumnOwned(handle.grid(), owned)
-                                                  : ScanGridRowMajor(handle.grid(), shared);
-          case Layout::kAdjacency:
-            return pull ? ScanByDestination(handle.in_csr(), value, sums)
-                        : ScanBySource(handle.out_csr(), shared);
-          case Layout::kCompressed:
-            return pull ? ScanByDestination(handle.compressed_in(), value, sums)
-                        : ScanBySource(handle.compressed_out(), shared);
-          case Layout::kSharded:
-            return pull ? ShardScanByDestination(handle.in_csr(), handle.sharded(), value, sums)
-                        : ShardScanBySource(handle.out_csr(), handle.sharded(), owned);
-        }
-        return 0;
-      });
+  switch (config.layout) {
+    case Layout::kEdgeArray:
+    case Layout::kGrid:
+      return RunStoredEdgeScan(handle, config.layout, config.sync, add,
+                               [](auto& update) -> auto& { return update; })
+          .scanned;
+    case Layout::kAdjacency:
+      return pull ? ScanByDestination(handle.in_csr(), value, sums) : by_source(handle.out_csr());
+    case Layout::kCompressed:
+      return pull ? ScanByDestination(handle.compressed_in(), value, sums)
+                  : by_source(handle.compressed_out());
+    case Layout::kSharded:
+      return pull ? ShardScanByDestination(handle.in_csr(), handle.sharded(), value, sums)
+                  : ShardScanBySource(handle.out_csr(), handle.sharded(),
+                                      [add](VertexId src, VertexId dst, float w) {
+                                        add.Update(src, dst, w);
+                                      });
+  }
+  return 0;
 }
 
-// Edge-centric pass for the edge array and grid (row-major cells):
-// body(src, dst, weight) for every stored edge, concurrently. For updates
-// that are not a per-destination sum, such as WCC relaxing both endpoints;
-// body synchronizes its own writes. Returns the edges scanned.
+// Edge-centric pass for the edge array and grid: body(src, dst, weight) for
+// every stored edge, concurrently. For updates that are not a
+// per-destination sum, such as WCC relaxing both endpoints: no destination
+// ownership or lock covers such a body, so it synchronizes its own writes,
+// takes no update from RunStoredEdgeScan and runs where an atomic update
+// would, on the edge array or the grid's row-major cells. Returns the edges
+// scanned.
 template <typename Body>
 int64_t ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
-  return config.layout == Layout::kGrid ? ScanGridRowMajor(handle.grid(), body)
-                                        : ScanEdgeArray(handle.edges(), body);
+  struct NoUpdate {
+    void Update(VertexId, VertexId, float) {}
+    void UpdateAtomic(VertexId, VertexId, float) {}
+  } none;
+  return RunStoredEdgeScan(handle, config.layout, Sync::kAtomics, none,
+                           [&body](auto& /*update*/) -> auto& { return body; })
+      .scanned;
 }
 
 // Out-degree of every vertex, read from the layout's out-lists when they

@@ -17,22 +17,25 @@
 //     bool Cond(VertexId dst) const;
 //   };
 //
-// Functors must be thread-compatible; all mutation goes through shared
-// vertex-state arrays guarded per the selected Sync mode, or unguarded in a
-// call that runs alone (WithSharedUpdate).
+// Functors must be thread-compatible and copyable; all mutation goes through
+// shared vertex-state arrays guarded per the selected Sync mode, or
+// unguarded in a call that runs alone (WithSharedUpdate). The grid's owned
+// columns update through each worker's own copy (RunStoredEdgeScan in
+// src/engine/dispatch.h).
 //
 // Push, pull and the push-pull decision are written once, against the
 // adjacency-source surface Csr and CompressedCsr share (src/layout/csr.h):
 // Degree(v), ForEachNeighbor(v, fn) and ForEachNeighborWhile(v, fn). The
-// sharded backends reuse the same push inner loop and pull gather; the edge
-// array and grid keep their own iteration orders. The one layout x
-// direction switch that picks among them lives in src/engine/dispatch.h.
+// sharded backends reuse the same push inner loop and pull gather. The edge
+// array and the grid have no EdgeMap kernel of their own: EdgeMap runs the
+// stored-edge scans of src/engine/scan.h over them, always a full scan
+// (paper section 4.1). The one layout x direction switch that picks among
+// all of them lives in src/engine/dispatch.h.
 //
 // Work partitioning: every kernel hands the work-stealing pool fixed-size
 // chunks, as the paper's engine hands Cilk workers fixed grains (section
-// 2): push 64 frontier vertices, pull 256 destinations, the edge array 4096
-// edges, the grid's row-major scan one cell. Column-owned grid work cannot
-// be split, so it dispatches whole columns in descending edge count. An
+// 2): push 64 frontier vertices, pull 256 destinations, and the stored-edge
+// scans 4096 edges, one grid cell or one owned grid column (scan.h). An
 // adjacency list is never split: a hub's list is walked by one worker while
 // the others steal the remaining chunks (DESIGN.md section 5).
 //
@@ -44,16 +47,12 @@
 #ifndef SRC_ENGINE_EDGE_MAP_H_
 #define SRC_ENGINE_EDGE_MAP_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "src/engine/edge_map_scratch.h"
 #include "src/engine/frontier.h"
 #include "src/engine/options.h"
-#include "src/graph/edge_list.h"
-#include "src/layout/grid.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/util/parallel.h"
@@ -333,160 +332,6 @@ template <typename Source>
 bool PullPays(const Source& out, Frontier& frontier, const PushPullConfig& config) {
   return static_cast<double>(frontier.WorkEstimate(out)) >
          static_cast<double>(out.num_edges()) / config.threshold_den;
-}
-
-// --- Edge array (edge-centric: always a full scan; paper section 4.1) ------
-//
-// Per-edge cost is uniform, so fixed 4096-edge chunks are equal-cost chunks.
-template <typename F>
-Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
-                          const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
-  const VertexId n = graph.num_vertices();
-  frontier.EnsureDense();
-  const auto& edges = graph.edges();
-  const int64_t num_edges = static_cast<int64_t>(edges.size());
-  obs::TimelineSpan timeline_span("engine", "edgemap.edgearray", num_edges);
-
-  Bitmap next(n);
-  const bool weighted = graph.has_weights();
-  const auto& weights = graph.weights();
-  const EdgeCounts total =
-      edge_map_internal::WithSharedUpdate(func, options.sync, options.locks, [&](auto& update) {
-        return CountedChunks(0, num_edges, /*grain=*/4096, [&](int64_t lo, int64_t hi,
-                                                               int /*worker*/) {
-          EdgeCounts chunk;
-          chunk.scanned = hi - lo;  // edge-centric: every edge is touched
-          for (int64_t i = lo; i < hi; ++i) {
-            const Edge& e = edges[static_cast<size_t>(i)];
-            if (!frontier.Contains(e.src) || !func.Cond(e.dst)) {
-              continue;
-            }
-            if (update(e.src, e.dst, weighted ? weights[static_cast<size_t>(i)] : 1.0f)) {
-              ++chunk.relaxed;
-              if (next.TestAndSet(e.dst)) {
-                ++chunk.discovered;
-              }
-            }
-          }
-          return chunk;
-        });
-      });
-  if (counts != nullptr) {
-    *counts = total;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total.discovered);
-}
-
-// --- Grid ------------------------------------------------------------------
-
-namespace edge_map_internal {
-
-// Grid columns in descending edge count, with each column's count: the
-// dispatch order of the column-owned kernels. Columns cannot be split —
-// ownership is the point — so ordering is the only balancing lever: the
-// pool preloads grain-1 items round-robin, which turns the sorted order
-// into a static greedy assignment (heaviest columns spread across workers
-// first) with stealing mopping up the tail.
-struct GridColumns {
-  std::vector<uint32_t> order;
-  std::vector<uint64_t> edges;
-};
-
-inline GridColumns GridColumnsByMass(const Grid& grid) {
-  const uint32_t blocks = grid.num_blocks();
-  const auto& cell_offsets = grid.cell_offsets();
-  GridColumns columns;
-  columns.edges.assign(blocks, 0);
-  ParallelFor(0, static_cast<int64_t>(blocks), [&](int64_t j) {
-    uint64_t sum = 0;
-    for (uint32_t i = 0; i < blocks; ++i) {
-      const size_t c = grid.CellIndex(i, static_cast<uint32_t>(j));
-      sum += cell_offsets[c + 1] - cell_offsets[c];
-    }
-    columns.edges[static_cast<size_t>(j)] = sum;
-  });
-  columns.order.resize(blocks);
-  std::iota(columns.order.begin(), columns.order.end(), 0u);
-  std::stable_sort(columns.order.begin(), columns.order.end(),
-                   [&columns](uint32_t a, uint32_t b) {
-                     return columns.edges[a] > columns.edges[b];
-                   });
-  return columns;
-}
-
-}  // namespace edge_map_internal
-
-// Sync::kLockFree exploits the grid's natural partition (paper section
-// 6.1.2): each thread owns a set of destination blocks (columns), so all
-// writes are exclusive and plain Update suffices — regardless of push/pull
-// direction. Columns dispatch in descending edge count (GridColumnsByMass).
-//
-// Sync::kLocks / kAtomics iterate cells row-major (best source locality),
-// one cell per chunk, with the updates of WithSharedUpdate.
-template <typename F>
-Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
-                     const EdgeMapOptions& options, EdgeCounts* counts = nullptr) {
-  const VertexId n = grid.num_vertices();
-  frontier.EnsureDense();
-  const uint32_t blocks = grid.num_blocks();
-  obs::TimelineSpan timeline_span("engine", "edgemap.grid", frontier.Count());
-
-  Bitmap next(n);
-  const bool weighted = grid.has_weights();
-
-  auto process_cell = [&](uint32_t i, uint32_t j, auto& update, EdgeCounts& chunk) {
-    const auto cell = grid.Cell(i, j);
-    const auto weights = grid.CellWeights(i, j);
-    chunk.scanned += static_cast<int64_t>(cell.size());
-    for (size_t k = 0; k < cell.size(); ++k) {
-      const Edge& e = cell[k];
-      if (!frontier.Contains(e.src) || !func.Cond(e.dst)) {
-        continue;
-      }
-      if (update(e.src, e.dst, weighted ? weights[k] : 1.0f)) {
-        ++chunk.relaxed;
-        if (next.TestAndSet(e.dst)) {
-          ++chunk.discovered;
-        }
-      }
-    }
-  };
-
-  EdgeCounts total;
-  if (options.sync == Sync::kLockFree) {
-    // Column ownership: the thread processing column j is the only writer
-    // of destination block j.
-    auto owned = [&func](VertexId src, VertexId dst, float w) { return func.Update(src, dst, w); };
-    const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
-    total = CountedChunks(0, static_cast<int64_t>(blocks), /*grain=*/1,
-                          [&](int64_t lo, int64_t hi, int /*worker*/) {
-                            EdgeCounts chunk;
-                            for (int64_t idx = lo; idx < hi; ++idx) {
-                              const uint32_t j = columns.order[static_cast<size_t>(idx)];
-                              for (uint32_t i = 0; i < blocks; ++i) {
-                                process_cell(i, j, owned, chunk);
-                              }
-                            }
-                            return chunk;
-                          });
-  } else {
-    total = edge_map_internal::WithSharedUpdate(
-        func, options.sync, options.locks, [&](auto& update) {
-          return CountedChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
-                               [&](int64_t lo, int64_t hi, int /*worker*/) {
-                                 EdgeCounts chunk;
-                                 for (int64_t c = lo; c < hi; ++c) {
-                                   process_cell(static_cast<uint32_t>(c / blocks),
-                                                static_cast<uint32_t>(c % blocks), update, chunk);
-                                 }
-                                 return chunk;
-                               });
-        });
-  }
-  if (counts != nullptr) {
-    *counts = total;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total.discovered);
 }
 
 }  // namespace egraph

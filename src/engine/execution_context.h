@@ -1,7 +1,7 @@
 // ExecutionContext: everything one caller ("query") needs to run an
-// algorithm — the thread pool its parallel loops dispatch to, a private
-// EdgeMapScratch, and a deterministic RNG seed stream — bundled into one
-// object instead of a set of process-wide singletons.
+// algorithm — the thread pool its parallel loops dispatch to and a private
+// EdgeMapScratch — bundled into one object instead of a set of process-wide
+// singletons.
 //
 // Two modes:
 //   * ExecutionContext::Default() wraps the process-wide pool
@@ -28,8 +28,6 @@
 #ifndef SRC_ENGINE_EXECUTION_CONTEXT_H_
 #define SRC_ENGINE_EXECUTION_CONTEXT_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -45,8 +43,6 @@ struct ExecutionContextOptions {
   // parallel loops never contend on the process-wide pool's region lock.
   // 0: the context dispatches to the caller's current pool binding.
   int num_threads = 0;
-  // Seed for the context's deterministic seed stream (NextSeed()).
-  uint64_t seed = 0;
 };
 
 class ExecutionContext {
@@ -68,11 +64,6 @@ class ExecutionContext {
   // Reusable per-round EdgeMap scratch. One EdgeMap call at a time — which
   // the one-query-per-context contract guarantees.
   EdgeMapScratch& edge_map_scratch() { return scratch_; }
-
-  // Next value of the context's deterministic seed stream (SplitMix64 over
-  // options.seed). Thread-safe; distinct contexts with distinct seeds
-  // produce distinct, reproducible streams.
-  uint64_t NextSeed();
 
   const std::string& name() const { return options_.name; }
   bool has_private_pool() const { return private_pool_ != nullptr; }
@@ -99,7 +90,6 @@ class ExecutionContext {
   const bool is_default_ = false;
   std::unique_ptr<ThreadPool> private_pool_;  // null: shared/current pool
   EdgeMapScratch scratch_;
-  std::atomic<uint64_t> seed_state_;
 };
 
 }  // namespace egraph

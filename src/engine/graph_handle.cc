@@ -42,16 +42,9 @@ double GraphHandle::preprocess_seconds() const {
   return preprocess_seconds_;
 }
 
-void GraphHandle::ResetPreprocessClock() {
-  std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
-  CheckBuildPhase("ResetPreprocessClock");
-  std::lock_guard<std::mutex> guard(stats_mutex_);
-  preprocess_seconds_ = 0.0;
-}
-
 void GraphHandle::Freeze() {
-  // Exclusive acquisition waits out every in-flight Prepare / InstallCsr /
-  // DropLayouts holding the lock shared: a mutation that began before the
+  // Exclusive acquisition waits out every in-flight Prepare / InstallCsr
+  // holding the lock shared: a mutation that began before the
   // freeze completes before frozen_ is published, and one that begins after
   // observes frozen_ (its shared_lock orders it after this critical
   // section) and aborts in CheckBuildPhase. Idempotent.
@@ -74,7 +67,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
     }
     const bool build_out = need_out || (config.symmetric_input && need_in);
     if (build_out) {
-      std::call_once(once_->out, [&] {
+      std::call_once(once_.out, [&] {
         if (out_csr_.has_value()) {
           return;  // installed by InstallCsr; nothing to build
         }
@@ -88,7 +81,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       });
     }
     if (need_in && !config.symmetric_input) {
-      std::call_once(once_->in, [&] {
+      std::call_once(once_.in, [&] {
         if (in_csr_.has_value()) {
           return;
         }
@@ -110,7 +103,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       build_adjacency(config.need_out, config.need_in);
       break;
     case Layout::kGrid: {
-      std::call_once(once_->grid, [&] {
+      std::call_once(once_.grid, [&] {
         if (grid_.has_value()) {
           return;
         }
@@ -143,7 +136,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       const bool build_out =
           config.need_out || (config.symmetric_input && config.need_in);
       if (build_out) {
-        std::call_once(once_->compressed_out, [&] {
+        std::call_once(once_.compressed_out, [&] {
           if (compressed_out_.has_value()) {
             return;
           }
@@ -151,7 +144,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
         });
       }
       if (config.need_in && !config.symmetric_input) {
-        std::call_once(once_->compressed_in, [&] {
+        std::call_once(once_.compressed_in, [&] {
           if (compressed_in_.has_value()) {
             return;
           }
@@ -166,7 +159,7 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       // it), the in-CSR only when pull or push-pull will run. The partition
       // cost lands in preprocess_seconds like every other layout build.
       build_adjacency(/*need_out=*/true, config.need_in);
-      std::call_once(once_->sharded, [&] {
+      std::call_once(once_.sharded, [&] {
         if (sharded_.has_value()) {
           return;
         }
@@ -192,25 +185,6 @@ void GraphHandle::InstallCsr(EdgeDirection direction, Csr csr, double build_seco
     in_csr_ = std::move(csr);
   }
   AddPreprocessSeconds(build_seconds);
-}
-
-void GraphHandle::DropLayouts() {
-  std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
-  CheckBuildPhase("DropLayouts");
-  // Clear the alias before the CSRs go away: has_in_csr() must never see
-  // in_aliases_out_ == true after out_csr_ has been reset, and a later
-  // asymmetric re-Prepare must not inherit a stale alias. (The drop itself
-  // is single-owner — see the header — this ordering keeps the flag
-  // consistent with the layouts at every step.)
-  in_aliases_out_.store(false, std::memory_order_release);
-  out_csr_.reset();
-  in_csr_.reset();
-  grid_.reset();
-  compressed_out_.reset();
-  compressed_in_.reset();
-  sharded_.reset();
-  // Re-arm the call_once guards so the next Prepare builds again.
-  once_ = std::make_unique<LayoutOnce>();
 }
 
 }  // namespace egraph

@@ -3,12 +3,11 @@
 // frequently dominates end-to-end time.
 //
 // Lifecycle: a handle starts in the BUILD phase — single-owner, mutable —
-// where the loader installs CSRs, benches drop and rebuild layouts, and
-// Prepare() adds whatever a run needs. Calling Freeze() ends the build
-// phase: the handle becomes an immutable, shareable snapshot that any
-// number of ExecutionContexts may query concurrently. After Freeze(),
-// mutating entry points (InstallCsr, DropLayouts, ResetPreprocessClock)
-// abort, while Prepare() stays callable from any thread: each layout is
+// where a caller may install CSRs built elsewhere and Prepare() adds
+// whatever a run needs. Calling Freeze() ends the build phase: the handle
+// becomes an immutable, shareable snapshot that any number of
+// ExecutionContexts may query concurrently. After Freeze(), InstallCsr
+// aborts, while Prepare() stays callable from any thread: each layout is
 // built exactly once under a std::call_once, so concurrent callers
 // requesting the same layout block until the single build finishes and the
 // pre-processing cost is paid once, not once per caller.
@@ -16,7 +15,6 @@
 #define SRC_ENGINE_GRAPH_HANDLE_H_
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -91,20 +89,19 @@ class GraphHandle {
   void Prepare(const PrepareConfig& config);
 
   // Ends the build phase. The handle becomes an immutable snapshot safe to
-  // share across ExecutionContexts; further InstallCsr / DropLayouts /
-  // ResetPreprocessClock calls abort. Idempotent. Freeze excludes in-flight
-  // builds: it waits for any Prepare / InstallCsr / DropLayouts running on
-  // another thread to finish before the frozen flag is published, so a
-  // mutation can never complete on a handle observed frozen, and layouts
-  // installed before the freeze are ordered before any post-freeze reader.
+  // share across ExecutionContexts; further InstallCsr calls abort.
+  // Idempotent. Freeze excludes in-flight builds: it waits for any Prepare /
+  // InstallCsr running on another thread to finish before the frozen flag
+  // is published, so a mutation can never complete on a handle observed
+  // frozen, and layouts installed before the freeze are ordered before any
+  // post-freeze reader.
   void Freeze();
   bool frozen() const { return frozen_.load(std::memory_order_acquire); }
 
-  // Installs a CSR built elsewhere (e.g. by the overlapped load→build
-  // pipeline in src/io/loader.h) so Prepare() will not rebuild it.
-  // `build_seconds` is the non-overlapped build cost, added to
-  // preprocess_seconds() to keep the paper's accounting honest.
-  // Build phase only.
+  // Installs a CSR built elsewhere so Prepare() will not rebuild it: the
+  // snapshot store's merged CSRs and egraph_cli's LoadAndBuild output.
+  // `build_seconds` is what that build cost, added to preprocess_seconds()
+  // to keep the paper's accounting honest. Build phase only.
   void InstallCsr(EdgeDirection direction, Csr csr, double build_seconds);
 
   bool has_out_csr() const { return out_csr_.has_value(); }
@@ -132,22 +129,8 @@ class GraphHandle {
                                                            : *compressed_in_;
   }
 
-  // Cumulative pre-processing time across all Prepare calls.
+  // Cumulative pre-processing time across all Prepare and InstallCsr calls.
   double preprocess_seconds() const;
-  // Build phase only.
-  void ResetPreprocessClock();
-
-  // Drops built layouts (for re-measuring with a different method) and
-  // re-arms their call_once guards. Build phase only, single-owner: no
-  // other thread may touch the handle (including has_in_csr()/in_csr())
-  // while a drop is in flight — re-prepare loops must drop and rebuild from
-  // one thread before sharing. Within the drop, the in_aliases_out_ alias
-  // is cleared BEFORE the CSRs are destroyed, so has_in_csr() can never
-  // report an aliased in-CSR whose out-CSR is already gone, and a
-  // drop→re-Prepare(symmetric→asymmetric) transition never leaves the
-  // alias stale (the re-Prepare would then hand out the out-CSR as the
-  // in-CSR).
-  void DropLayouts();
 
   // Shared striped-lock pool for Sync::kLocks execution. Safe to use from
   // concurrent queries: stripes are plain spinlocks, and sharing them
@@ -160,9 +143,7 @@ class GraphHandle {
   static uint32_t AutoGridBlocks(VertexId num_vertices);
 
  private:
-  // One flag per buildable layout. Held behind a unique_ptr so DropLayouts
-  // can re-arm them (std::once_flag itself is not resettable): dropping
-  // swaps in a fresh set, and the next Prepare builds again.
+  // One flag per buildable layout.
   struct LayoutOnce {
     std::once_flag out;
     std::once_flag in;
@@ -176,16 +157,16 @@ class GraphHandle {
   void AddPreprocessSeconds(double seconds);
 
   EdgeList graph_;
-  // Freeze-vs-build exclusion. Mutating entry points and Prepare hold it
-  // SHARED for their whole duration; Freeze takes it EXCLUSIVE before
-  // publishing frozen_. Mutators do not exclude each other — the build
-  // phase is single-owner by contract (see DropLayouts) — the lock exists
-  // solely so a freeze cannot land in the middle of an in-flight build.
+  // Freeze-vs-build exclusion. InstallCsr and Prepare hold it SHARED for
+  // their whole duration; Freeze takes it EXCLUSIVE before publishing
+  // frozen_. Mutators do not exclude each other — the build phase is
+  // single-owner by contract — the lock exists solely so a freeze cannot
+  // land in the middle of an in-flight build.
   mutable std::shared_mutex build_mutex_;
   std::atomic<bool> frozen_{false};
   // Symmetric input: in-CSR == out-CSR.
   std::atomic<bool> in_aliases_out_{false};
-  std::unique_ptr<LayoutOnce> once_ = std::make_unique<LayoutOnce>();
+  LayoutOnce once_;
   std::optional<Csr> out_csr_;
   std::optional<Csr> in_csr_;
   std::optional<Grid> grid_;

@@ -2,15 +2,15 @@
 // curve so consecutive cells share a source OR destination block — the cell
 // ordering used by later out-of-core systems (and by the X-Stream authors'
 // follow-up work) to improve block reuse beyond row-major order. Exposed as
-// an alternative ScanGrid ordering plus an ablation bench.
+// an alternative grid scan order plus an ablation bench.
 #ifndef SRC_ENGINE_HILBERT_H_
 #define SRC_ENGINE_HILBERT_H_
 
 #include <bit>
 #include <cstdint>
 
+#include "src/engine/scan.h"
 #include "src/layout/grid.h"
-#include "src/util/parallel.h"
 
 namespace egraph {
 
@@ -41,31 +41,32 @@ inline void HilbertD2Xy(uint32_t order, uint64_t d, uint32_t* x, uint32_t* y) {
   }
 }
 
-// Grid scan in Hilbert-curve cell order: body(src, dst, weight). Writes are
+// Grid scan in Hilbert-curve cell order, four curve cells per chunk, over
+// the cell loop of every grid scan: body(src, dst, weight). Writes are
 // unordered across threads, so the caller must synchronize destination
 // updates (atomics/locks), as with ScanGridRowMajor. Grid dimensions that
 // are not powers of two are covered by the enclosing power-of-two curve
-// (out-of-range cells are skipped).
+// (out-of-range cells are skipped). Returns the edges scanned and relaxed.
 template <typename Body>
-void ScanGridHilbert(const Grid& grid, Body&& body) {
+EdgeCounts ScanGridHilbert(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   if (blocks == 0) {
-    return;
+    return {};
   }
   const uint32_t order = static_cast<uint32_t>(std::bit_width(blocks - 1));
-  const uint64_t curve_cells = 1ULL << (2 * order);
-  ParallelForGrain(0, static_cast<int64_t>(curve_cells), /*grain=*/4, [&](int64_t d) {
-    uint32_t i = 0;
-    uint32_t j = 0;
-    HilbertD2Xy(order, static_cast<uint64_t>(d), &i, &j);
-    if (i >= blocks || j >= blocks) {
-      return;
+  const int64_t curve_cells = int64_t{1} << (2 * order);
+  obs::TimelineSpan timeline_span("engine", "scan.grid.hilbert");
+  return CountedChunks(0, curve_cells, /*grain=*/4, [&](int64_t lo, int64_t hi, int /*worker*/) {
+    EdgeCounts chunk;
+    for (int64_t d = lo; d < hi; ++d) {
+      uint32_t i = 0;
+      uint32_t j = 0;
+      HilbertD2Xy(order, static_cast<uint64_t>(d), &i, &j);
+      if (i < blocks && j < blocks) {
+        scan_internal::ScanCell(grid, i, j, body, chunk);
+      }
     }
-    const auto cell = grid.Cell(i, j);
-    const auto weights = grid.CellWeights(i, j);
-    for (size_t k = 0; k < cell.size(); ++k) {
-      body(cell[k].src, cell[k].dst, weights.empty() ? 1.0f : weights[k]);
-    }
+    return chunk;
   });
 }
 

@@ -1,6 +1,13 @@
-// Whole-graph scan primitives for algorithms where every vertex is active in
-// every round (PageRank, SpMV): no frontier bookkeeping, just the layout's
-// native iteration order. Scan in src/engine/dispatch.h picks among them.
+// Whole-graph scan primitives: no frontier bookkeeping, just the layout's
+// native iteration order. Algorithms where every vertex is active in every
+// round (PageRank, SpMV) reach them through Scan in src/engine/dispatch.h.
+//
+// The three stored-edge scans (the edge array, the grid's row-major cells
+// and the grid's owned columns) are the engine's only loops over stored
+// edges: EdgeMap on the edge array and the grid, Scan and ScanStoredEdges
+// all run them, and one function in dispatch.h picks among them. A body
+// that returns whether it changed its destination (EdgeMap's) has those
+// changes counted as relaxed; a body that returns nothing costs no count.
 //
 // The by-source and by-destination scans are written once over the
 // adjacency-source surface (src/layout/csr.h), like the EdgeMap kernels,
@@ -15,6 +22,7 @@
 #define SRC_ENGINE_SCAN_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/engine/edge_map.h"
@@ -43,38 +51,51 @@ int64_t SumDestinations(const Source& in, int64_t lo, int64_t hi, Value& value, 
   return scanned;
 }
 
-// body(src, dst, weight) for every edge of grid cell (i, j), adding the
-// cell's edge count to `scanned` first.
+// body(src, dst, weight) for one stored edge, adding 1 to `relaxed` when
+// body returns true.
 template <typename Body>
-void ScanCell(const Grid& grid, uint32_t i, uint32_t j, Body& body, int64_t& scanned) {
+inline void Visit(Body& body, VertexId src, VertexId dst, float w, int64_t& relaxed) {
+  if constexpr (std::is_void_v<decltype(body(src, dst, w))>) {
+    body(src, dst, w);
+  } else if (body(src, dst, w)) {
+    ++relaxed;
+  }
+}
+
+// Visits every edge of grid cell (i, j), adding the cell's edge count to
+// counts.scanned first: the cell loop of every grid scan.
+template <typename Body>
+void ScanCell(const Grid& grid, uint32_t i, uint32_t j, Body& body, EdgeCounts& counts) {
   const auto cell = grid.Cell(i, j);
   const auto weights = grid.CellWeights(i, j);
-  scanned += static_cast<int64_t>(cell.size());
+  counts.scanned += static_cast<int64_t>(cell.size());
   for (size_t k = 0; k < cell.size(); ++k) {
-    body(cell[k].src, cell[k].dst, weights.empty() ? 1.0f : weights[k]);
+    Visit(body, cell[k].src, cell[k].dst, weights.empty() ? 1.0f : weights[k], counts.relaxed);
   }
 }
 
 }  // namespace scan_internal
 
-// Edge-centric scan: body(src, dst, weight) for every edge, in parallel.
-// Caller synchronizes destination writes (atomics/locks). Like every scan
-// here, returns the edges scanned.
+// Edge-centric scan: body(src, dst, weight) for every edge, 4096 edges per
+// chunk (per-edge cost is uniform, so these are equal-cost chunks). Caller
+// synchronizes destination writes (atomics/locks). Like every stored-edge
+// scan, returns the edges scanned and relaxed.
 template <typename Body>
-int64_t ScanEdgeArray(const EdgeList& graph, Body&& body) {
+EdgeCounts ScanEdgeArray(const EdgeList& graph, Body&& body) {
   const auto& edges = graph.edges();
   obs::TimelineSpan timeline_span("engine", "scan.edgearray",
                                   static_cast<int64_t>(edges.size()));
-  const EdgeCounts total = CountedChunks(
-      0, static_cast<int64_t>(edges.size()), /*grain=*/4096,
-      [&](int64_t lo, int64_t hi, int /*worker*/) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const Edge& e = edges[static_cast<size_t>(i)];
-          body(e.src, e.dst, graph.EdgeWeight(static_cast<EdgeIndex>(i)));
-        }
-        return EdgeCounts{.scanned = hi - lo};
-      });
-  return total.scanned;
+  return CountedChunks(0, static_cast<int64_t>(edges.size()), /*grain=*/4096,
+                       [&](int64_t lo, int64_t hi, int /*worker*/) {
+                         EdgeCounts chunk{.scanned = hi - lo};
+                         for (int64_t i = lo; i < hi; ++i) {
+                           const Edge& e = edges[static_cast<size_t>(i)];
+                           scan_internal::Visit(body, e.src, e.dst,
+                                                graph.EdgeWeight(static_cast<EdgeIndex>(i)),
+                                                chunk.relaxed);
+                         }
+                         return chunk;
+                       });
 }
 
 // Vertex-centric push scan over an out-adjacency source: body(src, dst,
@@ -116,33 +137,34 @@ int64_t ScanByDestination(const Source& in, Value&& value, float* sums) {
 // Grid scan, row-major cells, one cell per chunk: body(src, dst, weight);
 // best source-block locality; caller synchronizes destination writes.
 template <typename Body>
-int64_t ScanGridRowMajor(const Grid& grid, Body&& body) {
+EdgeCounts ScanGridRowMajor(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
   obs::TimelineSpan timeline_span("engine", "scan.grid.rows");
-  const EdgeCounts total = CountedChunks(
-      0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
-      [&](int64_t lo, int64_t hi, int /*worker*/) {
-        EdgeCounts chunk;
-        for (int64_t c = lo; c < hi; ++c) {
-          scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
-                                  static_cast<uint32_t>(c % blocks), body, chunk.scanned);
-        }
-        return chunk;
-      });
-  return total.scanned;
+  return CountedChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1,
+                       [&](int64_t lo, int64_t hi, int /*worker*/) {
+                         EdgeCounts chunk;
+                         for (int64_t c = lo; c < hi; ++c) {
+                           scan_internal::ScanCell(grid, static_cast<uint32_t>(c / blocks),
+                                                   static_cast<uint32_t>(c % blocks), body,
+                                                   chunk);
+                         }
+                         return chunk;
+                       });
 }
 
 // Grid scan with column ownership: each thread exclusively owns the
 // destination blocks it processes, so body may write dst state without
 // synchronization (the paper's lock-removal-by-ownership, section 6.1.2).
-// Columns dispatch in descending edge count (GridColumnsByMass), the only
-// balancing lever when columns cannot be split.
+// Columns cannot be split, so they dispatch heaviest first
+// (Grid::column_order): the pool preloads grain-1 items round-robin, which
+// turns the sorted order into a static greedy assignment, and stealing
+// mops up the tail.
 template <typename Body>
-int64_t ScanGridColumnOwned(const Grid& grid, Body&& body) {
+EdgeCounts ScanGridColumnOwned(const Grid& grid, Body&& body) {
   const uint32_t blocks = grid.num_blocks();
+  const std::vector<uint32_t>& columns = grid.column_order();
   obs::TimelineSpan timeline_span("engine", "scan.grid.cols");
-  const edge_map_internal::GridColumns columns = edge_map_internal::GridColumnsByMass(grid);
-  const EdgeCounts total = CountedChunks(
+  return CountedChunks(
       0, static_cast<int64_t>(blocks), /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
         // A worker-local copy keeps body's captures in registers through the
         // cell loops (PageRank's hot loop on the grid) instead of behind a
@@ -150,14 +172,13 @@ int64_t ScanGridColumnOwned(const Grid& grid, Body&& body) {
         auto owner = body;
         EdgeCounts chunk;
         for (int64_t idx = lo; idx < hi; ++idx) {
-          const uint32_t j = columns.order[static_cast<size_t>(idx)];
+          const uint32_t j = columns[static_cast<size_t>(idx)];
           for (uint32_t i = 0; i < blocks; ++i) {
-            scan_internal::ScanCell(grid, i, j, owner, chunk.scanned);
+            scan_internal::ScanCell(grid, i, j, owner, chunk);
           }
         }
         return chunk;
       });
-  return total.scanned;
 }
 
 // Parallel map over all vertices: body(v).

@@ -1,6 +1,8 @@
 #include "src/layout/grid.h"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "src/layout/radix_sort.h"
 #include "src/util/atomics.h"
@@ -21,6 +23,20 @@ void Grid::Init(VertexId num_vertices, uint32_t num_blocks, std::vector<EdgeInde
   cell_offsets_ = std::move(cell_offsets);
   edges_ = std::move(edges);
   weights_ = std::move(weights);
+
+  std::vector<EdgeIndex> column_edges(num_blocks, 0);
+  for (uint32_t i = 0; i < num_blocks; ++i) {
+    for (uint32_t j = 0; j < num_blocks; ++j) {
+      const size_t c = CellIndex(i, j);
+      column_edges[j] += cell_offsets_[c + 1] - cell_offsets_[c];
+    }
+  }
+  column_order_.resize(num_blocks);
+  std::iota(column_order_.begin(), column_order_.end(), 0u);
+  std::stable_sort(column_order_.begin(), column_order_.end(),
+                   [&column_edges](uint32_t a, uint32_t b) {
+                     return column_edges[a] > column_edges[b];
+                   });
 }
 
 namespace {

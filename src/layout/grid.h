@@ -10,6 +10,7 @@
 #ifndef SRC_LAYOUT_GRID_H_
 #define SRC_LAYOUT_GRID_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,10 @@ class Grid {
   const std::vector<Edge>& edges() const { return edges_; }
   const std::vector<EdgeIndex>& cell_offsets() const { return cell_offsets_; }
 
+  // Destination blocks (columns) in descending edge count, ties by index:
+  // the dispatch order of the column-owned scan. Computed once by Init.
+  const std::vector<uint32_t>& column_order() const { return column_order_; }
+
   size_t MemoryBytes() const {
     return edges_.size() * sizeof(Edge) + cell_offsets_.size() * sizeof(EdgeIndex) +
            weights_.size() * sizeof(float);
@@ -67,6 +72,7 @@ class Grid {
   std::vector<EdgeIndex> cell_offsets_;  // num_blocks^2 + 1, row (src-block) major
   std::vector<Edge> edges_;              // bucketed by cell
   std::vector<float> weights_;           // optional, aligned with edges_
+  std::vector<uint32_t> column_order_;   // num_blocks, heaviest column first
 };
 
 struct GridOptions {

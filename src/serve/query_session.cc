@@ -235,7 +235,6 @@ void QuerySession::WorkerLoop(int worker_index) {
   // A context with num_threads <= 0 owns no pool and would run every worker's
   // ParallelFor on the process-wide pool, which serializes whole regions.
   ctx_options.num_threads = std::max(1, options_.threads_per_query);
-  ctx_options.seed = options_.seed + static_cast<uint64_t>(worker_index);
   ExecutionContext ctx(ctx_options);
 
   while (true) {

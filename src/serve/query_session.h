@@ -103,7 +103,6 @@ struct QuerySessionOptions {
   int threads_per_query = 1;
   // Submit() rejects once this many queries are waiting.
   size_t queue_capacity = 1024;
-  uint64_t seed = 0;  // seed base for the workers' contexts
   // > 0: completed queries whose total latency (submit to completion)
   // reaches this many seconds are retained in the session's SlowQueryLog
   // with their full phase breakdown. 0 disables the log.

@@ -226,11 +226,12 @@ TEST(BalanceEquivalence, EmptyFrontierYieldsEmptyResult) {
   EXPECT_TRUE(EdgeMapPush(handle.out_csr(), empty_push, func, options).Empty());
   Frontier empty_pull = Frontier::None(handle.num_vertices());
   EXPECT_TRUE(EdgeMapPull(handle.in_csr(), empty_pull, func).Empty());
-  Frontier empty_array = Frontier::None(handle.num_vertices());
-  options.scratch = nullptr;
-  EXPECT_TRUE(EdgeMapEdgeArray(handle.edges(), empty_array, func, options).Empty());
-  Frontier empty_grid = Frontier::None(handle.num_vertices());
-  EXPECT_TRUE(EdgeMapGrid(handle.grid(), empty_grid, func, options).Empty());
+  for (const Layout layout : {Layout::kEdgeArray, Layout::kGrid}) {
+    RunConfig config;
+    config.layout = layout;
+    Frontier empty_stored = Frontier::None(handle.num_vertices());
+    EXPECT_TRUE(EdgeMap(handle, empty_stored, func, config).Empty()) << LayoutName(layout);
+  }
   for (const uint8_t v : visited) {
     ASSERT_EQ(v, 0);  // no functor application can have happened
   }

@@ -100,7 +100,6 @@ TEST(ConcurrentTest, FourAlgorithmsShareOneFrozenHandle) {
       ExecutionContextOptions ctx_options;
       ctx_options.name = "concurrent.t" + std::to_string(t);
       ctx_options.num_threads = 2;  // private pool: real intra-run parallelism
-      ctx_options.seed = static_cast<uint64_t>(t);
       ExecutionContext ctx(ctx_options);
       switch (t % 4) {
         case 0: {
@@ -581,20 +580,6 @@ TEST(ConcurrentTest, SubmitAfterDrainBeginsReportsClosedNeverQueueFull) {
   serve::ServeQuery late;
   late.config = config;
   EXPECT_EQ(session.Submit(late), serve::SubmitStatus::kClosed);
-}
-
-TEST(ConcurrentTest, ExecutionContextSeedStreamIsDeterministic) {
-  ExecutionContextOptions options;
-  options.seed = 123;
-  ExecutionContext a(options);
-  ExecutionContext b(options);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.NextSeed(), b.NextSeed());
-  }
-  ExecutionContextOptions other;
-  other.seed = 124;
-  ExecutionContext c(other);
-  EXPECT_NE(ExecutionContext(options).NextSeed(), c.NextSeed());
 }
 
 // The thread-local Scope binding redirects nested parallel loops without

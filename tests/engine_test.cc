@@ -151,6 +151,15 @@ class EdgeMapTest : public ::testing::Test {
     return options;
   }
 
+  // The dispatch of the stored-edge layouts, which have no kernel of their
+  // own: EdgeMap on `layout` under `sync`, with the handle's locks.
+  static RunConfig Config(Layout layout, Sync sync) {
+    RunConfig config;
+    config.layout = layout;
+    config.sync = sync;
+    return config;
+  }
+
   // How the shared updates of some kernel calls ran: through UpdateAtomic or
   // plain Update, and how many plain ones ran while no thread held the
   // destination's striped lock. Scan takes no functor, so its per-edge
@@ -213,9 +222,10 @@ class EdgeMapTest : public ::testing::Test {
       kernel(all, func);
     };
     edge_map([&](Frontier& f, PathFunctor& fn) { EdgeMapPush(handle_->out_csr(), f, fn, options); });
-    edge_map(
-        [&](Frontier& f, PathFunctor& fn) { EdgeMapEdgeArray(handle_->edges(), f, fn, options); });
-    edge_map([&](Frontier& f, PathFunctor& fn) { EdgeMapGrid(handle_->grid(), f, fn, options); });
+    for (const Layout layout : {Layout::kEdgeArray, Layout::kGrid}) {
+      edge_map(
+          [&](Frontier& f, PathFunctor& fn) { EdgeMap(*handle_, f, fn, Config(layout, sync)); });
+    }
 
     Spinlock& hub_lock = star_->locks().For(0);
     for (const Layout layout : {Layout::kEdgeArray, Layout::kGrid, Layout::kAdjacency}) {
@@ -316,28 +326,28 @@ TEST_F(EdgeMapTest, CsrPushPull) {
 
 TEST_F(EdgeMapTest, EdgeArray) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapEdgeArray(handle_->edges(), f, fn, Options(Sync::kAtomics));
+    return EdgeMap(*handle_, f, fn, Config(Layout::kEdgeArray, Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridLockFree) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kLockFree));
+    return EdgeMap(*handle_, f, fn, Config(Layout::kGrid, Sync::kLockFree));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridLocks) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kLocks));
+    return EdgeMap(*handle_, f, fn, Config(Layout::kGrid, Sync::kLocks));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridAtomics) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kAtomics));
+    return EdgeMap(*handle_, f, fn, Config(Layout::kGrid, Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
 }
@@ -537,19 +547,6 @@ TEST(GraphHandle, EdgeArrayNeedsNoPreprocessing) {
   EXPECT_DOUBLE_EQ(handle.preprocess_seconds(), 0.0);
 }
 
-TEST(GraphHandle, DropLayoutsAllowsRemeasure) {
-  RmatOptions options;
-  options.scale = 9;
-  GraphHandle handle(GenerateRmat(options));
-  PrepareConfig prepare;
-  handle.Prepare(prepare);
-  EXPECT_TRUE(handle.has_out_csr());
-  handle.DropLayouts();
-  EXPECT_FALSE(handle.has_out_csr());
-  handle.ResetPreprocessClock();
-  EXPECT_DOUBLE_EQ(handle.preprocess_seconds(), 0.0);
-}
-
 TEST(GraphHandle, SymmetricInputAliasesInCsrForFree) {
   RmatOptions options;
   options.scale = 9;
@@ -581,40 +578,6 @@ TEST(GraphHandle, SymmetricInputAliasesInCsrForFree) {
   EXPECT_TRUE(symmetric.has_in_csr());
   EXPECT_EQ(&symmetric.in_csr(), &symmetric.out_csr());
   EXPECT_EQ(symmetric.preprocess_seconds(), symmetric_out_cost);
-}
-
-// The drop -> re-Prepare(symmetric -> asymmetric) transition must not leak
-// the symmetric alias: after DropLayouts, has_in_csr() reports nothing, and
-// an asymmetric re-Prepare builds a REAL in-CSR rather than handing the
-// out-CSR back through a stale in_aliases_out_ flag.
-TEST(GraphHandle, DropThenReprepareAsymmetricClearsAlias) {
-  RmatOptions options;
-  options.scale = 9;
-  const EdgeList graph = GenerateRmat(options);  // directed: in != out
-
-  GraphHandle handle(graph);
-  PrepareConfig symmetric;
-  symmetric.need_out = true;
-  symmetric.need_in = true;
-  symmetric.symmetric_input = true;  // (a lie for this graph, but legal)
-  handle.Prepare(symmetric);
-  ASSERT_TRUE(handle.has_in_csr());
-  ASSERT_EQ(&handle.in_csr(), &handle.out_csr());
-
-  handle.DropLayouts();
-  EXPECT_FALSE(handle.has_out_csr());
-  EXPECT_FALSE(handle.has_in_csr()) << "alias must not survive the drop";
-
-  PrepareConfig asymmetric;
-  asymmetric.need_out = true;
-  asymmetric.need_in = true;
-  handle.Prepare(asymmetric);
-  ASSERT_TRUE(handle.has_in_csr());
-  EXPECT_NE(&handle.in_csr(), &handle.out_csr())
-      << "asymmetric re-Prepare must build a real in-CSR, not the alias";
-  const Csr reference = BuildCsr(graph, EdgeDirection::kIn, BuildMethod::kRadixSort);
-  EXPECT_EQ(handle.in_csr().offsets(), reference.offsets());
-  EXPECT_EQ(handle.in_csr().neighbors(), reference.neighbors());
 }
 
 TEST(GraphHandle, SymmetricPushPullBfsIsCorrect) {

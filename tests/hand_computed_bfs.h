@@ -5,8 +5,10 @@
 //   frontier sizes 1,2,2,2,1
 //   edges scanned  2,3,3,2,0   (sum of frontier out-degrees)
 //   edges relaxed  2,2,2,1,0   (successful CAS claims = new discoveries)
-// The obs tests check a single run's EngineTrace against it; the concurrent
-// tests check every run's trace while other runs scan a larger graph.
+// The edge array and the grid scan all 11 stored edges every round and
+// relax the same edges. The obs tests check a single run's EngineTrace
+// against it; the concurrent tests check every run's trace while other runs
+// scan a larger graph.
 #ifndef TESTS_HAND_COMPUTED_BFS_H_
 #define TESTS_HAND_COMPUTED_BFS_H_
 
@@ -37,6 +39,7 @@ inline constexpr int kHandBfsRounds = 5;
 inline constexpr int64_t kHandBfsFrontier[kHandBfsRounds] = {1, 2, 2, 2, 1};
 inline constexpr int64_t kHandBfsScanned[kHandBfsRounds] = {2, 3, 3, 2, 0};
 inline constexpr int64_t kHandBfsRelaxed[kHandBfsRounds] = {2, 2, 2, 1, 0};
+inline constexpr int64_t kHandGraphEdges = 11;
 
 }  // namespace egraph
 

@@ -495,6 +495,31 @@ TEST(Grid, EmptyGraph) {
   }
 }
 
+// The column-owned scan dispatches columns in this order, fixed when the
+// grid is built: every destination block once, by descending edge count,
+// ties by block index.
+TEST(Grid, ColumnOrderIsHeaviestFirst) {
+  const EdgeList graph = MakeFamily(Family::kRmat);
+  GridOptions options;
+  options.num_blocks = 16;
+  const Grid grid = BuildGrid(graph, options);
+  std::vector<uint64_t> column_edges(16, 0);
+  for (const Edge& e : graph.edges()) {
+    ++column_edges[grid.BlockOf(e.dst)];
+  }
+  const std::vector<uint32_t>& order = grid.column_order();
+  ASSERT_EQ(order.size(), 16u);
+  for (size_t k = 0; k < order.size(); ++k) {
+    ASSERT_LT(order[k], 16u);
+    if (k > 0) {
+      const uint64_t before = column_edges[order[k - 1]];
+      const uint64_t here = column_edges[order[k]];
+      EXPECT_TRUE(before > here || (before == here && order[k - 1] < order[k]))
+          << "position " << k;
+    }
+  }
+}
+
 TEST(Grid, BlockSizeCoversAllVertices) {
   EdgeList graph;
   graph.set_num_vertices(1000);  // not divisible by 16

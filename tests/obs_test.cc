@@ -219,38 +219,54 @@ TEST_F(ObsTest, JsonParserRejectsMalformedDocuments) {
 // The rounds come back from the EdgeMap calls themselves, not from the
 // registry.
 TEST_F(ObsTest, EngineTraceMatchesHandComputedBfs) {
-  GraphHandle handle(HandComputedGraph());
-  RunConfig config;
-  config.layout = Layout::kAdjacency;
-  config.direction = Direction::kPush;
-  config.sync = Sync::kAtomics;
-  const BfsResult result = RunBfs(handle, /*source=*/0, config);
+  // Push over adjacency lists scans the frontier's out-edges and keeps
+  // sparse frontiers. The edge array and the grid, under column ownership
+  // and under shared updates, scan every stored edge each round and hand
+  // back dense frontiers after round 0; all four relax the same edges.
+  struct Case {
+    Layout layout;
+    Sync sync;
+  };
+  for (const Case c : {Case{Layout::kAdjacency, Sync::kAtomics},
+                       Case{Layout::kEdgeArray, Sync::kAtomics},
+                       Case{Layout::kGrid, Sync::kLockFree}, Case{Layout::kGrid, Sync::kAtomics}}) {
+    SCOPED_TRACE(std::string(LayoutName(c.layout)) + " " + SyncName(c.sync));
+    TraceSink::Get().Clear();
+    GraphHandle handle(HandComputedGraph());
+    RunConfig config;
+    config.layout = c.layout;
+    config.direction = Direction::kPush;
+    config.sync = c.sync;
+    const BfsResult result = RunBfs(handle, /*source=*/0, config);
+    const bool stored_edges = c.layout != Layout::kAdjacency;
 
-  const EngineTrace& trace = result.stats.trace;
-  EXPECT_EQ(trace.algorithm, "bfs");
-  EXPECT_EQ(trace.layout, Layout::kAdjacency);
-  EXPECT_EQ(trace.direction, Direction::kPush);
-  EXPECT_EQ(trace.sync, Sync::kAtomics);
-  ASSERT_EQ(trace.iterations.size(), 5u);
-  ASSERT_EQ(static_cast<size_t>(result.stats.rounds()), trace.iterations.size());
+    const EngineTrace& trace = result.stats.trace;
+    EXPECT_EQ(trace.algorithm, "bfs");
+    EXPECT_EQ(trace.layout, c.layout);
+    EXPECT_EQ(trace.direction, Direction::kPush);
+    EXPECT_EQ(trace.sync, c.sync);
+    ASSERT_EQ(trace.iterations.size(), 5u);
+    ASSERT_EQ(static_cast<size_t>(result.stats.rounds()), trace.iterations.size());
 
-  for (size_t i = 0; i < 5; ++i) {
-    const IterationRecord& record = trace.iterations[i];
-    EXPECT_EQ(record.iteration, static_cast<int>(i));
-    EXPECT_EQ(record.frontier_size, kHandBfsFrontier[i]) << "iteration " << i;
-    EXPECT_TRUE(record.frontier_sparse) << "push keeps sparse frontiers";
-    EXPECT_EQ(record.edges_scanned, kHandBfsScanned[i]) << "iteration " << i;
-    EXPECT_EQ(record.edges_relaxed, kHandBfsRelaxed[i]) << "iteration " << i;
-    EXPECT_EQ(record.direction, Direction::kPush);
-    EXPECT_GE(record.seconds, 0.0);
+    for (size_t i = 0; i < 5; ++i) {
+      const IterationRecord& record = trace.iterations[i];
+      EXPECT_EQ(record.iteration, static_cast<int>(i));
+      EXPECT_EQ(record.frontier_size, kHandBfsFrontier[i]) << "iteration " << i;
+      EXPECT_EQ(record.frontier_sparse, !stored_edges || i == 0) << "iteration " << i;
+      EXPECT_EQ(record.edges_scanned, stored_edges ? kHandGraphEdges : kHandBfsScanned[i])
+          << "iteration " << i;
+      EXPECT_EQ(record.edges_relaxed, kHandBfsRelaxed[i]) << "iteration " << i;
+      EXPECT_EQ(record.direction, Direction::kPush);
+      EXPECT_GE(record.seconds, 0.0);
+    }
+    EXPECT_GT(trace.total_seconds, 0.0);
+
+    // The completed trace was also deposited in the sink for process export.
+    const std::vector<EngineTrace> sunk = TraceSink::Get().Snapshot();
+    ASSERT_EQ(sunk.size(), 1u);
+    EXPECT_EQ(sunk[0].algorithm, "bfs");
+    ASSERT_EQ(sunk[0].iterations.size(), 5u);
   }
-  EXPECT_GT(trace.total_seconds, 0.0);
-
-  // The completed trace was also deposited in the sink for process export.
-  const std::vector<EngineTrace> sunk = TraceSink::Get().Snapshot();
-  ASSERT_EQ(sunk.size(), 1u);
-  EXPECT_EQ(sunk[0].algorithm, "bfs");
-  ASSERT_EQ(sunk[0].iterations.size(), 5u);
 }
 
 TEST_F(ObsTest, TraceSinkDropsOldestBeyondCapacity) {

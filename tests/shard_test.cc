@@ -473,9 +473,9 @@ TEST(ShardedAlgoTest, SpmvPushMatchesPlainWithinFloatReorder) {
   }
 }
 
-// GraphHandle integration: Prepare(kSharded) builds the partition once,
-// honors the explicit shard count, and DropLayouts releases it.
-TEST(ShardedHandleTest, PrepareBuildsOnceAndDropReleases) {
+// GraphHandle integration: Prepare(kSharded) builds the partition once and
+// honors the explicit shard count.
+TEST(ShardedHandleTest, PrepareBuildsOnce) {
   const EdgeList graph = TestRmat(9);
   GraphHandle handle(graph);
   PrepareConfig prepare;
@@ -488,9 +488,6 @@ TEST(ShardedHandleTest, PrepareBuildsOnceAndDropReleases) {
 
   handle.Prepare(prepare);  // idempotent: same partition object
   EXPECT_EQ(handle.sharded().boundaries(), boundaries);
-
-  handle.DropLayouts();
-  EXPECT_FALSE(handle.has_sharded());
 }
 
 }  // namespace

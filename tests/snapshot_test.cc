@@ -330,24 +330,33 @@ TEST(SnapshotTest, ConcurrentReadersDuringBackgroundRefreeze) {
   config.direction = Direction::kPush;
   config.sync = Sync::kAtomics;
 
+  // Each reader announces itself and then reads at least once, and the
+  // writer waits for all four before its first Apply: the reads overlap the
+  // refreezes however the threads are scheduled.
+  constexpr int kReaders = 4;
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
   std::atomic<int> reads{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       ExecutionContextOptions ctx_options;
       ctx_options.name = "snapshot.reader" + std::to_string(t);
       ctx_options.num_threads = 1;
       ExecutionContext ctx(ctx_options);
-      while (!done.load(std::memory_order_acquire)) {
+      started.fetch_add(1, std::memory_order_release);
+      do {
         const Snapshot snap = store.Pin();
         const BfsResult run =
             RunBfs(*snap.handle, /*source=*/1, config, ctx);
         if (!run.parent.empty()) {
           reads.fetch_add(1, std::memory_order_relaxed);
         }
-      }
+      } while (!done.load(std::memory_order_acquire));
     });
+  }
+  while (started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   uint64_t state = 4242;
