@@ -111,10 +111,9 @@ AlsResult RunAls(GraphHandle& handle, uint32_t num_users, const AlsOptions& opti
                   result.item_factors.data() + static_cast<size_t>(i) * k);
     });
 
-    // Training RMSE over all ratings, summed in a fixed grouping so it is
-    // bit-identical at every pool width.
+    // Training RMSE over all ratings.
     const auto& edges = handle.edges().edges();
-    const double sse = ParallelReduceSumDeterministic<double>(
+    const double sse = ParallelReduceSum<double>(
         0, static_cast<int64_t>(edges.size()), [&](int64_t e) {
           const Edge& edge = edges[static_cast<size_t>(e)];
           const float* p = result.user_factors.data() + static_cast<size_t>(edge.src) * k;

@@ -5,7 +5,6 @@
 #include <stack>
 
 #include "src/algos/rounds.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/parallel.h"
@@ -68,7 +67,6 @@ BcResult RunBetweenness(GraphHandle& handle, std::span<const VertexId> sources,
   const Csr& out = handle.out_csr();
 
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "betweenness", bc_config.layout,
                           bc_config.direction, bc_config.sync);
   std::vector<uint32_t> level(n);

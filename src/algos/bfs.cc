@@ -1,7 +1,6 @@
 #include "src/algos/bfs.h"
 
 #include "src/algos/rounds.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -44,7 +43,6 @@ BfsResult RunBfs(GraphHandle& handle, VertexId source, const RunConfig& config,
   }
 
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "bfs", config.layout, config.direction,
                           config.sync);
   result.parent[source] = source;

@@ -6,7 +6,6 @@
 
 #include "src/algos/rounds.h"
 #include "src/engine/buckets.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -56,7 +55,6 @@ KcoreResult RunKcore(GraphHandle& handle, const RunConfig& config, ExecutionCont
   const VertexId n = handle.num_vertices();
 
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "kcore", config.layout, config.direction,
                           config.sync);
   std::vector<uint32_t> degree = OutDegrees(handle, config.layout);

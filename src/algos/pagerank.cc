@@ -1,7 +1,6 @@
 #include "src/algos/pagerank.h"
 
 #include "src/engine/dispatch.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/parallel.h"
 #include "src/util/timer.h"
@@ -19,7 +18,6 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   }
 
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "pagerank", config.layout, config.direction,
                           config.sync);
   // Out-degrees are part of the algorithm phase: the edge-array layout has
@@ -35,11 +33,10 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   for (int iter = 0; iter < options.iterations; ++iter) {
     trace.BeginIteration(n, /*frontier_sparse=*/false);
     // Per-vertex contribution; dangling vertices spread their mass uniformly.
-    // The deterministic reduction keeps the dangling mass — and therefore the
-    // whole rank sequence — bit-identical across pool sizes, so results can
-    // be cross-checked exactly between contexts of different widths.
-    double dangling = ParallelReduceSumDeterministic<double>(0, static_cast<int64_t>(n),
-                                                             [&](int64_t v) {
+    // The reduction's fixed grouping keeps the dangling mass — and therefore
+    // the whole rank sequence — bit-identical across pool sizes, so results
+    // can be cross-checked exactly between contexts of different widths.
+    double dangling = ParallelReduceSum<double>(0, static_cast<int64_t>(n), [&](int64_t v) {
       if (degree[static_cast<size_t>(v)] == 0) {
         return static_cast<double>(rank[static_cast<size_t>(v)]);
       }

@@ -5,7 +5,6 @@
 
 #include "src/algos/rounds.h"
 #include "src/engine/buckets.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/parallel.h"
@@ -72,7 +71,7 @@ double BucketWidth(const GraphHandle& handle, const RunConfig& config) {
   const std::vector<float>& weights = handle.edges().weights();
   double mean = 1.0;
   if (!weights.empty()) {
-    const WeightTotal total = ParallelReduceSumDeterministic<WeightTotal>(
+    const WeightTotal total = ParallelReduceSum<WeightTotal>(
         0, static_cast<int64_t>(weights.size()), [&weights](int64_t e) {
           const float w = weights[static_cast<size_t>(e)];
           return WeightTotal{w, w < 0.0f};
@@ -102,7 +101,6 @@ SsspResult RunSsspAtWidth(GraphHandle& handle, VertexId source, const RunConfig&
   }
 
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "sssp", config.layout, config.direction,
                           config.sync);
   float* dist = result.dist.data();

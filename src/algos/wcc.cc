@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "src/algos/rounds.h"
-#include "src/obs/phase.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -41,7 +40,6 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
   const VertexId n = handle.num_vertices();
   result.label.resize(n);
   Timer total;
-  obs::ScopedPhase phase(obs::Phase::kAlgorithm);
   obs::TraceSession trace(result.stats.trace, "wcc", config.layout, config.direction,
                           config.sync);
   VertexMap(n, [&](VertexId v) { result.label[v] = v; });

@@ -11,14 +11,10 @@ ExecutionContext::ExecutionContext(ExecutionContextOptions options)
   }
 }
 
-ExecutionContext::ExecutionContext(bool is_default) : is_default_(is_default) {
-  options_.name = "default";
-}
-
 ExecutionContext& ExecutionContext::Default() {
   // Leaked so it outlives every static-destruction-order hazard, like the
   // ThreadPool::Get() singleton it wraps.
-  static ExecutionContext* context = new ExecutionContext(/*is_default=*/true);
+  static ExecutionContext* context = new ExecutionContext({.name = "default"});
   return *context;
 }
 

@@ -66,7 +66,6 @@ class ExecutionContext {
   EdgeMapScratch& edge_map_scratch() { return scratch_; }
 
   const std::string& name() const { return options_.name; }
-  bool has_private_pool() const { return private_pool_ != nullptr; }
 
   // RAII: binds the context's pool as the calling thread's
   // ThreadPool::Current() (and labels the thread's timeline track with the
@@ -84,10 +83,7 @@ class ExecutionContext {
   };
 
  private:
-  explicit ExecutionContext(bool is_default);
-
   ExecutionContextOptions options_;
-  const bool is_default_ = false;
   std::unique_ptr<ThreadPool> private_pool_;  // null: shared/current pool
   EdgeMapScratch scratch_;
 };

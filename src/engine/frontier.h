@@ -57,22 +57,14 @@ class Frontier {
 
   // |F| + sum of out-degrees of F over any adjacency source (Csr or
   // CompressedCsr): the quantity Ligra's push-pull heuristic compares
-  // against |E| / threshold. The active set never changes after
-  // construction, so the sum is computed once per source and cached. The
-  // cache is keyed by the source object's address, so asking with a
-  // different source (plain vs compressed) recomputes.
+  // against |E| / threshold, asked once per frontier per round.
   template <typename Source>
   uint64_t WorkEstimate(const Source& out) {
-    if (work_estimate_key_ == &out) {
-      return work_estimate_;
-    }
     EnsureSparse();
     const uint64_t degree_sum = ParallelReduceSum<uint64_t>(
         0, static_cast<int64_t>(sparse_.size()),
         [this, &out](int64_t i) { return out.Degree(sparse_[static_cast<size_t>(i)]); });
-    work_estimate_ = degree_sum + static_cast<uint64_t>(count_);
-    work_estimate_key_ = &out;
-    return work_estimate_;
+    return degree_sum + static_cast<uint64_t>(count_);
   }
 
  private:
@@ -82,8 +74,6 @@ class Frontier {
   bool has_sparse_ = false;
   std::vector<VertexId> sparse_;
   Bitmap dense_;
-  const void* work_estimate_key_ = nullptr;  // cache key for WorkEstimate
-  uint64_t work_estimate_ = 0;
 };
 
 }  // namespace egraph

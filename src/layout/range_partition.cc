@@ -82,12 +82,6 @@ RangePartition BuildRangePartition(const EdgeList& graph, int num_ranges,
   });
   partition.boundaries_ = BalancedVertexRanges(score, num_ranges);
 
-  if (csrs != RangeCsrs::kOutOnly) {
-    // Needed by pull-style consumers (Pagerank); frontier expansion does not
-    // use global out-degrees.
-    partition.out_degrees_ = OutDegrees(graph);
-  }
-
   // Range ownership follows the destination vertex, and ranges own contiguous
   // destination spans — so ONE global sort groups edges by owning range:
   //   in-keying : sort by dst                  (range-major by construction)

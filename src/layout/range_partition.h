@@ -62,10 +62,6 @@ class RangePartition {
     return range_edge_counts_[static_cast<size_t>(range)];
   }
 
-  // Global out-degree of every vertex (needed by Pagerank regardless of
-  // which CSR keying was materialized).
-  const std::vector<uint32_t>& out_degrees() const { return out_degrees_; }
-
   // Wall time of the whole partitioning step (boundaries + bucketing + CSRs).
   double build_seconds() const { return build_seconds_; }
 
@@ -75,7 +71,6 @@ class RangePartition {
  private:
   std::vector<VertexId> boundaries_;  // num_ranges + 1, contiguous ranges
   std::vector<uint64_t> range_edge_counts_;
-  std::vector<uint32_t> out_degrees_;
   std::vector<Csr> out_csrs_;
   std::vector<Csr> in_csrs_;
   double build_seconds_ = 0.0;

@@ -1,8 +1,9 @@
 // Scoped phase timing matching the paper's end-to-end breakdown: loading,
 // pre-processing, (NUMA) partitioning, algorithm. The library's own entry
-// points (loader, GraphHandle::Prepare, PartitionGraph, every Run*) open
-// the matching phase, so any binary can read a paper-style breakdown from
-// the process without adding its own Timer calls.
+// points (loader, GraphHandle::Prepare, PartitionGraph, every Run* through
+// its obs::TraceSession) open the matching phase, so any binary can read a
+// paper-style breakdown from the process without adding its own Timer
+// calls.
 //
 // Phase accounting is off the hot path: a handful of events per run.
 #ifndef SRC_OBS_PHASE_H_

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/engine/options.h"
+#include "src/obs/phase.h"
 #include "src/obs/ring.h"
 #include "src/util/timer.h"
 
@@ -50,9 +51,11 @@ struct EngineTrace {
 //     session.EndIteration(used, counts.scanned, counts.relaxed);
 //   }
 //
-// BeginIteration also records the frontier size in the engine.frontier_size
-// histogram. The destructor stamps total_seconds and deposits a copy of the
-// trace in TraceSink::Get().
+// The session is the run's algorithm phase: it holds a ScopedPhase(kAlgorithm)
+// for its lifetime, so every Run* that traces its rounds counts in the
+// phase table. BeginIteration also records the frontier size in the
+// engine.frontier_size histogram. The destructor stamps total_seconds and
+// deposits a copy of the trace in TraceSink::Get().
 class TraceSession {
  public:
   TraceSession(EngineTrace& trace, const char* algorithm, Layout layout,
@@ -66,6 +69,7 @@ class TraceSession {
   void EndIteration(Direction direction_used, int64_t edges_scanned, int64_t edges_relaxed);
 
  private:
+  ScopedPhase phase_{Phase::kAlgorithm};
   EngineTrace& trace_;
   Timer total_timer_;
   Timer iteration_timer_;

@@ -93,20 +93,13 @@ Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
         effects.begin());
   });
 
-  // The per-vertex merge cost: its base adjacency plus its effects (plus a
-  // constant so vertex-dense, edge-sparse ranges still split).
-  const auto cost = [&](int64_t v) -> int64_t {
-    const uint32_t base_deg =
-        static_cast<VertexId>(v) < base_n ? base.Degree(static_cast<VertexId>(v)) : 0;
-    return base_deg + (first[static_cast<size_t>(v) + 1] - first[static_cast<size_t>(v)]) + 1;
-  };
-
   // Pass 1: new degree per vertex. Tombstoned copies are counted by binary
-  // search over the (sorted) base slice.
+  // search over the (sorted) base slice. Both passes hand out fixed
+  // 256-vertex chunks, so a hub's list stays with one worker.
   std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
   std::atomic<EdgeIndex> tombstoned{0};
   std::atomic<EdgeIndex> inserted{0};
-  ParallelForEdgeBalanced(n, /*min_chunk_cost=*/4096, cost, [&](int64_t lo, int64_t hi, int) {
+  ParallelForChunks(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi, int) {
     EdgeIndex local_tomb = 0;
     EdgeIndex local_ins = 0;
     for (int64_t i = lo; i < hi; ++i) {
@@ -139,7 +132,7 @@ Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
   // slice; touched vertices run the two-pointer merge with the tombstone
   // filter. Both sides are dst-sorted, so the output is too.
   std::vector<VertexId> neighbors(total);
-  ParallelForEdgeBalanced(n, /*min_chunk_cost=*/4096, cost, [&](int64_t lo, int64_t hi, int) {
+  ParallelForChunks(0, n, /*grain=*/256, [&](int64_t lo, int64_t hi, int) {
     for (int64_t i = lo; i < hi; ++i) {
       const VertexId v = static_cast<VertexId>(i);
       const std::span<const VertexId> from =

@@ -5,9 +5,9 @@
 // over and over. Instead, an ordered update stream is compressed into one
 // net effect per (src, dst) pair and two-pointer-merged into the existing
 // sorted CSR — tombstoned base edges are filtered out, inserted copies are
-// spliced in — parallelized over vertex ranges of roughly equal merge cost
-// with ParallelForEdgeBalanced (ranges are vertex-aligned, so a hub's list
-// stays with one worker).
+// spliced in — parallelized over fixed 256-vertex chunks on the
+// work-stealing pool (chunks are vertex-aligned, so a hub's list stays with
+// one worker).
 //
 // Canonical form: every epoch CSR keeps its neighbor lists sorted (the
 // paper's section-5.1 "sorted adjacency" layout). Sorting makes the merge
@@ -81,8 +81,8 @@ struct MergeStats {
 // over `num_vertices` vertices (>= base.num_vertices(); vertices beyond the
 // base start empty). Requires base neighbor lists sorted (canonical form)
 // and effects sorted by (src, dst) with one entry per pair — exactly what
-// CompressUpdates returns. Parallelized over vertex ranges with
-// ParallelForEdgeBalanced; untouched vertices are a straight copy.
+// CompressUpdates returns. Parallelized over fixed 256-vertex chunks;
+// untouched vertices are a straight copy.
 Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
              VertexId num_vertices, MergeStats* stats = nullptr);
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <tuple>
 
-#include "src/engine/execution_context.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
@@ -17,6 +16,7 @@
 #include "src/layout/grid.h"
 #include "src/layout/radix_sort.h"
 #include "src/util/rng.h"
+#include "tests/pool_widths.h"
 
 namespace egraph {
 namespace {
@@ -317,21 +317,8 @@ std::vector<KeyedRecord> StableSorted(std::vector<KeyedRecord> records) {
   return records;
 }
 
-// Runs `body` once on a 1-thread and once on a 4-thread execution context.
-template <typename Body>
-void AtPoolWidths1And4(Body&& body) {
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("pool width " + std::to_string(threads));
-    ExecutionContextOptions options;
-    options.num_threads = threads;
-    ExecutionContext context(options);
-    ExecutionContext::Scope scope(context);
-    body();
-  }
-}
-
 TEST(RadixSort, KeyWidthsUpTo64Bits) {
-  AtPoolWidths1And4([] {
+  AtPoolWidths({1, 4}, [] {
     for (const int key_bits : {1, 9, 20, 40, 64}) {
       const uint64_t mask = key_bits == 64 ? ~uint64_t{0} : (uint64_t{1} << key_bits) - 1;
       std::vector<KeyedRecord> records(30000);
@@ -350,7 +337,7 @@ TEST(RadixSort, KeyWidthsUpTo64Bits) {
 // Every record shares the top digit, so one bucket holds the whole input
 // and its scratch slice is the whole input too.
 TEST(RadixSort, OneTopBucketScratchIsWholeInput) {
-  AtPoolWidths1And4([] {
+  AtPoolWidths({1, 4}, [] {
     std::vector<KeyedRecord> records(40000);
     Xoshiro256 rng(11);
     for (uint32_t i = 0; i < records.size(); ++i) {
@@ -365,7 +352,7 @@ TEST(RadixSort, OneTopBucketScratchIsWholeInput) {
 // Few distinct keys, read through record_at from two parallel arrays (the
 // way the builders zip edges with weights): equal keys keep input order.
 TEST(RadixSort, StableLikeStdStableSort) {
-  AtPoolWidths1And4([] {
+  AtPoolWidths({1, 4}, [] {
     std::vector<uint64_t> keys(50000);
     Xoshiro256 rng(12);
     for (auto& key : keys) {

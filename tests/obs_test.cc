@@ -1,8 +1,9 @@
 // Observability subsystem: registry semantics (exact totals under
 // concurrent adds, reset), histogram bucketing and percentiles, JSON
-// writer/parser round-trips, phase-timer scoping, the report writers' error
-// reporting, and the per-iteration EngineTrace checked against a
-// hand-computed BFS on a 10-vertex graph.
+// writer/parser round-trips, phase-timer scoping (every Run* counts in the
+// algorithm phase), the report writers' error reporting, and the
+// per-iteration EngineTrace checked against a hand-computed BFS on a
+// 10-vertex graph.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,8 +14,19 @@
 #include <thread>
 #include <vector>
 
+#include "src/algos/als.h"
+#include "src/algos/analytics.h"
+#include "src/algos/betweenness.h"
 #include "src/algos/bfs.h"
+#include "src/algos/kcore.h"
+#include "src/algos/pagerank.h"
+#include "src/algos/spmv.h"
+#include "src/algos/sssp.h"
+#include "src/algos/triangles.h"
+#include "src/algos/wcc.h"
 #include "src/engine/execution_context.h"
+#include "src/gen/bipartite.h"
+#include "src/gen/rmat.h"
 #include "src/obs/export.h"
 #include "src/obs/exposition.h"
 #include "src/obs/json.h"
@@ -179,6 +191,45 @@ TEST_F(ObsTest, NestedScopedPhasesCountOnlyTheOutermost) {
   EXPECT_GT(breakdown.preprocess_seconds, 0.0);
   EXPECT_EQ(breakdown.load_seconds, 0.0);
   EXPECT_EQ(breakdown.algorithm_seconds, 0.0);
+}
+
+// Every Run* counts in the algorithm phase: its TraceSession holds the
+// phase open, so the accumulator strictly grows across each call, the
+// single-round SpMV and triangle count and the diameter sweep included.
+TEST_F(ObsTest, EveryRunGrowsTheAlgorithmPhase) {
+  RmatOptions rmat;
+  rmat.scale = 9;
+  rmat.edge_factor = 8;
+  rmat.seed = 5;
+  const EdgeList graph = GenerateRmat(rmat);
+  GraphHandle handle(graph);
+  const RunConfig config;
+  BipartiteOptions ratings;
+  ratings.num_users = 60;
+  ratings.num_items = 20;
+  ratings.avg_ratings_per_user = 5;
+  const BipartiteGraph bipartite = GenerateBipartite(ratings);
+  GraphHandle rated(bipartite.edges);
+  AlsOptions als;
+  als.iterations = 2;
+  const std::vector<float> x(handle.num_vertices(), 1.0f);
+  const std::vector<VertexId> sources = {0, 1};
+
+  const auto expect_grows = [](const char* what, const auto& run) {
+    const double before = PhaseTimers::Get().Seconds(Phase::kAlgorithm);
+    run();
+    EXPECT_GT(PhaseTimers::Get().Seconds(Phase::kAlgorithm), before) << what;
+  };
+  expect_grows("bfs", [&] { RunBfs(handle, 0, config); });
+  expect_grows("sssp", [&] { RunSssp(handle, 0, config); });
+  expect_grows("wcc", [&] { RunWcc(handle, config); });
+  expect_grows("kcore", [&] { RunKcore(handle, config); });
+  expect_grows("pagerank", [&] { RunPagerank(handle, PagerankOptions{}, config); });
+  expect_grows("betweenness", [&] { RunBetweenness(handle, sources, config); });
+  expect_grows("spmv", [&] { RunSpmv(handle, x, config); });
+  expect_grows("triangles", [&] { RunTriangleCount(handle, config); });
+  expect_grows("als", [&] { RunAls(rated, bipartite.num_users, als, config); });
+  expect_grows("diameter", [&] { EstimateDiameter(graph); });
 }
 
 // --- JSON ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // BIT-IDENTICAL to a from-scratch radix rebuild (+ neighbor sort) of the
 // same update prefix. Randomized insert/delete/duplicate/self-loop streams
 // replay over an rmat graph and a mega-hub star (the adversarial degree
-// distribution for the edge-balanced merge), in every store configuration:
-// out-only, out+in (transposed-effect merge), and symmetric (aliased in).
+// distribution for the merge's fixed vertex chunks), in every store
+// configuration: out-only, out+in (transposed-effect merge), and symmetric
+// (aliased in).
 //
 // Runs under the `snapshot` ctest label and in the TSan CI job: the
 // concurrent-readers test is the evidence that refreezes can publish under
@@ -29,6 +30,7 @@
 #include "src/snapshot/delta.h"
 #include "src/snapshot/snapshot_store.h"
 #include "src/util/rng.h"
+#include "tests/pool_widths.h"
 
 namespace egraph {
 namespace {
@@ -48,9 +50,9 @@ EdgeList RmatGraph(int scale) {
 }
 
 EdgeList MegaHubStar() {
-  // One vertex holds ~every edge: the merge's edge-balanced loops must
-  // split the hub's adjacency across workers, and hub deletes tombstone
-  // inside one huge sorted slice.
+  // One vertex holds ~every edge: the chunk holding the hub carries almost
+  // all of the merge's work while the other workers take the rest, and hub
+  // deletes tombstone inside one huge sorted slice.
   const VertexId leaves = (1 << 11) + 3;
   EdgeList star(leaves + 1, {});
   star.Reserve(static_cast<EdgeIndex>(leaves) + 64);
@@ -186,9 +188,11 @@ TEST(SnapshotTest, DifferentialReplayRmatOutAndIn) {
   const EdgeList base = RmatGraph(/*scale=*/10);
   SnapshotOptions options;
   options.build_in_csr = true;  // exercises the transposed-effect in-merge
-  ReplayDifferential(base, options,
-                     RandomBatches(/*seed=*/7, /*batches=*/6, /*per_batch=*/500,
-                                   base.num_vertices()));
+  AtPoolWidths({1, 4}, [&] {
+    ReplayDifferential(base, options,
+                       RandomBatches(/*seed=*/7, /*batches=*/6, /*per_batch=*/500,
+                                     base.num_vertices()));
+  });
 }
 
 TEST(SnapshotTest, DifferentialReplayMegaHubStar) {
@@ -204,7 +208,7 @@ TEST(SnapshotTest, DifferentialReplayMegaHubStar) {
     batches[2].push_back({0, v, true});
     batches[2].push_back({0, v, true});  // duplicate hub copies
   }
-  ReplayDifferential(base, SnapshotOptions{}, batches);
+  AtPoolWidths({1, 4}, [&] { ReplayDifferential(base, SnapshotOptions{}, batches); });
 }
 
 TEST(SnapshotTest, DifferentialReplaySymmetricMirroredStream) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <latch>
 #include <numeric>
 #include <set>
@@ -17,6 +18,7 @@
 #include "src/util/spinlock.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
+#include "tests/pool_widths.h"
 
 namespace egraph {
 namespace {
@@ -155,6 +157,22 @@ TEST(ParallelReduce, SumMatchesSerial) {
   const int64_t n = 123457;
   const int64_t got = ParallelReduceSum<int64_t>(0, n, [](int64_t i) { return i; });
   EXPECT_EQ(got, n * (n - 1) / 2);
+
+  // A float sum rounds by its grouping: fixed blocks folded in block order
+  // give the same bits at every pool width.
+  const auto term = [](int64_t i) { return 1.0f / static_cast<float>(i + 1); };
+  float expected = 0.0f;
+  for (int64_t lo = 0; lo < n; lo += kDeterministicReduceBlock) {
+    float block = 0.0f;
+    for (int64_t i = lo; i < std::min(n, lo + kDeterministicReduceBlock); ++i) {
+      block += term(i);
+    }
+    expected += block;
+  }
+  AtPoolWidths({1, 2, 4}, [&] {
+    const float sum = ParallelReduceSum<float>(0, n, term);
+    EXPECT_EQ(std::bit_cast<uint32_t>(sum), std::bit_cast<uint32_t>(expected));
+  });
 }
 
 TEST(ParallelReduce, MaxMatchesSerial) {
@@ -164,9 +182,12 @@ TEST(ParallelReduce, MaxMatchesSerial) {
     v = static_cast<int>(SplitMix64(seed) % 1000000);
   }
   const int expected = *std::max_element(values.begin(), values.end());
-  const int got = ParallelReduceMax<int>(0, static_cast<int64_t>(values.size()), -1,
-                                         [&](int64_t i) { return values[static_cast<size_t>(i)]; });
-  EXPECT_EQ(got, expected);
+  AtPoolWidths({1, 2, 4}, [&] {
+    const int got = ParallelReduceMax<int>(
+        0, static_cast<int64_t>(values.size()), -1,
+        [&](int64_t i) { return values[static_cast<size_t>(i)]; });
+    EXPECT_EQ(got, expected);
+  });
 }
 
 TEST(ParallelReduce, MaxOfEmptyRangeIsInit) {
@@ -192,94 +213,6 @@ TEST(ParallelScan, MatchesSerialExclusiveScan) {
     EXPECT_EQ(total, running) << "n=" << n;
     EXPECT_EQ(got, expected) << "n=" << n;
   }
-}
-
-TEST(BalancedChunks, BoundariesMatchSerialReference) {
-  for (const int64_t n : {1, 7, 100, 4096}) {
-    std::vector<uint64_t> cost(static_cast<size_t>(n));
-    uint64_t seed = 42 + static_cast<uint64_t>(n);
-    for (auto& c : cost) {
-      c = SplitMix64(seed) % 50;  // zeros included: plateau coverage
-    }
-    std::vector<uint64_t> prefix(static_cast<size_t>(n) + 1, 0);
-    for (int64_t i = 0; i < n; ++i) {
-      prefix[static_cast<size_t>(i) + 1] = prefix[static_cast<size_t>(i)] + cost[static_cast<size_t>(i)];
-    }
-    const uint64_t total = prefix[static_cast<size_t>(n)];
-    for (const int64_t chunks : {1, 2, 3, 8, 64}) {
-      const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-          n, chunks, [&prefix](int64_t i) { return prefix[static_cast<size_t>(i)]; });
-      ASSERT_EQ(static_cast<int64_t>(bounds.size()), chunks + 1);
-      EXPECT_EQ(bounds.front(), 0);
-      EXPECT_EQ(bounds.back(), n);
-      const uint64_t target = (total + static_cast<uint64_t>(chunks) - 1) /
-                              static_cast<uint64_t>(chunks);
-      for (int64_t c = 1; c < chunks; ++c) {
-        EXPECT_LE(bounds[static_cast<size_t>(c) - 1], bounds[static_cast<size_t>(c)]);
-        // Serial reference: first index at or past the previous boundary
-        // whose cumulative cost reaches the chunk's start target.
-        int64_t expected = bounds[static_cast<size_t>(c) - 1];
-        while (expected < n &&
-               prefix[static_cast<size_t>(expected)] < static_cast<uint64_t>(c) * target) {
-          ++expected;
-        }
-        EXPECT_EQ(bounds[static_cast<size_t>(c)], expected)
-            << "n=" << n << " chunks=" << chunks << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(BalancedChunks, ChunkCountClampedToWorkersAndMinCost) {
-  EXPECT_EQ(BalancedChunkCount(0, 1024), 1);
-  EXPECT_EQ(BalancedChunkCount(100, 1024), 1);
-  EXPECT_EQ(BalancedChunkCount(4096, 1024), std::min<int64_t>(
-      4, ThreadPool::Get().num_threads() * kBalancedChunksPerWorker));
-  EXPECT_LE(BalancedChunkCount(uint64_t{1} << 40, 1),
-            ThreadPool::Get().num_threads() * kBalancedChunksPerWorker);
-}
-
-TEST(BalancedChunks, EdgeBalancedLoopCoversRangeExactlyOnce) {
-  const int64_t n = 5000;
-  std::vector<uint64_t> cost(static_cast<size_t>(n));
-  uint64_t seed = 7;
-  for (auto& c : cost) {
-    c = SplitMix64(seed) % 8;  // mostly tiny, many zeros
-  }
-  cost[1234] = uint64_t{1} << 20;  // mega item dwarfing everything else
-  std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-  ParallelForEdgeBalanced(
-      n, /*min_chunk_cost=*/1024,
-      [&cost](int64_t i) { return cost[static_cast<size_t>(i)]; },
-      [&hits](int64_t lo, int64_t hi, int /*worker*/) {
-        for (int64_t i = lo; i < hi; ++i) {
-          hits[static_cast<size_t>(i)].fetch_add(1);
-        }
-      });
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "i=" << i;
-  }
-}
-
-TEST(BalancedChunks, AllZeroCostsStillCoverEveryItem) {
-  const int64_t n = 300;
-  std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-  ParallelForEdgeBalanced(n, 1024, [](int64_t) { return 0; },
-                          [&hits](int64_t lo, int64_t hi, int /*worker*/) {
-                            for (int64_t i = lo; i < hi; ++i) {
-                              hits[static_cast<size_t>(i)].fetch_add(1);
-                            }
-                          });
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "i=" << i;
-  }
-}
-
-TEST(BalancedChunks, EmptyRangeIsNoop) {
-  std::atomic<int> calls{0};
-  ParallelForEdgeBalanced(0, 1024, [](int64_t) { return 1; },
-                          [&calls](int64_t, int64_t, int) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(Bitmap, SetGetCount) {
