@@ -9,7 +9,6 @@
 #include "src/algos/wcc.h"
 #include "src/engine/advisor.h"
 #include "src/graph/stats.h"
-#include "src/util/timer.h"
 
 int main() {
   using namespace egraph;
@@ -46,21 +45,13 @@ int main() {
       config.layout = rec.layout;
       config.direction = rec.direction;
       config.sync = rec.sync;
-      if (rec.layout == Layout::kAdjacency) {
-        // Symmetrization + doubled CSR is WCC's adjacency pre-processing.
-        Timer sym_timer;
-        EdgeList undirected = dataset.graph.MakeUndirected();
-        const double sym_seconds = sym_timer.Seconds();
-        GraphHandle handle(std::move(undirected));
-        const WccResult result = RunWcc(handle, config);
-        add("WCC", dataset.name, rec, sym_seconds + handle.preprocess_seconds(),
-            result.stats.algorithm_seconds);
-      } else {
-        GraphHandle handle(dataset.graph);
-        const WccResult result = RunWcc(handle, config);
-        add("WCC", dataset.name, rec, handle.preprocess_seconds(),
-            result.stats.algorithm_seconds);
-      }
+      // The union-find pass reads each stored edge once, in either
+      // direction, so the input is never symmetrized: the edge array pays
+      // no pre-processing, and adjacency pays its out-CSR build.
+      GraphHandle handle(dataset.graph);
+      const WccResult result = RunWcc(handle, config);
+      add("WCC", dataset.name, rec, handle.preprocess_seconds(),
+          result.stats.algorithm_seconds);
     }
     // --- SpMV ---
     {

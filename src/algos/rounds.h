@@ -1,13 +1,15 @@
-// Frontier rounds shared by every frontier traversal (BFS, SSSP, WCC,
-// k-core, betweenness's forward phase and the analytics diameter sweep):
-// one engine EdgeMap per round until the frontier empties, each round
-// recorded in the run's trace with the edges its EdgeMap call counted. The
-// algorithms differ only in their functor, their starting frontier and
-// their selector, which turns a round's discoveries into the next round's
-// frontier: BFS and WCC keep them all, SSSP keeps the lowest distance
-// bucket with work left and k-core peels the lowest degree bucket
+// Frontier rounds shared by every frontier traversal (BFS, SSSP, k-core,
+// betweenness's forward phase and the analytics diameter sweep): one engine
+// EdgeMap per round until the frontier empties, each round recorded in the
+// run's trace with the edges its EdgeMap call counted. The algorithms
+// differ only in their functor, their starting frontier and their
+// selector, which turns a round's discoveries into the next round's
+// frontier: BFS keeps them all, SSSP keeps the lowest distance bucket with
+// work left and k-core peels the lowest degree bucket
 // (src/engine/buckets.h), betweenness and the diameter sweep keep them all
-// and record each level on the way.
+// and record each level on the way. WCC has no frontier: it is one
+// union-find pass over every stored edge (ScanStoredEdges in
+// src/engine/dispatch.h, on every layout).
 #ifndef SRC_ALGOS_ROUNDS_H_
 #define SRC_ALGOS_ROUNDS_H_
 

@@ -1,8 +1,8 @@
 #include "src/algos/wcc.h"
 
-#include <atomic>
+#include <utility>
 
-#include "src/algos/rounds.h"
+#include "src/engine/dispatch.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/timer.h"
@@ -10,26 +10,57 @@
 namespace egraph {
 namespace {
 
-struct WccFunctor {
-  VertexId* label;
-
-  bool Update(VertexId src, VertexId dst, float /*weight*/) {
-    // dst is exclusively owned; src's label may shrink concurrently, so read
-    // it atomically (any stale value is still a member of the component).
-    const VertexId src_label = AtomicLoad(&label[src]);
-    if (src_label < label[dst]) {
-      AtomicStore(&label[dst], src_label);
-      return true;
+// v's root. Each vertex passed is pointed at its grandparent (path
+// halving). Whatever other workers link or halve meanwhile, a non-root's
+// parent is a smaller id of its own tree (a halving writes an id read
+// further up the same walk, and trees only merge), so the ids fall at
+// every step and the walk ends at the root.
+VertexId Find(VertexId* parent, VertexId v) {
+  while (true) {
+    const VertexId p = AtomicLoad(&parent[v]);
+    if (p == v) {
+      return v;
     }
+    const VertexId grandparent = AtomicLoad(&parent[p]);
+    if (grandparent != p) {
+      AtomicStore(&parent[v], grandparent);
+    }
+    v = grandparent;
+  }
+}
+
+// v's root, read without writing. The last pass uses it: a halving store
+// can land after the vertex it moves was pointed at its root and move it
+// back to an ancestor, harmless while links still run but not once a
+// vertex holds its final label.
+VertexId Root(const VertexId* parent, VertexId v) {
+  for (VertexId p = AtomicLoad(&parent[v]); p != v; p = AtomicLoad(&parent[v])) {
+    v = p;
+  }
+  return v;
+}
+
+// Joins the trees of u and v. Returns whether this call linked two roots.
+bool Unite(VertexId* parent, VertexId u, VertexId v) {
+  if (AtomicLoad(&parent[u]) == AtomicLoad(&parent[v])) {
     return false;
   }
-
-  bool UpdateAtomic(VertexId src, VertexId dst, float /*weight*/) {
-    return AtomicMin(&label[dst], AtomicLoad(&label[src]));
+  while (true) {
+    u = Find(parent, u);
+    v = Find(parent, v);
+    if (u == v) {
+      return false;
+    }
+    if (u < v) {
+      std::swap(u, v);
+    }
+    // The larger root goes under the smaller, unless another link moved it
+    // first; then find both roots again.
+    if (AtomicCas(&parent[u], u, v)) {
+      return true;
+    }
   }
-
-  bool Cond(VertexId /*dst*/) const { return true; }
-};
+}
 
 }  // namespace
 
@@ -42,38 +73,15 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
   Timer total;
   obs::TraceSession trace(result.stats.trace, "wcc", config.layout, config.direction,
                           config.sync);
-  VertexMap(n, [&](VertexId v) { result.label[v] = v; });
-
-  if (IsVertexCentric(config.layout)) {
-    // Frontier-driven label propagation over the (symmetrized) adjacency
-    // lists: only re-labeled vertices propagate next round.
-    WccFunctor func{result.label.data()};
-    RunRounds(handle, Frontier::All(n), func, config, ctx, trace);
-  } else {
-    // Edge array / grid: full scans updating *both* endpoints per stored
-    // edge (no symmetrization needed), iterated to fixpoint. Both endpoints
-    // move, so every update is atomic whatever the configured sync.
-    VertexId* label = result.label.data();
-    std::atomic<bool> changed{true};
-    auto relax = [label, &changed](VertexId a, VertexId b, float /*w*/) {
-      const VertexId la = AtomicLoad(&label[a]);
-      const VertexId lb = AtomicLoad(&label[b]);
-      if (la < lb) {
-        if (AtomicMin(&label[b], la)) {
-          changed.store(true, std::memory_order_relaxed);
-        }
-      } else if (lb < la) {
-        if (AtomicMin(&label[a], lb)) {
-          changed.store(true, std::memory_order_relaxed);
-        }
-      }
-    };
-    while (changed.exchange(false, std::memory_order_relaxed)) {
-      trace.BeginIteration(n, /*frontier_sparse=*/false);
-      const int64_t scanned = ScanStoredEdges(handle, config, relax);
-      trace.EndIteration(config.direction, scanned, /*edges_relaxed=*/0);
-    }
-  }
+  VertexId* parent = result.label.data();
+  VertexMap(n, [parent](VertexId v) { parent[v] = v; });
+  trace.BeginIteration(n, /*frontier_sparse=*/false);
+  const EdgeCounts counts =
+      ScanStoredEdges(handle, config, [parent](VertexId src, VertexId dst, float /*w*/) {
+        return Unite(parent, src, dst);
+      });
+  VertexMap(n, [parent](VertexId v) { AtomicStore(&parent[v], Root(parent, v)); });
+  trace.EndIteration(config.direction, counts.scanned, counts.relaxed);
   result.stats.algorithm_seconds = total.Seconds();
   return result;
 }

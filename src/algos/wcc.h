@@ -1,10 +1,18 @@
-// Weakly connected components via label propagation: every vertex starts
-// with its own id as label; the minimum label floods each component.
+// Weakly connected components in one concurrent union-find pass over the
+// stored edges of whatever layout the RunConfig names (ScanStoredEdges in
+// src/engine/dispatch.h). The label array is the forest: label[v] is v's
+// parent and a root is its own. Each stored edge unites its two endpoints'
+// trees, linking the larger root under the smaller with a compare-and-swap;
+// finds halve their paths. Every parent id is therefore at most its child's
+// and every root is its component's minimum id, so a last pass that points
+// each vertex at its root yields the same labels in any schedule and at any
+// pool width.
 //
-// Layout note (paper section 8): on adjacency lists the input must be
-// symmetrized first (EdgeList::MakeUndirected), doubling the CSR build cost —
-// charge it as pre-processing. Edge arrays and grids need no symmetrization:
-// the scan propagates labels in both directions of each stored edge.
+// The paper propagates labels until none moves (section 8), and on
+// adjacency lists that needs the input symmetrized. A union only needs each
+// edge once, in either direction, so no layout needs symmetrized input: the
+// adjacency layouts walk the lists the run prepared (out-lists, or in-lists
+// under pull), and a symmetrized input yields the same labels.
 #ifndef SRC_ALGOS_WCC_H_
 #define SRC_ALGOS_WCC_H_
 
@@ -17,10 +25,11 @@ namespace egraph {
 struct WccResult {
   // label[v] = smallest vertex id in v's weakly connected component.
   std::vector<VertexId> label;
+  // One round: every stored edge scanned, and as many relaxed as the pass
+  // linked trees (vertices minus components).
   AlgoStats stats;
 };
 
-// For Layout::kAdjacency the handle's edge list must already be undirected.
 WccResult RunWcc(GraphHandle& handle, const RunConfig& config,
                  ExecutionContext& ctx = ExecutionContext::Default());
 

@@ -38,7 +38,10 @@ Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
   } else if (algorithm.subset_active) {
     if (algorithm.needs_undirected && !low_degree) {
       // WCC on low-diameter graphs: symmetrization doubles adjacency-list
-      // cost, and convergence is fast -> edge array (paper Table 6).
+      // cost, and convergence is fast -> edge array (paper Table 6). The
+      // paper's label propagation prices this rule; the union-find pass
+      // needs no symmetrized lists, so the adjacency pick on high-diameter
+      // graphs now pays an out-CSR build the pass does not need.
       rec.layout = Layout::kEdgeArray;
       rec.direction = Direction::kPush;
       rec.sync = Sync::kAtomics;

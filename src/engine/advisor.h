@@ -15,7 +15,7 @@ struct AlgorithmTraits {
   const char* name = "?";
   bool single_pass = false;      // completes in one scan (SpMV)
   bool subset_active = false;    // traversal: few vertices active per step
-  bool needs_undirected = false; // computes on the symmetrized graph (WCC)
+  bool needs_undirected = false; // the paper computes it on the symmetrized graph (WCC)
   bool long_running = false;     // many full-graph iterations (Pagerank, ALS)
   bool gather_based = false;     // each vertex aggregates into its own state
                                  // (ALS factor solves): pull, lock-free

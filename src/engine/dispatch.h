@@ -1,6 +1,7 @@
 // The engine's one layout x direction switch. Algorithms hand their RunConfig
-// and a functor to EdgeMap (frontier rounds) or a per-edge value to Scan
-// (all-active sum rounds); only here is a kernel picked: a stored-edge scan
+// and a functor to EdgeMap (frontier rounds), a per-edge value to Scan
+// (all-active sum rounds) or a per-edge body to ScanStoredEdges (one pass
+// over every stored edge); only here is a kernel picked: a stored-edge scan
 // (the edge array, or the grid's row-major cells or owned columns, picked by
 // RunStoredEdgeScan for EdgeMap, Scan and ScanStoredEdges alike), or an
 // adjacency source (plain CSR, compressed CSR, or shards over the plain CSR)
@@ -144,7 +145,9 @@ int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* s
   } add{value, sums};
   const auto by_source = [&](const auto& out) {
     return edge_map_internal::WithSharedUpdate(
-        add, config.sync, &handle.locks(), [&](auto& shared) { return ScanBySource(out, shared); });
+               add, config.sync, &handle.locks(),
+               [&](auto& shared) { return ScanBySource(out, shared); })
+        .scanned;
   };
   const bool pull = config.direction == Direction::kPull;
   switch (config.layout) {
@@ -168,22 +171,39 @@ int64_t Scan(GraphHandle& handle, const RunConfig& config, Value value, float* s
   return 0;
 }
 
-// Edge-centric pass for the edge array and grid: body(src, dst, weight) for
-// every stored edge, concurrently. For updates that are not a
-// per-destination sum, such as WCC relaxing both endpoints: no destination
-// ownership or lock covers such a body, so it synchronizes its own writes,
-// takes no update from RunStoredEdgeScan and runs where an atomic update
-// would, on the edge array or the grid's row-major cells. Returns the edges
-// scanned.
+// Every stored edge once, body(src, dst, weight), concurrently, on any
+// layout: the edge array or the grid's row-major cells, or, on the
+// vertex-centric layouts, the lists the run prepared walked by source (the
+// out-lists, or the in-lists under pull; sharded walks the plain CSR). For
+// bodies that are not a per-destination update, such as WCC's union of both
+// endpoints: no destination ownership or lock covers such a body, so it
+// synchronizes its own writes and takes no update from RunStoredEdgeScan.
+// Returns the edges scanned and, for a body that returns whether it changed
+// something, those changes as relaxed.
 template <typename Body>
-int64_t ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
-  struct NoUpdate {
-    void Update(VertexId, VertexId, float) {}
-    void UpdateAtomic(VertexId, VertexId, float) {}
-  } none;
-  return RunStoredEdgeScan(handle, config.layout, Sync::kAtomics, none,
-                           [&body](auto& /*update*/) -> auto& { return body; })
-      .scanned;
+EdgeCounts ScanStoredEdges(GraphHandle& handle, const RunConfig& config, Body&& body) {
+  // An in-list holds each edge under its destination: hand it to body the
+  // right way round.
+  auto reversed = [&body](VertexId dst, VertexId src, float w) { return body(src, dst, w); };
+  const bool pull = config.direction == Direction::kPull;
+  switch (config.layout) {
+    case Layout::kEdgeArray:
+    case Layout::kGrid: {
+      struct NoUpdate {
+        void Update(VertexId, VertexId, float) {}
+        void UpdateAtomic(VertexId, VertexId, float) {}
+      } none;
+      return RunStoredEdgeScan(handle, config.layout, Sync::kAtomics, none,
+                               [&body](auto& /*update*/) -> auto& { return body; });
+    }
+    case Layout::kAdjacency:
+    case Layout::kSharded:
+      return pull ? ScanBySource(handle.in_csr(), reversed) : ScanBySource(handle.out_csr(), body);
+    case Layout::kCompressed:
+      return pull ? ScanBySource(handle.compressed_in(), reversed)
+                  : ScanBySource(handle.compressed_out(), body);
+  }
+  return {};
 }
 
 // Out-degree of every vertex, read from the layout's out-lists when they

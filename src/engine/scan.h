@@ -5,14 +5,16 @@
 // The three stored-edge scans (the edge array, the grid's row-major cells
 // and the grid's owned columns) are the engine's only loops over stored
 // edges: EdgeMap on the edge array and the grid, Scan and ScanStoredEdges
-// all run them, and one function in dispatch.h picks among them. A body
-// that returns whether it changed its destination (EdgeMap's) has those
-// changes counted as relaxed; a body that returns nothing costs no count.
+// all run them, and one function in dispatch.h picks among them.
 //
 // The by-source and by-destination scans are written once over the
 // adjacency-source surface (src/layout/csr.h), like the EdgeMap kernels,
 // and serve plain and compressed lists alike; the sharded dense scan reuses
 // the destination fold.
+//
+// In the stored-edge scans and the by-source scan, a body that returns
+// whether it changed something (EdgeMap's, WCC's union) has those changes
+// counted as relaxed; a body that returns nothing costs no count.
 //
 // All scans iterate in fixed-size chunks (256 vertices, 4096 edges, or one
 // grid cell; whole grid columns when a column is owned) through the counted
@@ -100,22 +102,24 @@ EdgeCounts ScanEdgeArray(const EdgeList& graph, Body&& body) {
 
 // Vertex-centric push scan over an out-adjacency source: body(src, dst,
 // weight) for every edge, 256 sources per chunk. Caller synchronizes
-// destination writes.
+// destination writes. Like the stored-edge scans, returns the edges
+// scanned and relaxed.
 template <typename Source, typename Body>
-int64_t ScanBySource(const Source& out, Body&& body) {
+EdgeCounts ScanBySource(const Source& out, Body&& body) {
   obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
-  const EdgeCounts total = CountedChunks(
+  return CountedChunks(
       0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
       [&](int64_t lo, int64_t hi, int /*worker*/) {
         EdgeCounts chunk;
         for (int64_t v = lo; v < hi; ++v) {
           const VertexId src = static_cast<VertexId>(v);
-          out.ForEachNeighbor(src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
+          out.ForEachNeighbor(src, [&body, &chunk, src](VertexId dst, float w) {
+            scan_internal::Visit(body, src, dst, w, chunk.relaxed);
+          });
           chunk.scanned += static_cast<int64_t>(out.Degree(src));
         }
         return chunk;
       });
-  return total.scanned;
 }
 
 // Vertex-centric pull scan over an in-adjacency source: sums[dst] +=

@@ -49,8 +49,8 @@ inline uint64_t ChecksumSssp(const std::vector<float>& dist) {
 }
 
 inline uint64_t ChecksumWcc(const std::vector<VertexId>& label) {
-  // Label propagation converges to the minimum vertex id per component:
-  // deterministic regardless of execution interleaving.
+  // Each label is the minimum vertex id of its component: deterministic
+  // regardless of execution interleaving.
   uint64_t sum = 0;
   for (VertexId v = 0; v < static_cast<VertexId>(label.size()); ++v) {
     sum += MixChecksum(v ^ (static_cast<uint64_t>(label[v]) << 32));

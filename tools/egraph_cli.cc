@@ -23,7 +23,7 @@
 // `serve` freezes the loaded graph into an immutable snapshot and executes
 // the query file (one `<algo> [source]` per line) on N concurrent workers,
 // each with its own ExecutionContext — the library's serving mode. WCC
-// queries need --symmetrize (adjacency WCC expects an undirected list).
+// labels weak components on any layout, symmetrized or not.
 // `serve --updates=FILE` serves against a SnapshotStore instead of a single
 // frozen handle: the update stream (`add|del SRC DST` per line) is applied
 // in --update-batch-sized batches interleaved with query submission, each
@@ -282,7 +282,7 @@ int CmdRun(const Flags& flags) {
   // building (undirected symmetrization, dedup) load the plain way.
   const std::string medium_name = flags.GetString("medium", "");
   const std::string from = flags.GetString("from", "binary");
-  const bool mutates_input = algo == "wcc" || algo == "kcore" || algo == "triangles";
+  const bool mutates_input = algo == "kcore" || algo == "triangles";
   const bool use_load_build = !medium_name.empty() && from == "binary" &&
                               config.layout == Layout::kAdjacency && !mutates_input;
   if (!medium_name.empty() && !use_load_build) {
@@ -358,12 +358,6 @@ int CmdRun(const Flags& flags) {
   std::string summary;
   char buffer[128];
 
-  if (algo == "wcc" && (config.layout == Layout::kAdjacency ||
-                        config.layout == Layout::kCompressed ||
-                        config.layout == Layout::kSharded)) {
-    graph = graph.MakeUndirected();
-    config.symmetric_input = true;
-  }
   if (algo == "kcore" || algo == "triangles") {
     graph = graph.MakeUndirected();
     graph.RemoveSelfLoops();
